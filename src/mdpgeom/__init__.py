@@ -48,6 +48,7 @@ from .errors import (
     ModelFormatError,
     NotPrimitiveError,
     NotUnichainError,
+    NumericalCheckError,
     SingularMatrixError,
     UnsupportedVersionError,
     ValidationFailedError,
@@ -100,6 +101,7 @@ __all__ = [
     "ModelFormatError",
     "NotPrimitiveError",
     "NotUnichainError",
+    "NumericalCheckError",
     "OptimalPolicyResult",
     "Policy",
     "PolicyVector",

@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import CriterionMismatchError, NotUnichainError, SingularMatrixError
+from .errors import (
+    CriterionMismatchError,
+    NotUnichainError,
+    NumericalCheckError,
+    SingularMatrixError,
+)
 from .linalg import solve_checked
 from .model import (
     DISCOUNTED,
@@ -68,15 +73,25 @@ class OptimalPolicyResult:
 
 
 def evaluate_discounted(model: MdpModel, pi: Policy) -> ValueVector:
-    """Solve (I - gamma*P) V = R for gamma < 1."""
+    """Solve (I - gamma*P) V = R for gamma < 1.
+
+    The solution must pass a componentwise backward-error check: each row's
+    residual is at most RESIDUAL_TOL * (|A||V| + |R|). The bound scales with
+    |V|, which grows like 1/(1 - gamma), so it holds as gamma -> 1.
+    """
     if model.is_average_reward:
         raise CriterionMismatchError("discounted evaluation needs gamma < 1")
     check_policy(model, pi)
     p = policy_kernel(model, pi)
     r = policy_rewards(model, pi)
-    v = solve_checked(np.eye(model.n) - model.gamma * p, r)
-    residual = float(np.max(np.abs(v - r - model.gamma * (p @ v))))
-    assert residual <= RESIDUAL_TOL * (1.0 + float(np.max(np.abs(r))))
+    a = np.eye(model.n) - model.gamma * p
+    v = solve_checked(a, r)
+    residual = np.abs(v - r - model.gamma * (p @ v))
+    limit = RESIDUAL_TOL * (np.abs(a) @ np.abs(v) + np.abs(r))
+    if np.any(residual > limit):
+        raise NumericalCheckError(
+            f"discounted evaluation residual {residual.max():.3e} exceeds its backward-error bound"
+        )
     return ValueVector(values=v, criterion=DISCOUNTED)
 
 
@@ -107,10 +122,6 @@ def evaluate_average(model: MdpModel, pi: Policy, anchor_state: int = 0) -> Gain
     return GainBias(gain=rho, bias=h, anchor_state=anchor_state)
 
 
-def _greedy(model: MdpModel, scale: float, v: np.ndarray):
-    return kernels.greedy_sweep_model(model, scale, v)
-
-
 def value_iteration(
     model: MdpModel,
     v0: np.ndarray | None = None,
@@ -131,7 +142,7 @@ def value_iteration(
     trace = SolveTrace(iterates=[v.copy()])
     threshold = epsilon * (1.0 - gamma) / gamma
     for _ in range(max_iters):
-        maxq, _ = _greedy(model, gamma, v)
+        maxq, _ = kernels.greedy_sweep_model(model, gamma, v)
         diff_span = span(maxq - v)
         trace.iterates.append(maxq.copy())
         trace.residual_spans.append(diff_span)
@@ -139,7 +150,7 @@ def value_iteration(
         if diff_span <= threshold:
             trace.converged = True
             break
-    _, greedy_ids = _greedy(model, gamma, v)
+    _, greedy_ids = kernels.greedy_sweep_model(model, gamma, v)
     return Policy(greedy_ids), trace
 
 
@@ -164,7 +175,7 @@ def relative_value_iteration(
     trace = SolveTrace(iterates=[u.copy()])
     gain_estimate = 0.0
     for _ in range(max_iters):
-        tu, _ = _greedy(model, 1.0, u)
+        tu, _ = kernels.greedy_sweep_model(model, 1.0, u)
         residual_span = span(tu - u)
         gain_estimate = float(tu[anchor_state])
         u = tu - tu[anchor_state]
@@ -173,7 +184,7 @@ def relative_value_iteration(
         if residual_span <= epsilon:
             trace.converged = True
             break
-    _, greedy_ids = _greedy(model, 1.0, u)
+    _, greedy_ids = kernels.greedy_sweep_model(model, 1.0, u)
     return Policy(greedy_ids), GainBias(gain=gain_estimate, bias=u, anchor_state=anchor_state), trace
 
 
@@ -192,7 +203,7 @@ def _optimal_discounted(model: MdpModel) -> OptimalPolicyResult:
     pi = lowest_index_policy(model)
     for _ in range(10_000):
         v = evaluate_discounted(model, pi).values
-        maxq, greedy_ids = _greedy(model, model.gamma, v)
+        maxq, greedy_ids = kernels.greedy_sweep_model(model, model.gamma, v)
         q_current = (
             model.sap_rewards[pi.choice]
             + model.gamma * (model.sap_probs[pi.choice] @ v)
@@ -204,7 +215,7 @@ def _optimal_discounted(model: MdpModel) -> OptimalPolicyResult:
         choice[improve] = greedy_ids[improve]
         pi = Policy(choice)
     else:  # pragma: no cover
-        raise AssertionError("policy iteration failed to terminate")
+        raise NumericalCheckError("policy iteration failed to terminate")
     v = evaluate_discounted(model, pi).values
     adv = classical_advantages(model, v)
     member = np.zeros(model.m, dtype=bool)

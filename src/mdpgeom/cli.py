@@ -2,24 +2,21 @@
 
 Subcommands: validate, solve, analyze, normalize, converge, generate,
 sweep. Exit codes: 0 ok, 1 internal error, 2 input error, 3 assumption
-violated under --strict. MDP_GEOM_THREADS caps sweep parallelism;
-MDP_GEOM_BACKEND selects the kernel backend.
+violated under --strict. Sweep trials run one after another.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
-import os
 import sys
 import traceback
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, classic, geometry, kernels
+from . import __version__, classic, geometry
 from .chains import (
     classify_chain,
     primitivity_certificate,
@@ -39,7 +36,7 @@ from .errors import (
 from .generate import GeneratorSpec, SplitMix64, generate_model, uniform_vector, PRNG_NAME
 from .model import MdpModel, Policy, policy_kernel, validate_model
 from .modelfile import emit_model, parse_model
-from .reporting import _json_safe, policy_hash, report_dict, trace_csv
+from .reporting import _fmt, _json_safe, policy_hash, report_dict, trace_csv
 
 V0_SEED_XOR = 0xA5A5A5A5A5A5A5A5
 
@@ -85,7 +82,7 @@ def _provenance(**extra) -> dict:
         "package": "mdpgeom",
         "version": __version__,
         "prng": PRNG_NAME,
-        "backend": kernels.active_backend(),
+        "backend": "numpy",
     }
     base.update(extra)
     return base
@@ -237,17 +234,32 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("MDP_GEOM_THREADS", "").strip()
-    if raw:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError("MDP_GEOM_THREADS must be a positive integer")
-        return cap
-    return min(8, os.cpu_count() or 1)
+@dataclasses.dataclass(frozen=True)
+class SweepRow:
+    """One sweep trial; the field order is the column order of sweep.csv."""
+
+    trial: int
+    seed: int
+    n: int
+    gamma: float
+    unique: bool | None
+    unichain: bool | None
+    aperiodic: bool | None
+    exponent: int | None
+    delta: float | None
+    omega: float | None
+    phi: float | None
+    tau: float | None
+    degenerate: bool | None
+    converged_early: bool
+    span0: float
+    span_final: float
+    bound_satisfied: bool | None
+    sanity_bound_satisfied: bool | None
+    excluded: bool
 
 
-def _sweep_trial(spec: GeneratorSpec, base_seed: int, trial: int) -> dict:
+def _sweep_trial(spec: GeneratorSpec, base_seed: int, trial: int) -> SweepRow:
     seed = base_seed + trial
     trial_spec = dataclasses.replace(spec, seed=seed)
     model = generate_model(trial_spec).model
@@ -255,83 +267,44 @@ def _sweep_trial(spec: GeneratorSpec, base_seed: int, trial: int) -> dict:
     report = verify_contraction(model, v0=v0)
     diag = report.diagnostics
     consts = report.constants
-    excluded = diag is None or not diag.all_pass
-    return {
-        "trial": trial,
-        "seed": seed,
-        "n": model.n,
-        "gamma": model.gamma,
-        "unique": diag.unique if diag else None,
-        "unichain": diag.unichain if diag else None,
-        "aperiodic": diag.aperiodic if diag else None,
-        "exponent": report.exponent,
-        "delta": consts.delta if consts else None,
-        "omega": consts.omega if consts else None,
-        "phi": consts.phi if consts else None,
-        "tau": consts.tau if consts else None,
-        "degenerate": consts.degenerate if consts else None,
-        "converged_early": report.converged_early,
-        "span0": report.span_trace[0],
-        "span_final": report.span_trace[-1],
-        "bound_satisfied": report.bound_satisfied,
-        "sanity_bound_satisfied": report.sanity_bound_satisfied,
-        "excluded": excluded,
-    }
-
-
-_SWEEP_COLUMNS = [
-    "trial",
-    "seed",
-    "n",
-    "gamma",
-    "unique",
-    "unichain",
-    "aperiodic",
-    "exponent",
-    "delta",
-    "omega",
-    "phi",
-    "tau",
-    "degenerate",
-    "converged_early",
-    "span0",
-    "span_final",
-    "bound_satisfied",
-    "sanity_bound_satisfied",
-    "excluded",
-]
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return SweepRow(
+        trial=trial,
+        seed=seed,
+        n=model.n,
+        gamma=model.gamma,
+        unique=diag.unique if diag else None,
+        unichain=diag.unichain if diag else None,
+        aperiodic=diag.aperiodic if diag else None,
+        exponent=report.exponent,
+        delta=consts.delta if consts else None,
+        omega=consts.omega if consts else None,
+        phi=consts.phi if consts else None,
+        tau=consts.tau if consts else None,
+        degenerate=consts.degenerate if consts else None,
+        converged_early=report.converged_early,
+        span0=report.span_trace[0],
+        span_final=report.span_trace[-1],
+        bound_satisfied=report.bound_satisfied,
+        sanity_bound_satisfied=report.sanity_bound_satisfied,
+        excluded=diag is None or not diag.all_pass,
+    )
 
 
 def _cmd_sweep(args) -> int:
     spec = GeneratorSpec.from_dict(json.loads(Path(args.spec).read_text()))
     trials = args.trials
-    workers = min(_thread_cap(), max(1, trials))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: _sweep_trial(spec, args.seed, t), range(trials)))
-    else:
-        rows = [_sweep_trial(spec, args.seed, t) for t in range(trials)]
+    rows = [_sweep_trial(spec, args.seed, t) for t in range(trials)]
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(_SWEEP_COLUMNS)]
+    lines = [",".join(f.name for f in dataclasses.fields(SweepRow))]
     for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in _SWEEP_COLUMNS))
+        lines.append(",".join(_fmt(value) for value in dataclasses.astuple(row)))
     (outdir / "sweep.csv").write_text("\n".join(lines) + "\n")
 
-    excluded = sum(1 for r in rows if r["excluded"])
-    counted = [r for r in rows if not r["excluded"]]
-    failures = sum(1 for r in counted if r["bound_satisfied"] is False)
+    excluded = sum(1 for r in rows if r.excluded)
+    counted = [r for r in rows if not r.excluded]
+    failures = sum(1 for r in counted if r.bound_satisfied is False)
     summary = {
         "sweep_version": 1,
         "trials": trials,

@@ -37,6 +37,15 @@ class AssumptionViolatedError(MdpError):
         super().__init__(message or f"assumption violated: {diagnostic}")
 
 
+class NumericalCheckError(MdpError):
+    """A computed result failed a runtime numerical check.
+
+    Raised when a solution's residual exceeds its bound, when a system that
+    is provably nonsingular tests singular, or when an iteration that must
+    terminate does not.
+    """
+
+
 class SingularMatrixError(MdpError):
     """A dense factorization hit a pivot below the relative threshold."""
 

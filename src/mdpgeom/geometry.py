@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CriterionMismatchError, NotUnichainError, SingularMatrixError
+from .errors import (
+    CriterionMismatchError,
+    NotUnichainError,
+    NumericalCheckError,
+    SingularMatrixError,
+)
 from .linalg import solve_checked
 from .model import AVERAGE_BIAS, DISCOUNTED, MdpModel, Policy, ValueVector, check_policy
 from .model import policy_kernel, policy_rewards
@@ -94,7 +99,7 @@ def evaluate_policy(model: MdpModel, pi: Policy) -> tuple:
             raise NotUnichainError(
                 "policy evaluation at gamma=1 needs a unichain kernel"
             ) from exc
-        raise AssertionError(
+        raise NumericalCheckError(
             "singular evaluation system at gamma < 1 on a stochastic kernel"
         ) from exc
     residual = float(np.max(np.abs(a @ x - r)))
@@ -104,7 +109,7 @@ def evaluate_policy(model: MdpModel, pi: Policy) -> tuple:
             raise NotUnichainError(
                 f"evaluation residual {residual:.3e} exceeds {limit:.3e}"
             )
-        raise AssertionError(f"evaluation residual {residual:.3e} exceeds {limit:.3e}")
+        raise NumericalCheckError(f"evaluation residual {residual:.3e} exceeds {limit:.3e}")
     v = c * x
     consts = GeometryConstants(C=c, v_sigma=float(v.sum()), gamma=gamma, n=n)
     return PolicyVector(values=v), consts

@@ -1,43 +1,25 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The greedy sweep, the one numeric kernel behind every value-iteration loop.
 
-Every value-iteration style sweep in the package funnels through
-``greedy_sweep``: per state, score each attached SAP as
+``greedy_sweep_model`` scores, per state, each attached SAP as
 
     q(a) = reward(a) + scale * dot(probs(a), v)
 
-and return the per-state maximum together with the first SAP index
+and returns the per-state maximum together with the first SAP index
 attaining it (ties go to the lowest SAP index). Callers supply ``scale``
 (gamma for classical updates, gamma/C for updates on the geometric values)
 and apply their own constant shifts, which do not change the argmax.
-
-Backend selection: the MDP_GEOM_BACKEND environment variable ("numba" or
-"numpy") picks the implementation at import time; set_backend() overrides
-it at runtime. When numba is not importable the numpy path is used.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def _greedy_sweep_numpy(rewards, probs, order, ptr, scale, v):
-    q = rewards + scale * (probs @ v)
+def greedy_sweep_model(model, scale, v):
+    """Per-state max of reward + scale * probs @ v, plus the greedy SAP ids."""
+    order, ptr = model.state_order, model.state_ptr
+    v = np.asarray(v, dtype=np.float64)
+    q = model.sap_rewards + float(scale) * (model.sap_probs @ v)
     qs = q[order]
     starts = ptr[:-1]
     maxq = np.maximum.reduceat(qs, starts)
@@ -47,95 +29,3 @@ def _greedy_sweep_numpy(rewards, probs, order, ptr, scale, v):
     pos = np.where(qs == maxq[seg], np.arange(order.shape[0]), order.shape[0])
     first = np.minimum.reduceat(pos, starts)
     return maxq, order[first]
-
-
-@njit(cache=True)
-def _greedy_sweep_jit(rewards, probs, order, ptr, scale, v):  # pragma: no cover
-    n = ptr.shape[0] - 1
-    dim = v.shape[0]
-    maxq = np.empty(n, dtype=np.float64)
-    greedy = np.empty(n, dtype=np.int64)
-    # manual dot below ~64 entries, BLAS above; crossover measured on the
-    # bundled benchmark
-    small = dim < 64
-    for s in range(n):
-        best = -np.inf
-        best_id = -1
-        for k in range(ptr[s], ptr[s + 1]):
-            a = order[k]
-            if small:
-                acc = 0.0
-                for j in range(dim):
-                    acc += probs[a, j] * v[j]
-            else:
-                acc = np.dot(probs[a], v)
-            q = rewards[a] + scale * acc
-            if q > best:
-                best = q
-                best_id = a
-        maxq[s] = best
-        greedy[s] = best_id
-    return maxq, greedy
-
-
-def _greedy_sweep_numba(rewards, probs, order, ptr, scale, v):
-    return _greedy_sweep_jit(rewards, probs, order, ptr, float(scale), v)
-
-
-_IMPLS = {"numpy": _greedy_sweep_numpy}
-if HAVE_NUMBA:
-    _IMPLS["numba"] = _greedy_sweep_numba
-
-
-def _default_backend() -> str:
-    preferred = "numba" if HAVE_NUMBA else "numpy"
-    choice = os.environ.get("MDP_GEOM_BACKEND", "").strip().lower()
-    if not choice:
-        return preferred
-    if choice == "numba" and not HAVE_NUMBA:
-        warnings.warn("MDP_GEOM_BACKEND=numba but numba is unavailable; using numpy")
-        return "numpy"
-    if choice not in ("numba", "numpy"):
-        warnings.warn(
-            f"ignoring MDP_GEOM_BACKEND={choice!r} (expected 'numba' or 'numpy')"
-        )
-        return preferred
-    return choice
-
-
-_BACKEND = _default_backend()
-
-
-def active_backend() -> str:
-    return _BACKEND
-
-
-def available_backends() -> tuple:
-    return tuple(sorted(_IMPLS))
-
-
-def set_backend(name: str) -> None:
-    """Switch the kernel implementation process-wide."""
-    global _BACKEND
-    if name not in _IMPLS:
-        raise ValueError(f"unknown backend {name!r}; available: {available_backends()}")
-    _BACKEND = name
-
-
-def greedy_sweep(rewards, probs, order, ptr, scale, v, backend: str | None = None):
-    """Per-state max of reward + scale * probs @ v, plus the greedy SAP ids."""
-    impl = _IMPLS[backend or _BACKEND]
-    return impl(rewards, probs, order, ptr, float(scale), np.asarray(v, dtype=np.float64))
-
-
-def greedy_sweep_model(model, scale, v, backend: str | None = None):
-    """greedy_sweep using a model's cached SAP arrays."""
-    return greedy_sweep(
-        model.sap_rewards,
-        model.sap_probs,
-        model.state_order,
-        model.state_ptr,
-        scale,
-        v,
-        backend=backend,
-    )
