@@ -199,7 +199,7 @@ def _cmd_converge(args) -> int:
         outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
-        (outdir / "trace.csv").write_text(trace_csv(report))
+        (outdir / "trace.csv").write_text(trace_csv(report, doc["greedy_policy_hashes"]))
         print(f"wrote {outdir / 'report.json'} and {outdir / 'trace.csv'}")
     else:
         _print_json(doc)

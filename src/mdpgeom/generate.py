@@ -4,6 +4,10 @@ The generator is SplitMix64 (public constants 0x9E3779B97F4A7C15,
 0xBF58476D1CE4E5B9, 0x94D049BB133111EB), chosen so that any implementation
 in any language can reproduce the exact instance stream from the 64-bit
 seed. Uniform doubles take the top 53 bits of each output word.
+``SplitMix64.next_u64`` is the scalar reference; ``uniforms`` computes the
+same stream in counter form (Steele, Lea & Flood, OOPSLA 2014): the j-th
+state after ``s`` is ``s + j * 0x9E3779B97F4A7C15`` mod 2^64, so k draws
+are one uint64 array operation.
 
 Draw order per SAP, fixed for reproducibility: n weight uniforms, then
 (only if sparsity > 0) n sparsity uniforms, then one reward uniform. SAPs
@@ -23,6 +27,13 @@ from .model import MdpModel, Sap
 PRNG_NAME = "splitmix64"
 
 _MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# generate_model draws this many uniforms per chunk of SAPs (or one SAP's
+# worth, if more), so the uint64 temporaries stay a few hundred KB at any n
+_CHUNK_DRAWS = 1 << 16
 
 
 class SplitMix64:
@@ -32,18 +43,26 @@ class SplitMix64:
         self._state = int(seed) & _MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
+        self._state = (self._state + _GOLDEN) & _MASK
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return (z ^ (z >> 31)) & _MASK
 
-    def uniform(self) -> float:
-        """Uniform double in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * (2.0**-53)
-
     def uniforms(self, k: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(k)], dtype=np.float64)
+        """The next k uniform doubles in [0, 1), each from the top 53 bits of a word."""
+        if k < 0:
+            raise ValueError("k must be non-negative")
+        z = np.arange(1, k + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        self._state = (self._state + k * _GOLDEN) & _MASK
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -111,21 +130,30 @@ def generate_model(spec: GeneratorSpec) -> GenerationResult:
     """
     rng = SplitMix64(spec.seed)
     lo, hi = spec.reward_range
+    n, per_state = spec.n, spec.saps_per_state
+    m = n * per_state
+    per_sap = n * (2 if spec.sparsity > 0.0 else 1) + 1
+    chunk = max(1, _CHUNK_DRAWS // per_sap)
     saps = []
     repaired = []
-    for state in range(spec.n):
-        for slot in range(spec.saps_per_state):
-            weights = rng.uniforms(spec.n)
-            if spec.sparsity > 0.0:
-                keep = rng.uniforms(spec.n) >= spec.sparsity
-                weights = np.where(keep, weights, 0.0)
-            if not np.any(weights > 0.0):
-                weights[state] = 1.0
-                repaired.append((state, slot))
-            probs = weights / weights.sum()
-            reward = lo + rng.uniform() * (hi - lo)
-            saps.append(Sap(state=state, reward=reward, probs=probs))
-    model = MdpModel(n=spec.n, saps=tuple(saps), gamma=spec.gamma)
+    for first in range(0, m, chunk):
+        ids = np.arange(first, min(first + chunk, m))
+        draws = rng.uniforms(ids.size * per_sap).reshape(ids.size, per_sap)
+        weights = draws[:, :n].copy()
+        if spec.sparsity > 0.0:
+            weights[draws[:, n : 2 * n] < spec.sparsity] = 0.0
+        dead = ~np.any(weights > 0.0, axis=1)
+        states = ids // per_state
+        weights[dead, states[dead]] = 1.0
+        repaired.extend(divmod(int(i), per_state) for i in ids[dead])
+        # rows are contiguous, so each sums in the same pairwise order as a lone row
+        probs = weights / weights.sum(axis=1, keepdims=True)
+        rewards = lo + draws[:, -1] * (hi - lo)
+        saps.extend(
+            Sap(state=s, reward=r, probs=p)
+            for s, r, p in zip(states.tolist(), rewards.tolist(), probs)
+        )
+    model = MdpModel(n=n, saps=tuple(saps), gamma=spec.gamma)
     return GenerationResult(model=model, spec=spec, repaired_rows=repaired)
 
 

@@ -124,6 +124,19 @@ class MdpModel:
         ptr.setflags(write=False)
         return ptr
 
+    @cached_property
+    def _owner_table(self) -> np.ndarray:
+        """sap_states between two -1 sentinels: entry i + 1 is the state of SAP i."""
+        a = np.concatenate(([-1], self.sap_states, [-1]))
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def _state_ids(self) -> np.ndarray:
+        a = np.arange(self.n)
+        a.setflags(write=False)
+        return a
+
     def saps_at(self, state: int) -> np.ndarray:
         """SAP indices attached to ``state``, ascending."""
         return self.state_order[self.state_ptr[state] : self.state_ptr[state + 1]]
@@ -182,13 +195,17 @@ def check_policy(model: MdpModel, pi: Policy) -> None:
         raise InvalidPolicyError(
             f"policy length {pi.choice.shape[0]} does not match n={model.n}"
         )
-    for s, idx in enumerate(pi.choice):
+    # SAP index i reads entry i + 1; indices outside [0, m) clip onto a sentinel
+    owners = model._owner_table.take(pi.choice + 1, mode="clip")
+    bad = owners != model._state_ids
+    s = int(bad.argmax())  # the first offending state, if any
+    if bad[s]:
+        idx = int(pi.choice[s])
         if not 0 <= idx < model.m:
             raise InvalidPolicyError(f"state {s}: SAP index {idx} out of range")
-        if model.saps[idx].state != s:
-            raise InvalidPolicyError(
-                f"state {s}: SAP {idx} is attached to state {model.saps[idx].state}"
-            )
+        raise InvalidPolicyError(
+            f"state {s}: SAP {idx} is attached to state {model.saps[idx].state}"
+        )
 
 
 def validate_model(model: MdpModel) -> list:

@@ -13,33 +13,57 @@ Emission is canonical: fixed key order, SAPs in index order, reals printed
 as Python's shortest round-trip decimals (at most 17 significant digits),
 two-space indentation, trailing newline. Equal models therefore emit
 byte-identical documents, and parse(emit(m)) reproduces every real exactly.
+The writer produces the bytes of ``json.dumps(doc, indent=2) + "\n"``
+without going through the encoder, whose indented mode is pure Python.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .errors import ModelFormatError, UnsupportedVersionError, ValidationFailedError
 from .model import MdpModel, Sap, validate_model
 
 SCHEMA_VERSION = 1
 
+# json's spellings of the reals that float.__repr__ writes as nan, inf, -inf
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _reals(values: np.ndarray) -> list:
+    """Each real of a float array as json writes it."""
+    cells = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        cells = [_NONFINITE.get(c, c) for c in cells]
+    return cells
+
+
+def _probs_list(probs: np.ndarray) -> str:
+    if probs.size == 0:
+        return "[]"
+    return "[\n        " + ",\n        ".join(_reals(probs)) + "\n      ]"
+
 
 def emit_model(model: MdpModel) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "n": model.n,
-        "gamma": float(model.gamma),
-        "saps": [
-            {
-                "state": sap.state,
-                "reward": float(sap.reward),
-                "probs": [float(p) for p in sap.probs],
-            }
-            for sap in model.saps
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The canonical schema-version-1 document of ``model``."""
+    saps = ",\n".join(
+        "    {\n"
+        f'      "state": {sap.state},\n'
+        f'      "reward": {reward},\n'
+        f'      "probs": {_probs_list(sap.probs)}\n'
+        "    }"
+        for sap, reward in zip(model.saps, _reals(model.sap_rewards))
+    )
+    return (
+        "{\n"
+        f'  "schema_version": {SCHEMA_VERSION},\n'
+        f'  "n": {model.n},\n'
+        f'  "gamma": {model.gamma!r},\n'
+        f'  "saps": [\n{saps}\n  ]\n'
+        "}\n"
+    )
 
 
 def parse_model(text: str) -> MdpModel:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
+
 from .convergence import ConvergenceReport
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -33,8 +35,14 @@ def fnv1a64(data: bytes) -> int:
 
 def policy_hash(choice) -> str:
     """16-hex-digit FNV-1a over the SAP-index vector (8 LE bytes per index)."""
-    payload = b"".join(int(i).to_bytes(8, "little") for i in choice)
+    payload = np.asarray(choice, dtype="<u8").tobytes()
     return f"{fnv1a64(payload):016x}"
+
+
+def _greedy_policy_hashes(report: ConvergenceReport) -> list:
+    """policy_hash of each greedy policy, hashing each distinct policy once."""
+    hashes = {g: policy_hash(g) for g in dict.fromkeys(report.greedy_policies)}
+    return [hashes[g] for g in report.greedy_policies]
 
 
 def _json_safe(value):
@@ -72,7 +80,7 @@ def report_dict(report: ConvergenceReport, provenance: dict | None = None) -> di
         "converged_early": report.converged_early,
         "span_trace": report.span_trace,
         "per_step_ratios": report.per_step_ratios,
-        "greedy_policy_hashes": [policy_hash(g) for g in report.greedy_policies],
+        "greedy_policy_hashes": _greedy_policy_hashes(report),
         "unnormalized_span_trace": report.unnormalized_span_trace,
         "provenance": provenance or {},
     }
@@ -89,15 +97,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def trace_csv(report: ConvergenceReport) -> str:
+def trace_csv(report: ConvergenceReport, policy_hashes: list) -> str:
     """CSV of the verified run: columns t, span, ratio, greedy_policy_hash.
 
     Row t's ratio is span(v_t) / span(v_{t-1}); the t = 0 ratio is empty.
+    ``policy_hashes`` is the report's ``greedy_policy_hashes`` list, so each
+    policy is hashed once for both outputs.
     """
     lines = ["t,span,ratio,greedy_policy_hash"]
     for t, s in enumerate(report.span_trace):
         ratio = report.per_step_ratios[t - 1] if t >= 1 else None
-        lines.append(
-            f"{t},{_fmt(float(s))},{_fmt(ratio)},{policy_hash(report.greedy_policies[t])}"
-        )
+        lines.append(f"{t},{_fmt(float(s))},{_fmt(ratio)},{policy_hashes[t]}")
     return "\n".join(lines) + "\n"

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mdpgeom import MdpModel, Policy, Sap
 from mdpgeom.generate import GeneratorSpec, generate_model
+
+# derandomized and without an example database, so every run draws the same
+# examples and no local .hypothesis/ state changes the outcome
+settings.register_profile("repeatable", derandomize=True, database=None, deadline=None)
+settings.load_profile("repeatable")
 
 
 def make_model(n, gamma, saps):

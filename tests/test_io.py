@@ -1,7 +1,10 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdpgeom import (
     GeneratorSpec,
@@ -14,9 +17,47 @@ from mdpgeom import (
     parse_model,
     validate_model,
 )
-from mdpgeom.reporting import fnv1a64, policy_hash
+from mdpgeom.convergence import verify_contraction
+from mdpgeom.reporting import fnv1a64, policy_hash, report_dict, trace_csv
 
-from conftest import make_model
+from conftest import make_model, random_instance
+
+
+def json_oracle(model):
+    """The canonical document built as a dict and written by json.dumps."""
+    doc = {
+        "schema_version": 1,
+        "n": model.n,
+        "gamma": float(model.gamma),
+        "saps": [
+            {
+                "state": sap.state,
+                "reward": float(sap.reward),
+                "probs": [float(p) for p in sap.probs],
+            }
+            for sap in model.saps
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# reals that stress a writer: subnormals, signed zero, huge, inexact sums, integral
+AWKWARD = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 0.1 + 0.2, 1.0 / 3.0, 1.0, 2.0]
+
+
+@st.composite
+def awkward_models(draw):
+    """Valid models whose reals are awkward to print; each row sums to 1 within 1e-12."""
+    n = draw(st.integers(1, 3))
+    gamma = draw(st.sampled_from([5e-324, 0.1 + 0.2, 1.0 / 3.0, 0.9, 1.0]))
+    rewards = st.sampled_from(AWKWARD + [-3.0, 1e300, -1e300, 1e-17])
+    saps = []
+    for state in range(n):
+        for _ in range(draw(st.integers(1, 2))):
+            probs = draw(st.lists(st.sampled_from(AWKWARD[:-2]), min_size=n - 1, max_size=n - 1))
+            probs.insert(draw(st.integers(0, n - 1)), 1.0 - math.fsum(probs))
+            saps.append((state, draw(rewards), probs))
+    return make_model(n, gamma, saps)
 
 
 class TestModelDocuments:
@@ -70,6 +111,52 @@ class TestModelDocuments:
         with pytest.raises(ModelFormatError):
             parse_model('{"schema_version": 1, "n": 2}')
 
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                GeneratorSpec(n=7, saps_per_state=3, gamma=0.9, reward_range=(-1.0, 2.0), seed=11),
+                "fe22c0b67b51e3260a1f9a947ee5fde277a34c316d74552ac0f7770509fedea0",
+            ),
+            (
+                GeneratorSpec(n=6, saps_per_state=3, gamma=1.0, sparsity=0.9, seed=7),
+                "838e2b02ab426c66daaffba87f25d4e6ff1ece5c5f2104bd7efc27a73562b98a",
+            ),
+            (
+                GeneratorSpec(n=50, saps_per_state=4, gamma=0.95, sparsity=0.3, seed=3),
+                "8e5df20604713e5e8df2ad61ef7ff63f368e67cc556416d032d9475d514ce61f",
+            ),
+            # 400 SAPs of 401 draws: generation runs in three chunks
+            (
+                GeneratorSpec(n=200, saps_per_state=2, gamma=0.99, sparsity=0.5, seed=2**63 + 5),
+                "5c4998c51ea185cb81290a25ac435359dc76c5be22bf3f1aae07378b82539012",
+            ),
+        ],
+        ids=["dense", "sparse-repaired", "n50-4saps", "chunked"],
+    )
+    def test_generated_model_file_is_frozen(self, spec, digest):
+        # a spec and seed name a published instance: these files never change
+        text = emit_model(generate_model(spec).model)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @given(awkward_models())
+    def test_writer_matches_json_dumps(self, model):
+        text = emit_model(model)
+        assert text == json_oracle(model)
+        assert parse_model(text) == model
+        assert emit_model(parse_model(text)) == text
+
+    @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf])
+    def test_writer_spells_non_finite_rewards_as_json(self, reward):
+        model = make_model(2, 0.5, [(0, reward, [0.5, 0.5]), (1, -reward, [0, 1])])
+        text = emit_model(model)
+        assert text == json_oracle(model)
+        assert emit_model(parse_model(text)) == text
+
+    def test_writer_spells_non_finite_probs_as_json(self):
+        model = make_model(1, 0.5, [(0, 0.0, [math.nan, math.inf, -math.inf, 1.0])])
+        assert emit_model(model) == json_oracle(model)
+
     def test_bad_gamma_rejected(self, swap_model):
         doc = json.loads(emit_model(swap_model))
         doc["gamma"] = 1.5
@@ -92,6 +179,25 @@ class TestSplitMix64:
 
     def test_seed_masking(self):
         assert SplitMix64(-1)._state == SplitMix64(2**64 - 1)._state
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            SplitMix64(0).uniforms(-1)
+
+    @given(
+        seed=st.one_of(
+            st.integers(-(2**64), -1), st.integers(0, 2**63 - 1), st.integers(2**63, 2**64 - 1)
+        ),
+        a=st.integers(0, 200),
+        b=st.integers(0, 200),
+    )
+    def test_uniforms_follow_the_scalar_stream(self, seed, a, b):
+        rng = SplitMix64(seed)
+        got = np.concatenate([rng.uniforms(a), rng.uniforms(b)])
+        ref = SplitMix64(seed)
+        want = np.array([(ref.next_u64() >> 11) * 2.0**-53 for _ in range(a + b)])
+        assert got.tobytes() == want.tobytes()
+        assert rng.next_u64() == ref.next_u64()
 
 
 class TestGenerateModel:
@@ -169,5 +275,16 @@ class TestPolicyHash:
 
     def test_stable_known_value(self):
         # frozen so external tools can check their reimplementation
-        assert policy_hash((1, 3, 4, 6)) == policy_hash([1, 3, 4, 6])
-        assert len(policy_hash((2, 5))) == 16
+        assert policy_hash((1, 3, 4, 6)) == "7d1d9036ac5ca785"
+        assert policy_hash(np.array([1, 3, 4, 6])) == "7d1d9036ac5ca785"
+
+    def test_report_and_trace_hash_every_step(self):
+        model = random_instance(6, n=5, gamma=0.9, saps_per_state=3)
+        v0 = np.array([3.0, -2.0, 0.5, 1.0, -1.0])
+        report = verify_contraction(model, v0=v0, trace_steps=20)
+        expected = [policy_hash(g) for g in report.greedy_policies]
+        assert len(set(expected)) == 2
+        doc = report_dict(report)
+        assert doc["greedy_policy_hashes"] == expected
+        rows = trace_csv(report, doc["greedy_policy_hashes"]).splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == expected

@@ -13,7 +13,7 @@ from mdpgeom import (
     span,
     validate_model,
 )
-from mdpgeom.model import lowest_index_policy, policy_count
+from mdpgeom.model import check_policy, lowest_index_policy, policy_count
 
 from conftest import make_model
 
@@ -93,6 +93,23 @@ class TestPolicyKernel:
         assert np.array_equal(k[0], m2.saps[0].probs)
         assert np.array_equal(k[1], m2.saps[1].probs)
         del m
+
+    @pytest.mark.parametrize(
+        "choice, message",
+        [
+            ([0, 2, 9], "state 1: SAP 2 is attached to state 2"),
+            ([0, 9, 0], "state 1: SAP index 9 out of range"),
+            ([-1, 3, 1], "state 0: SAP index -1 out of range"),
+            # one past the last SAP, which is attached to state 1
+            ([0, 4, 5], "state 1: SAP index 4 out of range"),
+        ],
+    )
+    def test_invalid_policy_reports_first_bad_state(self, choice, message):
+        rows = [(0, 0.0, [1, 0, 0]), (1, 0.0, [0, 1, 0]), (2, 0.0, [0, 0, 1]), (1, 0.0, [1, 0, 0])]
+        m = make_model(3, 0.9, rows)
+        with pytest.raises(InvalidPolicyError) as err:
+            check_policy(m, Policy(choice))
+        assert str(err.value) == message
 
     def test_invalid_policy(self, swap_model):
         with pytest.raises(InvalidPolicyError):
