@@ -26,11 +26,9 @@ from .model import (
     MdpModel,
     Policy,
     ValueVector,
-    check_policy,
     enumerate_policies,
     lowest_index_policy,
     policy_kernel,
-    policy_rewards,
     span,
 )
 from .chains import classify_chain
@@ -81,9 +79,8 @@ def evaluate_discounted(model: MdpModel, pi: Policy) -> ValueVector:
     """
     if model.is_average_reward:
         raise CriterionMismatchError("discounted evaluation needs gamma < 1")
-    check_policy(model, pi)
-    p = policy_kernel(model, pi)
-    r = policy_rewards(model, pi)
+    p = policy_kernel(model, pi)  # checks pi
+    r = model.sap_rewards[pi.choice]
     a = np.eye(model.n) - model.gamma * p
     v = solve_checked(a, r)
     residual = np.abs(v - r - model.gamma * (p @ v))
@@ -99,10 +96,13 @@ def evaluate_average(model: MdpModel, pi: Policy, anchor_state: int = 0) -> Gain
     """Solve (I - P) h + rho * 1 = R with h(anchor_state) = 0 at gamma = 1."""
     if not model.is_average_reward:
         raise CriterionMismatchError("average-reward evaluation needs gamma = 1")
-    check_policy(model, pi)
-    n = model.n
-    p = policy_kernel(model, pi)
-    r = policy_rewards(model, pi)
+    p = policy_kernel(model, pi)  # checks pi
+    return _gain_bias(p, model.sap_rewards[pi.choice], anchor_state)
+
+
+def _gain_bias(p: np.ndarray, r: np.ndarray, anchor_state: int = 0) -> GainBias:
+    # evaluate_average on a policy's kernel and rewards, already looked up
+    n = p.shape[0]
     a = np.zeros((n + 1, n + 1))
     a[:n, :n] = np.eye(n) - p
     a[:n, n] = 1.0
@@ -216,7 +216,7 @@ def _optimal_discounted(model: MdpModel) -> OptimalPolicyResult:
         pi = Policy(choice)
     else:  # pragma: no cover
         raise NumericalCheckError("policy iteration failed to terminate")
-    v = evaluate_discounted(model, pi).values
+    # the loop stopped right after evaluating pi, so v holds pi's values
     adv = classical_advantages(model, v)
     member = np.zeros(model.m, dtype=bool)
     member[pi.choice] = True
@@ -225,17 +225,18 @@ def _optimal_discounted(model: MdpModel) -> OptimalPolicyResult:
     return OptimalPolicyResult(policy=pi, unique=unique, values=v)
 
 
-def _optimal_average(model: MdpModel, cap: int) -> OptimalPolicyResult:
+def _optimal_average(model: MdpModel) -> OptimalPolicyResult:
     best_gain = -np.inf
     best_policy = None
     gains = []
     skipped = 0
-    for pi in enumerate_policies(model, cap=cap):
-        kernel = policy_kernel(model, pi)
+    # enumerated policies are valid by construction, so they index the model directly
+    for pi in enumerate_policies(model):
+        kernel = model.sap_probs[pi.choice]
         if not classify_chain(kernel).is_unichain:
             skipped += 1
             continue
-        rho = evaluate_average(model, pi).gain
+        rho = _gain_bias(kernel, model.sap_rewards[pi.choice]).gain
         gains.append(rho)
         if rho > best_gain + 1e-9:
             best_gain = rho
@@ -251,13 +252,14 @@ def _optimal_average(model: MdpModel, cap: int) -> OptimalPolicyResult:
     )
 
 
-def optimal_policy(model: MdpModel, cap: int = 10**6) -> OptimalPolicyResult:
+def optimal_policy(model: MdpModel) -> OptimalPolicyResult:
     """Optimal deterministic policy under the model's criterion.
 
     gamma < 1: Howard policy iteration. gamma = 1: exhaustive enumeration
     over unichain policies maximizing the gain (this module is the oracle;
-    simplicity beats speed), with EnumerationTooLargeError above ``cap``.
+    simplicity beats speed), with EnumerationTooLargeError above the
+    enumeration cap of ``enumerate_policies``.
     """
     if model.is_average_reward:
-        return _optimal_average(model, cap)
+        return _optimal_average(model)
     return _optimal_discounted(model)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classic, kernels
-from .chains import classify_chain, primitivity_certificate, check_stochastic
+from .chains import PrimitivityCertificate, check_stochastic, classify_chain, primitivity_certificate
 from .errors import AssumptionViolatedError, NotPrimitiveError, NotUnichainError
 from .geometry import advantages, evaluate_policy, mdp_constant, normalize_rewards
 from .model import MdpModel, Policy, policy_kernel, span
@@ -95,15 +95,10 @@ def vi_step(model: MdpModel, v: np.ndarray) -> tuple:
     return v_next, Policy(greedy_ids)
 
 
-def run_vi(
-    model: MdpModel,
-    v0: np.ndarray,
-    steps: int,
-    span_stop: float = SPAN_FLOOR,
-) -> ViRun:
+def run_vi(model: MdpModel, v0: np.ndarray, steps: int) -> ViRun:
     """Iterate vi_step for ``steps`` steps, recording spans, ratios and greedy picks.
 
-    Stops early once the span falls below ``span_stop``; a constant v0
+    Stops early once the span falls below SPAN_FLOOR; a constant v0
     terminates immediately with a single-entry trace.
 
     Iterates are re-centered to zero mean after each step. The raw update
@@ -119,7 +114,7 @@ def run_vi(
     run.spans.append(span(v))
     c = mdp_constant(model)
     for _ in range(steps):
-        if run.spans[-1] < span_stop:
+        if run.spans[-1] < SPAN_FLOOR:
             run.early_stopped = True
             break
         maxq, greedy_ids = kernels.greedy_sweep_model(model, model.gamma / c, v)
@@ -140,8 +135,12 @@ def run_vi(
 def suboptimality_gap(model: MdpModel, pi_star: Policy) -> float:
     """Negated maximum advantage of SAPs outside ``pi_star``; inf if none exist."""
     pv, _ = evaluate_policy(model, pi_star)
-    adv = advantages(model, pv)
-    member = np.zeros(model.m, dtype=bool)
+    return _gap(advantages(model, pv), pi_star)
+
+
+def _gap(adv: np.ndarray, pi_star: Policy) -> float:
+    # suboptimality_gap on the advantages with respect to pi_star
+    member = np.zeros(adv.size, dtype=bool)
     member[pi_star.choice] = True
     nonmember = adv[~member]
     if nonmember.size == 0:
@@ -178,7 +177,14 @@ def contraction_constants(
         cert = primitivity_certificate(kernel)
     except NotPrimitiveError as exc:
         raise AssumptionViolatedError("aperiodicity") from exc
-    delta = suboptimality_gap(model, pi_star)
+    return _constants(model, cert, suboptimality_gap(model, pi_star), spans)
+
+
+def _constants(
+    model: MdpModel, cert: PrimitivityCertificate, delta: float, spans: list
+) -> ContractionConstants:
+    # contraction_constants once pi_star's kernel is known to be unichain
+    # with certificate ``cert`` and ``delta`` is its suboptimality gap
     if delta <= 1e-12:
         raise AssumptionViolatedError("uniqueness")
     n_steps = cert.exponent
@@ -215,7 +221,6 @@ def verify_contraction(
     model: MdpModel,
     v0: np.ndarray | None = None,
     trace_steps: int | None = None,
-    cap: int = 10**6,
 ) -> ConvergenceReport:
     """Full pipeline: optimal policy, diagnostics, normalization, VI run, bound check.
 
@@ -232,7 +237,7 @@ def verify_contraction(
     gamma = model.gamma
 
     try:
-        optimal = classic.optimal_policy(model, cap=cap)
+        optimal = classic.optimal_policy(model)
     except NotUnichainError:
         # no unichain policy at gamma = 1: report the failed diagnostic
         # with an informational raw trace instead of crashing
@@ -255,11 +260,10 @@ def verify_contraction(
     pi_star = optimal.policy
     kernel = policy_kernel(model, pi_star)
     unichain = classify_chain(kernel).is_unichain
-
-    delta = None
-    if gamma < 1.0 or unichain:
-        delta = suboptimality_gap(model, pi_star)
-    unique = optimal.unique and (delta is None or delta > 1e-9)
+    # at gamma = 1 optimal_policy returns only unichain policies, so pi_star
+    # is evaluable at every gamma; the normalized rewards are its advantages
+    normalized = normalize_rewards(model, pi_star)
+    unique = optimal.unique and _gap(normalized.sap_rewards, pi_star) > 1e-9
 
     cert = None
     try:
@@ -273,21 +277,15 @@ def verify_contraction(
     exponent = cert.exponent if cert is not None else None
     steps = max(exponent or 0, trace_steps or 0) or _wielandt(model.n)
 
-    can_normalize = gamma < 1.0 or unichain
-    if can_normalize:
-        normalized = normalize_rewards(model, pi_star)
-        run = run_vi(normalized, v0, steps)
-    else:
-        normalized = None
-        run = run_vi(model, v0, steps)
+    run = run_vi(normalized, v0, steps)
     raw_run = run_vi(model, v0, steps)
 
     constants = None
     bound = None
     sanity = None
     converged_early = False
-    if diagnostics.all_pass and normalized is not None:
-        constants = contraction_constants(normalized, pi_star, run.spans)
+    if diagnostics.all_pass:
+        constants = _constants(normalized, cert, suboptimality_gap(normalized, pi_star), run.spans)
         converged_early = constants.converged_early
         n_steps = constants.exponent
         span_n = run.spans[n_steps] if len(run.spans) > n_steps else run.spans[-1]

@@ -26,8 +26,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import solve_checked
-from .model import AVERAGE_BIAS, DISCOUNTED, MdpModel, Policy, ValueVector, check_policy
-from .model import policy_kernel, policy_rewards
+from .model import AVERAGE_BIAS, DISCOUNTED, MdpModel, Policy, ValueVector, policy_kernel
 
 RESIDUAL_TOL = 1e-10
 
@@ -86,11 +85,10 @@ def evaluate_policy(model: MdpModel, pi: Policy) -> tuple:
     and NotUnichainError is raised. At gamma < 1 the system is provably
     nonsingular for stochastic kernels.
     """
-    check_policy(model, pi)
     n, gamma = model.n, model.gamma
     c = mdp_constant(model)
-    p = policy_kernel(model, pi)
-    r = policy_rewards(model, pi)
+    p = policy_kernel(model, pi)  # checks pi
+    r = model.sap_rewards[pi.choice]
     a = np.eye(n) + gamma * np.ones((n, n)) - gamma * p
     try:
         x = solve_checked(a, r)

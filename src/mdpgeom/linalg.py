@@ -33,19 +33,19 @@ def pivot_magnitudes(a: np.ndarray) -> np.ndarray:
     return np.abs(np.diag(lu))
 
 
-def is_invertible(a: np.ndarray, rel_tol: float = REL_PIVOT_TOL) -> bool:
+def is_invertible(a: np.ndarray) -> bool:
     piv = pivot_magnitudes(a)
-    return bool(piv.min() > rel_tol * piv.max())
+    return bool(piv.min() > REL_PIVOT_TOL * piv.max())
 
 
-def solve_checked(a: np.ndarray, b: np.ndarray, rel_tol: float = REL_PIVOT_TOL) -> np.ndarray:
+def solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b, raising SingularMatrixError at the pivot threshold."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     lu, piv = _lu_factor(a)
     mags = np.abs(np.diag(lu))
-    if mags.min() <= rel_tol * mags.max():
+    if mags.min() <= REL_PIVOT_TOL * mags.max():
         raise SingularMatrixError(
-            f"pivot ratio {mags.min():.3e} / {mags.max():.3e} below relative threshold {rel_tol:g}"
+            f"pivot ratio {mags.min():.3e} / {mags.max():.3e} below relative threshold {REL_PIVOT_TOL:g}"
         )
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)

@@ -25,7 +25,6 @@ ROW_SUM_TOL = 1e-12
 # criterion tags carried by ValueVector
 DISCOUNTED = "discounted-classical"
 AVERAGE_BIAS = "average-bias"
-GEOMETRIC = "geometric-new"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -223,10 +222,11 @@ def validate_model(model: MdpModel) -> list:
                 f"sap {i}: transition row has length {sap.probs.shape[0]}, expected {model.n}"
             )
             continue
-        if np.any(sap.probs < -ROW_SUM_TOL) or np.any(sap.probs > 1.0 + ROW_SUM_TOL):
+        # written so that NaN, which compares false, fails both tests
+        if not np.all((sap.probs >= -ROW_SUM_TOL) & (sap.probs <= 1.0 + ROW_SUM_TOL)):
             violations.append(f"sap {i}: transition entries outside [0, 1]")
         total = float(sap.probs.sum())
-        if abs(total - 1.0) > ROW_SUM_TOL:
+        if not abs(total - 1.0) <= ROW_SUM_TOL:
             violations.append(f"sap {i}: row sum {total!r} != 1")
     covered = {sap.state for sap in model.saps if 0 <= sap.state < model.n}
     for s in range(model.n):
@@ -241,13 +241,13 @@ def policy_kernel(model: MdpModel, pi: Policy) -> np.ndarray:
     Row i is exactly the transition row of pi's SAP at state i.
     """
     check_policy(model, pi)
-    return model.sap_probs[pi.choice].copy()
+    return model.sap_probs[pi.choice]
 
 
 def policy_rewards(model: MdpModel, pi: Policy) -> np.ndarray:
     """Reward vector of ``pi``: entry i is the reward of the SAP chosen at i."""
     check_policy(model, pi)
-    return model.sap_rewards[pi.choice].copy()
+    return model.sap_rewards[pi.choice]
 
 
 def span(v) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -40,6 +41,14 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == 2
         assert "row sum" in capsys.readouterr().err
+
+    def test_nan_probability_exit_2(self, tmp_path, swap_model, capsys):
+        doc = json.loads(emit_model(swap_model))
+        doc["saps"][0]["probs"] = [float("nan"), 1.0]
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 2
+        assert "sap 0: row sum nan != 1" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/model.json"]) == 2
@@ -225,3 +234,47 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().splitlines()
         assert rows[0].startswith("trial,seed,n,gamma,")
         assert len(rows) == 1 + trials
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenOutputs:
+    """Output digests computed before the evaluation paths were merged: any moved float fails."""
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                {"n": 6, "saps_per_state": 3, "gamma": 1.0, "sparsity": 0.3, "seed": 0},
+                "dd81285991ab16ff6fed77c54ea35db9575a66b2b1c9ecfc7748718e48a1e1c7",
+            ),
+            # trial 1 has a periodic optimal kernel and is excluded
+            (
+                {"n": 12, "saps_per_state": 4, "gamma": 0.95, "sparsity": 0.7, "seed": 0},
+                "8656ee72019b93f82d226e3bb2bbfd853e76ebd45b9310a3d26e12891bc4e9c6",
+            ),
+        ],
+        ids=["average", "discounted"],
+    )
+    def test_sweep_csv(self, tmp_path, spec, digest):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--spec", str(path), "--trials", "4", "--seed", "11", "-o", str(out)]) == 0
+        assert _sha256((out / "sweep.csv").read_bytes()) == digest
+
+    def test_converge_report_and_trace(self, tmp_path):
+        model = tmp_path / "m.json"
+        argv = ["generate", "--n", "8", "--saps", "3", "--gamma", "0.9", "--sparsity", "0.4"]
+        assert main(argv + ["--seed", "5", "-o", str(model)]) == 0
+        out = tmp_path / "run"
+        argv = ["converge", str(model), "--v0", "random", "--seed", "2", "--steps", "30"]
+        assert main(argv + ["-o", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        del doc["provenance"]  # names the input path
+        report = _sha256(json.dumps(doc, indent=2).encode())
+        assert report == "7210faa9b6381b4272fc68c129c93cbb532363802ac090f54bfc1bd1e1c95d6f"
+        trace = _sha256((out / "trace.csv").read_bytes())
+        assert trace == "89854ecee7855f491641c4a9327d3870a6993260241b9c787ad446b74f8cecf2"

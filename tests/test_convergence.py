@@ -19,6 +19,8 @@ from mdpgeom import (
     vi_step,
 )
 
+from mdpgeom import classic, convergence, geometry, kernels, model
+
 from conftest import make_model, random_instance, random_stochastic
 
 
@@ -208,6 +210,63 @@ class TestVerifyContraction:
         assert not report.diagnostics.unichain
         assert report.bound_satisfied is None
         assert report.span_trace
+
+
+def _count_calls(monkeypatch, bindings):
+    """Wrap each (module, name) binding; return a dict of calls by function name."""
+    calls = {}
+    for module, name in bindings:
+        fn = getattr(module, name)
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWorkCounts:
+    """Each fact about the optimal policy is computed once per pipeline run."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            random_instance(31, n=5, gamma=0.5, saps_per_state=3),
+            random_instance(37, n=4, gamma=1.0, saps_per_state=2, sparsity=0.2),
+        ],
+        ids=["discounted", "average"],
+    )
+    def test_verify_contraction(self, monkeypatch, m):
+        calls = _count_calls(
+            monkeypatch,
+            [
+                (convergence, "classify_chain"),
+                (convergence, "primitivity_certificate"),
+                (convergence, "evaluate_policy"),
+                (geometry, "evaluate_policy"),
+                (classic, "evaluate_discounted"),
+                (model, "check_policy"),
+            ],
+        )
+        report = verify_contraction(m)
+        assert report.diagnostics.all_pass
+        assert calls["classify_chain"] == 1
+        assert calls["primitivity_certificate"] == 1
+        # once for the normalized rewards, once for the normalized model's gap
+        assert calls["evaluate_policy"] == 2
+        # one check per evaluation, plus one for pi*'s kernel; enumeration checks nothing
+        assert calls["check_policy"] == calls["evaluate_policy"] + calls["evaluate_discounted"] + 1
+
+    def test_howard_evaluates_once_per_iteration(self, monkeypatch):
+        m = random_instance(3, n=8, gamma=0.95, saps_per_state=3)
+        calls = _count_calls(
+            monkeypatch, [(classic, "evaluate_discounted"), (kernels, "greedy_sweep_model")]
+        )
+        classic.optimal_policy(m)
+        assert calls["greedy_sweep_model"] == 3  # two improvements, then no change
+        assert calls["evaluate_discounted"] == calls["greedy_sweep_model"]
 
 
 class TestProductExpansion:

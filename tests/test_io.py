@@ -107,6 +107,17 @@ class TestModelDocuments:
             parse_model(json.dumps(doc))
         assert any("sap 1" in v and "row sum" in v for v in err.value.violations)
 
+    def test_nan_probability_rejected(self, swap_model):
+        # NaN compares false, so both the range and the row-sum test must fail on it
+        doc = json.loads(emit_model(swap_model))
+        doc["saps"][0]["probs"] = [math.nan, 1.0]
+        with pytest.raises(ValidationFailedError) as err:
+            parse_model(json.dumps(doc))
+        assert err.value.violations == [
+            "sap 0: transition entries outside [0, 1]",
+            "sap 0: row sum nan != 1",
+        ]
+
     def test_missing_key(self):
         with pytest.raises(ModelFormatError):
             parse_model('{"schema_version": 1, "n": 2}')
