@@ -1,9 +1,9 @@
 """Structure of finite Markov chains: closed classes, primitivity, stationary law.
 
-Two independent unichain tests live here on purpose. classify_chain walks
-the support digraph (strongly connected components, then closed-class
-counting); unichain_by_invertibility decides the same question numerically
-from the pivots of I + E - P. Their agreement on every stochastic matrix is
+Two independent unichain tests live here on purpose. classify_chain reads
+the closed classes off the reachability closure of the support digraph;
+unichain_by_invertibility decides the same question numerically from the
+pivots of I + E - P. Their agreement on every stochastic matrix is
 a core verified property of the package, so neither may be implemented in
 terms of the other.
 """
@@ -46,91 +46,46 @@ def check_stochastic(p: np.ndarray, tol: float = STOCHASTIC_TOL) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {p.shape}")
-    if np.any(p < 0.0):
-        raise ValueError("matrix has negative entries")
+    # written so that NaN, which compares false, fails both tests
+    if not np.all(p >= 0.0):
+        raise ValueError("matrix has negative or NaN entries")
     sums = p.sum(axis=1)
-    bad = np.abs(sums - 1.0) > tol
+    bad = ~(np.abs(sums - 1.0) <= tol)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise ValueError(f"row {i} sums to {sums[i]!r}, not 1")
+        raise ValueError(f"row {i} sums to {float(sums[i])!r}, not 1")
     return p
 
 
-def _strongly_connected_components(adj: list) -> list:
-    """Tarjan's algorithm, iterative to survive deep graphs."""
-    n = len(adj)
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack = []
-    components = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ei = work.pop()
-            if ei == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(adj[v]):
-                w = adj[v][ei]
-                ei += 1
-                if index[w] == -1:
-                    work.append((v, ei))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return components
-
-
 def classify_chain(p: np.ndarray) -> ChainClassification:
-    """Count closed irreducible classes of the support digraph of ``p``.
+    """Count closed classes of ``p`` from the reachability of its support digraph.
 
     An edge i -> j exists iff p[i, j] > 0 (exact, inputs are model data).
-    A component is closed iff no edge leaves it; states outside every closed
-    component are transient. Unichain means exactly one closed class.
+    State i is recurrent iff every state it reaches reaches i back; the
+    states a recurrent state reaches form its closed class, and the other
+    states are transient. Unichain means exactly one closed class.
     """
     p = check_stochastic(p)
     n = p.shape[0]
-    adj = [list(np.flatnonzero(p[i] > 0.0)) for i in range(n)]
-    components = _strongly_connected_components(adj)
-    comp_of = np.empty(n, dtype=np.int64)
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    closed = []
-    for ci, comp in enumerate(components):
-        if all(comp_of[w] == ci for v in comp for w in adj[v]):
-            closed.append(ci)
-    closed_set = set(closed)
-    transient = frozenset(
-        v for v in range(n) if comp_of[v] not in closed_set
-    )
+    # reflexive-transitive closure of the support by repeated squaring, at most
+    # ceil(log2 n) + 1 products. Products of 0/1 matrices stay <= n, so float64
+    # is exact; the support only grows, so an unchanged count is the fixed point.
+    r = np.sign(p)
+    np.fill_diagonal(r, 1.0)
+    size, last = np.count_nonzero(r), -1
+    while size != last:
+        r = np.sign(r @ r)
+        size, last = np.count_nonzero(r), size
+    reach = r > 0.0
+    # i is recurrent iff every state it reaches reaches it back
+    recurrent = np.all(reach <= reach.T, axis=1)
+    # a recurrent state reaches exactly its class: count each class at its lowest state
+    closed = recurrent & (reach.argmax(axis=1) == np.arange(n))
+    count = int(np.count_nonzero(closed))
     return ChainClassification(
-        closed_class_count=len(closed),
-        transient_states=transient,
-        is_unichain=len(closed) == 1,
+        closed_class_count=count,
+        transient_states=frozenset(np.flatnonzero(~recurrent).tolist()),
+        is_unichain=count == 1,
     )
 
 
@@ -169,9 +124,14 @@ def stationary_distribution(p: np.ndarray) -> np.ndarray:
     Raises NotUnichainError on multichain input.
     """
     p = check_stochastic(p)
-    n = p.shape[0]
     if not classify_chain(p).is_unichain:
         raise NotUnichainError("stationary distribution requires a unichain kernel")
+    return _stationary(p)
+
+
+def _stationary(p: np.ndarray) -> np.ndarray:
+    """The stationary solve and its residual check, for a checked unichain ``p``."""
+    n = p.shape[0]
     a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)
     b[-1] = 1.0

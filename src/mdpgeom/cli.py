@@ -18,15 +18,14 @@ import numpy as np
 
 from . import __version__, classic, geometry
 from .chains import (
+    _stationary,
     classify_chain,
     primitivity_certificate,
-    stationary_distribution,
     unichain_by_invertibility,
 )
 from .convergence import verify_contraction
 from .errors import (
     AssumptionViolatedError,
-    EnumerationTooLargeError,
     InvalidPolicyError,
     MdpError,
     ModelFormatError,
@@ -34,7 +33,7 @@ from .errors import (
     NotUnichainError,
 )
 from .generate import GeneratorSpec, SplitMix64, generate_model, uniform_vector, PRNG_NAME
-from .model import MdpModel, Policy, policy_kernel, validate_model
+from .model import MdpModel, Policy, check_policy, policy_kernel
 from .modelfile import emit_model, parse_model
 from .reporting import _fmt, _json_safe, policy_hash, report_dict, trace_csv
 
@@ -67,8 +66,6 @@ def _parse_policy_arg(text: str, model: MdpModel) -> Policy:
     except ValueError as exc:
         raise InvalidPolicyError(f"bad --policy value {text!r}") from exc
     pi = Policy(np.array(choice, dtype=np.int64))
-    from .model import check_policy
-
     check_policy(model, pi)
     return pi
 
@@ -93,12 +90,6 @@ def _cmd_validate(args) -> int:
         model = parse_model(Path(args.file).read_text())
     except ModelFormatError as exc:
         violations = getattr(exc, "violations", None) or [str(exc)]
-        for v in violations:
-            print(v, file=sys.stderr)
-        return 2
-    # parse_model already validates; report success explicitly
-    violations = validate_model(model)
-    if violations:  # pragma: no cover - parse_model would have raised
         for v in violations:
             print(v, file=sys.stderr)
         return 2
@@ -154,10 +145,12 @@ def _cmd_analyze(args) -> int:
         },
         "unichain_by_invertibility": unichain_by_invertibility(p),
     }
-    try:
-        doc["stationary_distribution"] = [float(x) for x in stationary_distribution(p)]
-    except NotUnichainError:
-        doc["stationary_distribution"] = None
+    doc["stationary_distribution"] = None
+    if cls.is_unichain:
+        try:
+            doc["stationary_distribution"] = [float(x) for x in _stationary(p)]
+        except NotUnichainError:  # the solve failed its residual check
+            pass
     try:
         cert = primitivity_certificate(p)
         doc["primitivity"] = {"exponent": cert.exponent, "omega": cert.omega}
@@ -390,13 +383,7 @@ def main(argv=None) -> int:
     except AssumptionViolatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ModelFormatError, InvalidPolicyError, EnumerationTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MdpError, ValueError, json.JSONDecodeError) as exc:
+    except (MdpError, ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -71,3 +71,21 @@ def random_stochastic(rng, n, sparsity=0.0):
             if not w[i].any():
                 w[i, rng.integers(n)] = 1.0
     return w / w.sum(axis=1, keepdims=True)
+
+
+def count_calls(monkeypatch, bindings):
+    """Wrap each (module, name) binding; return a dict of calls by function name.
+
+    Bindings of one function under several names share one count.
+    """
+    calls = {}
+    for module, name in bindings:
+        fn = getattr(module, name)
+        calls[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls

@@ -1,9 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from mdpgeom import (
+    ChainClassification,
     NotPrimitiveError,
     NotUnichainError,
     classify_chain,
@@ -24,6 +29,42 @@ def deterministic_kernels(n):
         yield p
 
 
+def oracle_classification(p):
+    """Closed classes from scipy's strongly connected components.
+
+    A component is closed iff no edge of the support leaves it.
+    """
+    support = p > 0.0
+    _, label = connected_components(csr_matrix(support), directed=True, connection="strong")
+    leaving = support & (label[:, None] != label[None, :])
+    open_labels = set(label[leaving.any(axis=1)].tolist())
+    closed = set(label.tolist()) - open_labels
+    return ChainClassification(
+        closed_class_count=len(closed),
+        transient_states=frozenset(i for i in range(len(p)) if label[i] in open_labels),
+        is_unichain=len(closed) == 1,
+    )
+
+
+@st.composite
+def sparse_kernels(draw):
+    """Kernels with n <= 12 and one to three uniform successors per state."""
+    n = draw(st.integers(1, 12))
+    p = np.zeros((n, n))
+    for i in range(n):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        p[i, cols] = 1.0 / len(cols)
+    return p
+
+
+def long_paths(n, last_absorbing):
+    """i -> i+1; the last state returns to 0 or is absorbing. Paths run to n-1 steps."""
+    p = np.zeros((n, n))
+    p[np.arange(n - 1), np.arange(1, n)] = 1.0
+    p[n - 1, n - 1 if last_absorbing else 0] = 1.0
+    return p
+
+
 class TestClassifyChain:
     def test_identity_two_absorbing(self):
         cls = classify_chain(np.eye(2))
@@ -42,6 +83,7 @@ class TestClassifyChain:
         assert cls.is_unichain
         assert cls.closed_class_count == 1
         assert cls.transient_states == frozenset({1})
+        assert all(type(s) is int for s in cls.transient_states)
 
     def test_two_blocks(self):
         p = np.zeros((4, 4))
@@ -72,6 +114,41 @@ class TestClassifyChain:
             classify_chain(np.array([[1.5, -0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             classify_chain(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("row", [[math.nan, 1.0], [math.nan, 0.0], [0.5, math.nan]])
+    def test_rejects_nan(self, row):
+        # NaN compares false, so a check written as `p < 0` would let it through
+        with pytest.raises(ValueError, match="NaN"):
+            classify_chain(np.array([row, [0.0, 1.0]]))
+
+    def test_infinite_row_sum_message(self):
+        with pytest.raises(ValueError, match=r"^row 0 sums to inf, not 1$"):
+            classify_chain(np.array([[math.inf, 0.0], [0.0, 1.0]]))
+
+    def test_single_state(self):
+        cls = classify_chain(np.array([[1.0]]))
+        assert cls == ChainClassification(1, frozenset(), True)
+        assert cls == oracle_classification(np.array([[1.0]]))
+
+    def test_matches_oracle_on_deterministic_kernels(self):
+        # 1 + 4 + 27 + 256 kernels
+        for n in (1, 2, 3, 4):
+            for p in deterministic_kernels(n):
+                assert classify_chain(p) == oracle_classification(p)
+
+    @given(sparse_kernels())
+    def test_matches_oracle_on_sparse_kernels(self, p):
+        assert classify_chain(p) == oracle_classification(p)
+
+    @pytest.mark.parametrize("last_absorbing", [False, True], ids=["cycle", "into-absorbing"])
+    def test_paths_of_256_steps(self, last_absorbing):
+        # the shortest path 0 -> 256 has 256 = 2^8 steps: eight squarings must all change reach
+        p = long_paths(257, last_absorbing)
+        cls = classify_chain(p)
+        assert cls == oracle_classification(p)
+        assert cls.closed_class_count == 1
+        expected = frozenset(range(256)) if last_absorbing else frozenset()
+        assert cls.transient_states == expected
 
 
 class TestUnichainByInvertibility:

@@ -1,15 +1,24 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from mdpgeom import parse_model
+import mdpgeom
+from mdpgeom import chains, cli, parse_model
 from mdpgeom.cli import main
 
-from conftest import make_model
+from conftest import count_calls, make_model
 from mdpgeom.modelfile import emit_model
+
+
+def package_env():
+    """This environment with the imported package's directory first on PYTHONPATH."""
+    paths = [str(Path(mdpgeom.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 @pytest.fixture
@@ -93,6 +102,20 @@ class TestAnalyze:
         assert main(["analyze", swap_file, "--policy", "1,0"]) == 2
         assert main(["analyze", swap_file, "--policy", "a,b"]) == 2
 
+    def test_multichain_policy(self, tmp_path, capsys):
+        path = tmp_path / "absorbing.json"
+        path.write_text(emit_model(make_model(2, 1.0, [(0, 1.0, [1, 0]), (1, 0.0, [0, 1])])))
+        assert main(["analyze", str(path), "--policy", "0,1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["classification"]["closed_class_count"] == 2
+        assert doc["unichain_by_invertibility"] is False
+        assert doc["stationary_distribution"] is None
+
+    def test_classifies_once(self, swap_file, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, [(chains, "classify_chain"), (cli, "classify_chain")])
+        assert main(["analyze", swap_file, "--policy", "0,1"]) == 0
+        assert calls["classify_chain"] == 1
+
 
 class TestNormalize:
     def test_writes_normalized_model(self, swap_file, tmp_path, capsys):
@@ -160,6 +183,7 @@ class TestGammaNearOne:
             [sys.executable, "-O", "-m", "mdpgeom.cli", "converge", near_one_file],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -195,6 +219,7 @@ class TestGenerate:
             ],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -21,7 +21,7 @@ from mdpgeom import (
 
 from mdpgeom import classic, convergence, geometry, kernels, model
 
-from conftest import make_model, random_instance, random_stochastic
+from conftest import count_calls, make_model, random_instance, random_stochastic
 
 
 class TestViStep:
@@ -212,21 +212,6 @@ class TestVerifyContraction:
         assert report.span_trace
 
 
-def _count_calls(monkeypatch, bindings):
-    """Wrap each (module, name) binding; return a dict of calls by function name."""
-    calls = {}
-    for module, name in bindings:
-        fn = getattr(module, name)
-        calls[fn.__name__] = 0
-
-        def counted(*args, _fn=fn, **kwargs):
-            calls[_fn.__name__] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 class TestWorkCounts:
     """Each fact about the optimal policy is computed once per pipeline run."""
 
@@ -239,7 +224,7 @@ class TestWorkCounts:
         ids=["discounted", "average"],
     )
     def test_verify_contraction(self, monkeypatch, m):
-        calls = _count_calls(
+        calls = count_calls(
             monkeypatch,
             [
                 (convergence, "classify_chain"),
@@ -261,7 +246,7 @@ class TestWorkCounts:
 
     def test_howard_evaluates_once_per_iteration(self, monkeypatch):
         m = random_instance(3, n=8, gamma=0.95, saps_per_state=3)
-        calls = _count_calls(
+        calls = count_calls(
             monkeypatch, [(classic, "evaluate_discounted"), (kernels, "greedy_sweep_model")]
         )
         classic.optimal_policy(m)
