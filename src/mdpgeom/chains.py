@@ -65,7 +65,11 @@ def classify_chain(p: np.ndarray) -> ChainClassification:
     states a recurrent state reaches form its closed class, and the other
     states are transient. Unichain means exactly one closed class.
     """
-    p = check_stochastic(p)
+    return _classify(check_stochastic(p))
+
+
+def _classify(p: np.ndarray) -> ChainClassification:
+    """classify_chain for a ``p`` known to be row-stochastic (rows of a validated model)."""
     n = p.shape[0]
     # reflexive-transitive closure of the support by repeated squaring, at most
     # ceil(log2 n) + 1 products. Products of 0/1 matrices stay <= n, so float64
@@ -100,11 +104,25 @@ def unichain_by_invertibility(p: np.ndarray) -> bool:
 def primitivity_certificate(p: np.ndarray) -> PrimitivityCertificate:
     """Smallest N with p^N entrywise positive, and the minimum entry of p^N.
 
-    Raises NotPrimitiveError when no such N exists within the Wielandt bound
-    n^2 - 2n + 2, which signals a periodic or multichain kernel.
+    A positive power exists iff the support digraph is irreducible and
+    aperiodic, which is decided first, without matrix products; only such
+    kernels multiply float powers, left to right, up to the exponent.
+    Raises NotPrimitiveError for a reducible or periodic kernel, and when
+    no power within the Wielandt bound n^2 - 2n + 2 is positive in floating
+    point.
     """
     p = check_stochastic(p)
     n = p.shape[0]
+    support = p > 0.0
+    level = _bfs_levels(support)
+    if level.min() < 0 or _bfs_levels(support.T).min() < 0:
+        raise NotPrimitiveError("kernel is not irreducible")
+    # the period is the gcd of level[u] + 1 - level[v] over the edges u -> v
+    # (Denardo 1977); every cycle's length is a sum of these terms
+    u, v = np.nonzero(support)
+    period = int(np.gcd.reduce(level[u] + 1 - level[v]))
+    if period != 1:
+        raise NotPrimitiveError(f"kernel has period {period}")
     bound = n * n - 2 * n + 2
     power = p.copy()
     for exponent in range(1, bound + 1):
@@ -114,6 +132,19 @@ def primitivity_certificate(p: np.ndarray) -> PrimitivityCertificate:
     raise NotPrimitiveError(
         f"no entrywise-positive power up to the Wielandt bound {bound}"
     )
+
+
+def _bfs_levels(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from state 0 in the digraph ``adj``; -1 where unreached."""
+    level = np.full(adj.shape[0], -1, dtype=np.int64)
+    level[0] = 0
+    frontier = level == 0
+    d = 0
+    while frontier.any():
+        d += 1
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        level[frontier] = d
+    return level
 
 
 def stationary_distribution(p: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 from . import kernels
 from .errors import (
     CriterionMismatchError,
+    NonFiniteRewardError,
     NotUnichainError,
     NumericalCheckError,
     SingularMatrixError,
@@ -31,7 +32,7 @@ from .model import (
     policy_kernel,
     span,
 )
-from .chains import classify_chain
+from .chains import _classify
 
 RESIDUAL_TOL = 1e-10
 
@@ -230,10 +231,11 @@ def _optimal_average(model: MdpModel) -> OptimalPolicyResult:
     best_policy = None
     gains = []
     skipped = 0
-    # enumerated policies are valid by construction, so they index the model directly
+    # enumerated policies are valid by construction, so they index the model
+    # directly, and their kernels are rows of a validated model
     for pi in enumerate_policies(model):
         kernel = model.sap_probs[pi.choice]
-        if not classify_chain(kernel).is_unichain:
+        if not _classify(kernel).is_unichain:
             skipped += 1
             continue
         rho = _gain_bias(kernel, model.sap_rewards[pi.choice]).gain
@@ -258,8 +260,14 @@ def optimal_policy(model: MdpModel) -> OptimalPolicyResult:
     gamma < 1: Howard policy iteration. gamma = 1: exhaustive enumeration
     over unichain policies maximizing the gain (this module is the oracle;
     simplicity beats speed), with EnumerationTooLargeError above the
-    enumeration cap of ``enumerate_policies``.
+    enumeration cap of ``enumerate_policies``. Raises NonFiniteRewardError,
+    naming the first SAP whose reward is NaN or infinite, before any solve.
     """
+    finite = np.isfinite(model.sap_rewards)
+    if not finite.all():
+        i = int(finite.argmin())
+        reward = float(model.sap_rewards[i])
+        raise NonFiniteRewardError(f"sap {i}: reward {reward!r} is not finite")
     if model.is_average_reward:
         return _optimal_average(model)
     return _optimal_discounted(model)

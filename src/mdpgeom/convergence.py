@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,17 +58,31 @@ class AssumptionDiagnostics:
 
 @dataclass
 class ViRun:
-    """Span trace of one advantage-VI run plus the greedy policy at each iterate."""
+    """Span trace of one advantage-VI run plus the greedy policy at each iterate.
 
-    spans: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
-    greedy: list = field(default_factory=list)
-    final_values: np.ndarray | None = None
-    early_stopped: bool = False
+    ``greedy`` is an int64 array of shape (len(spans), n): row t holds the
+    greedy SAP id of each state at iterate t.
+    """
+
+    spans: list
+    ratios: list
+    greedy: np.ndarray
+    final_values: np.ndarray
+    early_stopped: bool
 
 
 @dataclass
 class ConvergenceReport:
+    """Result of verify_contraction.
+
+    ``greedy_policies`` is the verified run's int64 array of shape
+    (len(span_trace), n): row t holds the greedy SAP ids at iterate t.
+    ``unnormalized_span_trace`` is the span trace of the same run on the raw
+    ``model``. It is computed on its first access, so a caller that never
+    reads it (a sweep trial) never runs it. Without an optimal policy the
+    verified run already is the raw run, and its trace is reused.
+    """
+
     gamma: float
     v0: tuple
     diagnostics: AssumptionDiagnostics | None
@@ -75,12 +90,20 @@ class ConvergenceReport:
     exponent: int | None
     span_trace: list
     per_step_ratios: list
-    greedy_policies: list
-    unnormalized_span_trace: list
+    greedy_policies: np.ndarray
     constants: ContractionConstants | None
     bound_satisfied: bool | None
     sanity_bound_satisfied: bool | None
     converged_early: bool
+    # the input model and the run length, for the deferred raw run
+    model: MdpModel = field(repr=False, compare=False)
+    steps: int = field(repr=False, compare=False)
+
+    @cached_property
+    def unnormalized_span_trace(self) -> list:
+        if self.pi_star is None:
+            return list(self.span_trace)
+        return run_vi(self.model, np.array(self.v0), self.steps).spans
 
 
 def vi_step(model: MdpModel, v: np.ndarray) -> tuple:
@@ -99,7 +122,10 @@ def run_vi(model: MdpModel, v0: np.ndarray, steps: int) -> ViRun:
     """Iterate vi_step for ``steps`` steps, recording spans, ratios and greedy picks.
 
     Stops early once the span falls below SPAN_FLOOR; a constant v0
-    terminates immediately with a single-entry trace.
+    terminates immediately with a single-entry trace. The greedy picks go
+    into one preallocated (steps + 1, n) int64 array, and the run returns
+    the rows it filled: one per recorded span, fewer than steps + 1 after
+    an early stop.
 
     Iterates are re-centered to zero mean after each step. The raw update
     carries an unstable constant component (mean multiplier gamma*(1 - n)),
@@ -110,26 +136,35 @@ def run_vi(model: MdpModel, v0: np.ndarray, steps: int) -> ViRun:
     the catastrophic cancellation the growing shift would cause.
     """
     v = np.asarray(v0, dtype=np.float64).copy()
-    run = ViRun()
-    run.spans.append(span(v))
+    spans = [span(v)]
+    ratios = []
+    greedy = np.empty((max(steps, 0) + 1, model.n), dtype=np.int64)
+    gamma = model.gamma
     c = mdp_constant(model)
-    for _ in range(steps):
-        if run.spans[-1] < SPAN_FLOOR:
-            run.early_stopped = True
+    scale = gamma / c
+    t = 0
+    early_stopped = False
+    while t < steps:
+        prev = spans[-1]
+        if prev < SPAN_FLOOR:
+            early_stopped = True
             break
-        maxq, greedy_ids = kernels.greedy_sweep_model(model, model.gamma / c, v)
-        run.greedy.append(Policy(greedy_ids))
-        v = c * maxq - model.gamma * float(v.sum())
+        maxq, greedy[t] = kernels.greedy_sweep_model(model, scale, v)
+        v = c * maxq - gamma * float(v.sum())
         v -= v.mean()
-        new_span = span(v)
-        prev = run.spans[-1]
-        run.ratios.append(new_span / prev if prev > 0.0 else None)
-        run.spans.append(new_span)
+        new_span = float(v.max() - v.min())
+        ratios.append(new_span / prev if prev > 0.0 else None)
+        spans.append(new_span)
+        t += 1
     # greedy policy at the final iterate, so every recorded vector has one
-    _, greedy_ids = kernels.greedy_sweep_model(model, model.gamma / c, v)
-    run.greedy.append(Policy(greedy_ids))
-    run.final_values = v
-    return run
+    _, greedy[t] = kernels.greedy_sweep_model(model, scale, v)
+    return ViRun(
+        spans=spans,
+        ratios=ratios,
+        greedy=greedy[: t + 1],
+        final_values=v,
+        early_stopped=early_stopped,
+    )
 
 
 def suboptimality_gap(model: MdpModel, pi_star: Policy) -> float:
@@ -226,9 +261,10 @@ def verify_contraction(
 
     Diagnostic failures produce an informational report with
     bound_satisfied=None, never an exception. The verified run happens on
-    the reward-normalized model; the raw model's span trace is recorded
-    alongside for comparison. ``trace_steps`` extends the recorded trace
-    beyond the N steps the bound itself needs.
+    the reward-normalized model; the raw model's span trace, for
+    comparison, is run when the report's ``unnormalized_span_trace`` is
+    first read. ``trace_steps`` extends the recorded trace beyond the N
+    steps the bound itself needs.
     """
     if v0 is None:
         v0 = np.zeros(model.n)
@@ -241,21 +277,23 @@ def verify_contraction(
     except NotUnichainError:
         # no unichain policy at gamma = 1: report the failed diagnostic
         # with an informational raw trace instead of crashing
-        raw = run_vi(model, v0, trace_steps or _wielandt(model.n))
+        steps = trace_steps or _wielandt(model.n)
+        raw = run_vi(model, v0, steps)
         return ConvergenceReport(
             gamma=gamma,
             v0=tuple(float(x) for x in v0),
             diagnostics=AssumptionDiagnostics(unique=False, unichain=False, aperiodic=False),
             pi_star=None,
             exponent=None,
-            span_trace=list(raw.spans),
-            per_step_ratios=list(raw.ratios),
-            greedy_policies=[g.as_tuple() for g in raw.greedy],
-            unnormalized_span_trace=list(raw.spans),
+            span_trace=raw.spans,
+            per_step_ratios=raw.ratios,
+            greedy_policies=raw.greedy,
             constants=None,
             bound_satisfied=None,
             sanity_bound_satisfied=None,
             converged_early=False,
+            model=model,
+            steps=steps,
         )
     pi_star = optimal.policy
     kernel = policy_kernel(model, pi_star)
@@ -278,7 +316,6 @@ def verify_contraction(
     steps = max(exponent or 0, trace_steps or 0) or _wielandt(model.n)
 
     run = run_vi(normalized, v0, steps)
-    raw_run = run_vi(model, v0, steps)
 
     constants = None
     bound = None
@@ -304,14 +341,15 @@ def verify_contraction(
         diagnostics=diagnostics,
         pi_star=pi_star.as_tuple(),
         exponent=exponent,
-        span_trace=list(run.spans),
-        per_step_ratios=list(run.ratios),
-        greedy_policies=[g.as_tuple() for g in run.greedy],
-        unnormalized_span_trace=list(raw_run.spans),
+        span_trace=run.spans,
+        per_step_ratios=run.ratios,
+        greedy_policies=run.greedy,
         constants=constants,
         bound_satisfied=bound,
         sanity_bound_satisfied=sanity,
         converged_early=converged_early,
+        model=model,
+        steps=steps,
     )
 
 

@@ -13,12 +13,16 @@ class EnumerationTooLargeError(MdpError):
     """The deterministic policy space exceeds the enumeration cap."""
 
 
+class NonFiniteRewardError(MdpError, ValueError):
+    """A SAP reward is NaN or infinite where a solve needs finite rewards."""
+
+
 class NotUnichainError(MdpError):
     """An operation that needs a single closed irreducible class got a multichain kernel."""
 
 
 class NotPrimitiveError(MdpError):
-    """No power of the kernel within the Wielandt bound is entrywise positive."""
+    """The kernel is reducible or periodic, or no power within the Wielandt bound is positive."""
 
 
 class CriterionMismatchError(MdpError):

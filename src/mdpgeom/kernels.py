@@ -17,15 +17,14 @@ import numpy as np
 
 def greedy_sweep_model(model, scale, v):
     """Per-state max of reward + scale * probs @ v, plus the greedy SAP ids."""
-    order, ptr = model.state_order, model.state_ptr
+    order = model.state_order
+    starts, seg, positions = model._sweep_segments
     v = np.asarray(v, dtype=np.float64)
     q = model.sap_rewards + float(scale) * (model.sap_probs @ v)
     qs = q[order]
-    starts = ptr[:-1]
     maxq = np.maximum.reduceat(qs, starts)
-    seg = np.repeat(np.arange(ptr.shape[0] - 1), np.diff(ptr))
     # first position in each segment attaining the segment max; segments are
     # ascending SAP index, so this is the lowest-index tie-break
-    pos = np.where(qs == maxq[seg], np.arange(order.shape[0]), order.shape[0])
+    pos = np.where(qs == maxq[seg], positions, positions.shape[0])
     first = np.minimum.reduceat(pos, starts)
     return maxq, order[first]

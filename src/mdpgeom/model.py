@@ -136,6 +136,19 @@ class MdpModel:
         a.setflags(write=False)
         return a
 
+    @cached_property
+    def _sweep_segments(self) -> tuple:
+        """The greedy sweep's static tables over state_order positions.
+
+        (segment starts, the state of each position, the positions 0..m-1).
+        """
+        ptr = self.state_ptr
+        seg = np.repeat(self._state_ids, np.diff(ptr))
+        positions = np.arange(self.m)
+        seg.setflags(write=False)
+        positions.setflags(write=False)
+        return ptr[:-1], seg, positions
+
     def saps_at(self, state: int) -> np.ndarray:
         """SAP indices attached to ``state``, ascending."""
         return self.state_order[self.state_ptr[state] : self.state_ptr[state + 1]]

@@ -40,9 +40,14 @@ def policy_hash(choice) -> str:
 
 
 def _greedy_policy_hashes(report: ConvergenceReport) -> list:
-    """policy_hash of each greedy policy, hashing each distinct policy once."""
-    hashes = {g: policy_hash(g) for g in dict.fromkeys(report.greedy_policies)}
-    return [hashes[g] for g in report.greedy_policies]
+    """policy_hash of each greedy policy, hashing each distinct policy once.
+
+    Rows are keyed by their "<u8" bytes, the payload policy_hash hashes.
+    """
+    rows = np.asarray(report.greedy_policies, dtype="<u8")
+    keys = [row.tobytes() for row in rows]
+    hashes = {key: policy_hash(row) for key, row in dict(zip(keys, rows)).items()}
+    return [hashes[key] for key in keys]
 
 
 def _json_safe(value):

@@ -57,6 +57,42 @@ def sparse_kernels(draw):
     return p
 
 
+def float_power_search(p):
+    """The float search primitivity_certificate ran before it read the chain structure.
+
+    Multiplies left to right up to the Wielandt bound; returns
+    (exponent, omega), or None when no power within the bound is positive.
+    """
+    n = p.shape[0]
+    power = p.copy()
+    for exponent in range(1, n * n - 2 * n + 3):
+        if np.all(power > 0.0):
+            return exponent, float(power.min())
+        power = power @ p
+    return None
+
+
+def certificate_or_none(p):
+    try:
+        cert = primitivity_certificate(p)
+    except NotPrimitiveError:
+        return None
+    return cert.exponent, cert.omega
+
+
+@st.composite
+def random_kernels(draw):
+    """Kernels with n <= 8: random weights on a random support, one entry per row at least."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]), min_size=n, max_size=n))
+        if not any(weights):
+            weights[draw(st.integers(0, n - 1))] = 1.0
+        rows.append(np.array(weights) / sum(weights))
+    return np.array(rows)
+
+
 def long_paths(n, last_absorbing):
     """i -> i+1; the last state returns to 0 or is absorbing. Paths run to n-1 steps."""
     p = np.zeros((n, n))
@@ -215,6 +251,57 @@ class TestPrimitivityCertificate:
         # absorbing state with an unreachable column stays zero forever
         with pytest.raises(NotPrimitiveError):
             primitivity_certificate(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    # the structural messages are raised before the first matrix product
+    @pytest.mark.parametrize(
+        "n, last_absorbing, message",
+        [
+            (257, False, "kernel has period 257"),
+            (257, True, "kernel is not irreducible"),
+            (600, True, "kernel is not irreducible"),
+        ],
+        ids=["cycle-257", "into-absorbing-257", "into-absorbing-600"],
+    )
+    def test_long_paths_decided_without_products(self, n, last_absorbing, message):
+        # the float search needs n^2 - 2n + 2 products here (358,802 at n = 600)
+        with pytest.raises(NotPrimitiveError, match=message):
+            primitivity_certificate(long_paths(n, last_absorbing))
+
+    def test_period_from_levels(self):
+        # cycles of length 2 and 4 through state 0: period 2
+        p = np.zeros((4, 4))
+        p[0, 1] = p[0, 3] = 0.5
+        p[1, 0] = p[2, 1] = p[3, 2] = 1.0
+        with pytest.raises(NotPrimitiveError, match="period 2"):
+            primitivity_certificate(p)
+        # a self-loop anywhere makes it aperiodic
+        p[2] = [0.0, 0.5, 0.5, 0.0]
+        assert primitivity_certificate(p).exponent == float_power_search(p)[0]
+
+    def test_matches_float_search_on_deterministic_kernels(self):
+        for n in (1, 2, 3, 4):
+            for p in deterministic_kernels(n):
+                assert certificate_or_none(p) == float_power_search(p)
+
+    def test_matches_float_search_on_random_kernels(self):
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            n = int(rng.integers(1, 9))
+            p = random_stochastic(rng, n, sparsity=float(rng.uniform(0, 0.9)))
+            assert certificate_or_none(p) == float_power_search(p)
+
+    def test_float_underflow_still_decided_by_float_search(self):
+        # primitive support, but every path 0 -> 2 crosses two 1e-200 edges,
+        # so that entry of every float power underflows to zero
+        p = np.array([[1.0, 1e-200, 0.0], [0.0, 1.0, 1e-200], [1.0, 0.0, 0.0]])
+        assert float_power_search(p) is None
+        with pytest.raises(NotPrimitiveError, match="Wielandt bound 5"):
+            primitivity_certificate(p)
+
+    @given(random_kernels())
+    def test_matches_float_search(self, p):
+        # exponent and omega bit for bit, or NotPrimitiveError on both routes
+        assert certificate_or_none(p) == float_power_search(p)
 
 
 class TestStationaryDistribution:

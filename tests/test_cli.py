@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mdpgeom
-from mdpgeom import chains, cli, parse_model
+from mdpgeom import chains, cli, convergence, parse_model
 from mdpgeom.cli import main
 
 from conftest import count_calls, make_model
@@ -145,6 +146,12 @@ class TestConverge:
         # span column round-trips exactly
         assert float(trace[1].split(",")[1]) == report["span_trace"][0]
 
+    def test_two_vi_runs(self, discounted_file, tmp_path, monkeypatch):
+        # the verified run on the normalized model, and the raw run for report.json
+        calls = count_calls(monkeypatch, [(convergence, "run_vi")])
+        assert main(["converge", discounted_file, "-o", str(tmp_path / "run")]) == 0
+        assert calls["run_vi"] == 2
+
     def test_strict_exit_3_on_periodic_kernel(self, swap_file, capsys):
         assert main(["converge", swap_file, "--strict"]) == 3
         err = capsys.readouterr().err
@@ -162,6 +169,31 @@ class TestConverge:
         assert main(["converge", discounted_file, "--v0", "random", "--seed", "5"]) == 0
         second = json.loads(capsys.readouterr().out)["v0"]
         assert first == second
+
+
+class TestNonFiniteReward:
+    """validate accepts a NaN or infinite reward; the solving commands reject it with exit 2."""
+
+    @pytest.fixture(params=[0.9, 1.0], ids=["discounted", "average"])
+    def reward_file(self, request, tmp_path):
+        def write(reward):
+            m = make_model(
+                2, request.param, [(0, 1.0, [0.5, 0.5]), (0, reward, [1, 0]), (1, 0.0, [0, 1])]
+            )
+            path = tmp_path / "reward.json"
+            path.write_text(emit_model(m))
+            return str(path)
+
+        return write
+
+    @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("command", ["solve", "converge", "normalize"])
+    def test_exit_2_naming_the_sap(self, reward_file, tmp_path, reward, command, capsys):
+        path = reward_file(reward)
+        assert main(["validate", path]) == 0
+        argv = [command, path] + (["-o", str(tmp_path / "out.json")] if command == "normalize" else [])
+        assert main(argv) == 2
+        assert f"sap 1: reward {reward!r} is not finite" in capsys.readouterr().err
 
 
 class TestGammaNearOne:
@@ -247,6 +279,15 @@ class TestSweep:
         assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
         assert (d1 / "sweep.json").read_bytes() == (d2 / "sweep.json").read_bytes()
 
+    def test_one_vi_run_per_trial(self, tmp_path, monkeypatch):
+        # the raw model's trace reaches neither sweep.csv nor sweep.json, so it is never run
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 4, "saps_per_state": 2, "gamma": 0.9}))
+        calls = count_calls(monkeypatch, [(convergence, "run_vi")])
+        argv = ["sweep", "--spec", str(spec), "--trials", "3", "-o", str(tmp_path / "sw")]
+        assert main(argv) == 0
+        assert calls["run_vi"] == 3
+
     @pytest.mark.parametrize("trials", [0, 3])
     def test_one_csv_row_per_trial(self, tmp_path, trials):
         spec = tmp_path / "spec.json"
@@ -289,6 +330,52 @@ class TestGoldenOutputs:
         out = tmp_path / "sw"
         assert main(["sweep", "--spec", str(path), "--trials", "4", "--seed", "11", "-o", str(out)]) == 0
         assert _sha256((out / "sweep.csv").read_bytes()) == digest
+
+    def test_sweep_without_unichain_policies(self, tmp_path):
+        # every trial takes the no-unichain branch, where the raw run is the only run
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 6, "saps_per_state": 2, "gamma": 1.0, "sparsity": 0.9}))
+        out = tmp_path / "sw"
+        assert main(["sweep", "--spec", str(path), "--trials", "5", "--seed", "0", "-o", str(out)]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert all(",false,false,false,,," in row for row in rows)
+        csv_digest = _sha256((out / "sweep.csv").read_bytes())
+        assert csv_digest == "ad51a1444c796f27817ecb2679b0fef7869b2f9bec3980080af7cf00cc072739"
+        json_digest = _sha256((out / "sweep.json").read_bytes())
+        assert json_digest == "ff4a921cb22f907a8074e89170b1a9c655d60c43e92fd45509add81605419f9a"
+
+    @pytest.mark.parametrize(
+        "generate, converge, length, report_digest, trace_digest",
+        [
+            (
+                "--n 8 --saps 3 --gamma 0.5 --sparsity 0.4 --seed 5",
+                "--steps 200",
+                30,  # stops at the span floor long before 200 steps
+                "c77fbf6f68c33e050b33c3b5f43ef8f50f047c1767cd15b3ed5eeaccf88ae1ea",
+                "2c4dab5307e19c675c54f556aaee1598a334914dbfa9c4cda0b2a76cd397d6e8",
+            ),
+            (
+                "--n 6 --saps 3 --gamma 1.0 --sparsity 0.3 --seed 3",
+                "--v0 random --seed 1 --steps 40",
+                34,
+                "ee4e07d0b4249bc8622257042ced8665da02d3a5636889d7ca70ad7a9ebf1706",
+                "6f5f24ffa1344c79d7d4c24b144d4e71c7c65423fbdc8946d6f1fa59109bc8b5",
+            ),
+        ],
+        ids=["early-stop", "average"],
+    )
+    def test_converge_digests(
+        self, tmp_path, generate, converge, length, report_digest, trace_digest
+    ):
+        model = tmp_path / "m.json"
+        assert main(["generate"] + generate.split() + ["-o", str(model)]) == 0
+        out = tmp_path / "run"
+        assert main(["converge", str(model)] + converge.split() + ["-o", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert len(doc["span_trace"]) == length
+        del doc["provenance"]  # names the input path
+        assert _sha256(json.dumps(doc, indent=2).encode()) == report_digest
+        assert _sha256((out / "trace.csv").read_bytes()) == trace_digest
 
     def test_converge_report_and_trace(self, tmp_path):
         model = tmp_path / "m.json"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdpgeom import (
     AssumptionViolatedError,
@@ -22,6 +23,38 @@ from mdpgeom import (
 from mdpgeom import classic, convergence, geometry, kernels, model
 
 from conftest import count_calls, make_model, random_instance, random_stochastic
+
+
+def stepwise_run(model, v0, steps):
+    """run_vi as a loop over vi_step: (spans, ratios, greedy rows, early_stopped)."""
+    v = np.asarray(v0, dtype=np.float64).copy()
+    spans, ratios, greedy = [span(v)], [], []
+    early_stopped = False
+    for _ in range(steps):
+        if spans[-1] < convergence.SPAN_FLOOR:
+            early_stopped = True
+            break
+        v, pi = vi_step(model, v)
+        greedy.append(pi.choice)
+        v -= v.mean()
+        ratios.append(span(v) / spans[-1])
+        spans.append(span(v))
+    greedy.append(vi_step(model, v)[1].choice)
+    return spans, ratios, np.array(greedy), early_stopped
+
+
+@st.composite
+def tied_models(draw):
+    """Small models whose SAPs share rewards and rows, so greedy ties are common."""
+    n = draw(st.integers(1, 5))
+    gamma = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    rows = [np.eye(n)[0], np.full(n, 1.0 / n), np.eye(n)[n - 1]]
+    saps = []
+    for s in range(n):
+        for _ in range(draw(st.integers(1, 3))):
+            reward = draw(st.sampled_from([0.0, 0.5, 1.0]))
+            saps.append((s, reward, rows[draw(st.integers(0, 2))]))
+    return make_model(n, gamma, saps)
 
 
 class TestViStep:
@@ -94,6 +127,22 @@ class TestRunVi:
         spans = run.spans
         for a, b in zip(spans, spans[1:]):
             assert b < a or b == 0.0
+
+    @given(
+        tied_models(),
+        st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), min_size=5, max_size=5),
+        st.integers(-1, 40),
+    )
+    def test_equals_stepwise_vi_step(self, m, v0, steps):
+        # bit for bit, including a constant v0 and runs that stop at the span floor
+        spans, ratios, greedy, early_stopped = stepwise_run(m, v0[: m.n], steps)
+        run = run_vi(m, np.array(v0[: m.n]), steps)
+        assert run.spans == spans
+        assert run.ratios == ratios
+        assert run.greedy.dtype == np.int64
+        assert run.greedy.shape == (len(spans), m.n)
+        np.testing.assert_array_equal(run.greedy, greedy)
+        assert run.early_stopped == early_stopped
 
     def test_trace_lengths_consistent(self):
         m = random_instance(13, n=3, gamma=0.5, saps_per_state=2)
@@ -243,6 +292,23 @@ class TestWorkCounts:
         assert calls["evaluate_policy"] == 2
         # one check per evaluation, plus one for pi*'s kernel; enumeration checks nothing
         assert calls["check_policy"] == calls["evaluate_policy"] + calls["evaluate_discounted"] + 1
+
+    def test_raw_run_only_when_read(self, monkeypatch):
+        m = random_instance(31, n=5, gamma=0.5, saps_per_state=3)
+        calls = count_calls(monkeypatch, [(convergence, "run_vi")])
+        report = verify_contraction(m)
+        assert calls["run_vi"] == 1
+        raw = report.unnormalized_span_trace
+        assert report.unnormalized_span_trace is raw  # computed once
+        assert calls["run_vi"] == 2
+        assert raw == run_vi(m, np.array(report.v0), report.steps).spans
+
+    def test_no_unichain_policy_runs_once(self, monkeypatch):
+        m = make_model(2, 1.0, [(0, 1.0, [1, 0]), (1, 0.0, [0, 1])])
+        calls = count_calls(monkeypatch, [(convergence, "run_vi")])
+        report = verify_contraction(m)
+        assert report.unnormalized_span_trace == report.span_trace
+        assert calls["run_vi"] == 1
 
     def test_howard_evaluates_once_per_iteration(self, monkeypatch):
         m = random_instance(3, n=8, gamma=0.95, saps_per_state=3)
