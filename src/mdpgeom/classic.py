@@ -16,7 +16,6 @@ import numpy as np
 from . import kernels
 from .errors import (
     CriterionMismatchError,
-    NonFiniteRewardError,
     NotUnichainError,
     NumericalCheckError,
     SingularMatrixError,
@@ -27,6 +26,7 @@ from .model import (
     MdpModel,
     Policy,
     ValueVector,
+    check_finite_rewards,
     enumerate_policies,
     lowest_index_policy,
     policy_kernel,
@@ -263,11 +263,7 @@ def optimal_policy(model: MdpModel) -> OptimalPolicyResult:
     enumeration cap of ``enumerate_policies``. Raises NonFiniteRewardError,
     naming the first SAP whose reward is NaN or infinite, before any solve.
     """
-    finite = np.isfinite(model.sap_rewards)
-    if not finite.all():
-        i = int(finite.argmin())
-        reward = float(model.sap_rewards[i])
-        raise NonFiniteRewardError(f"sap {i}: reward {reward!r} is not finite")
+    check_finite_rewards(model)
     if model.is_average_reward:
         return _optimal_average(model)
     return _optimal_discounted(model)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MdpModel, Sap
+from .model import MdpModel
 
 PRNG_NAME = "splitmix64"
 
@@ -134,26 +134,23 @@ def generate_model(spec: GeneratorSpec) -> GenerationResult:
     m = n * per_state
     per_sap = n * (2 if spec.sparsity > 0.0 else 1) + 1
     chunk = max(1, _CHUNK_DRAWS // per_sap)
-    saps = []
+    states = np.arange(m) // per_state
+    rewards = np.empty(m)
+    probs = np.empty((m, n))
     repaired = []
     for first in range(0, m, chunk):
-        ids = np.arange(first, min(first + chunk, m))
-        draws = rng.uniforms(ids.size * per_sap).reshape(ids.size, per_sap)
+        block = slice(first, min(first + chunk, m))
+        draws = rng.uniforms((block.stop - first) * per_sap).reshape(-1, per_sap)
         weights = draws[:, :n].copy()
         if spec.sparsity > 0.0:
             weights[draws[:, n : 2 * n] < spec.sparsity] = 0.0
-        dead = ~np.any(weights > 0.0, axis=1)
-        states = ids // per_state
-        weights[dead, states[dead]] = 1.0
-        repaired.extend(divmod(int(i), per_state) for i in ids[dead])
+        dead = np.flatnonzero(~np.any(weights > 0.0, axis=1))
+        weights[dead, states[block][dead]] = 1.0
+        repaired.extend(divmod(first + int(i), per_state) for i in dead)
         # rows are contiguous, so each sums in the same pairwise order as a lone row
-        probs = weights / weights.sum(axis=1, keepdims=True)
-        rewards = lo + draws[:, -1] * (hi - lo)
-        saps.extend(
-            Sap(state=s, reward=r, probs=p)
-            for s, r, p in zip(states.tolist(), rewards.tolist(), probs)
-        )
-    model = MdpModel(n=n, saps=tuple(saps), gamma=spec.gamma)
+        np.divide(weights, weights.sum(axis=1, keepdims=True), out=probs[block])
+        rewards[block] = lo + draws[:, -1] * (hi - lo)
+    model = MdpModel._from_arrays(n, spec.gamma, states, rewards, probs)
     return GenerationResult(model=model, spec=spec, repaired_rows=repaired)
 
 

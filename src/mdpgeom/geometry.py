@@ -26,7 +26,9 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import solve_checked
-from .model import AVERAGE_BIAS, DISCOUNTED, MdpModel, Policy, ValueVector, policy_kernel
+from .model import (
+    AVERAGE_BIAS, DISCOUNTED, MdpModel, Policy, ValueVector, check_finite_rewards, policy_kernel
+)
 
 RESIDUAL_TOL = 1e-10
 
@@ -46,7 +48,6 @@ class GeometryConstants:
     C: float
     v_sigma: float
     gamma: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,10 @@ def action_vector(model: MdpModel, sap_index: int) -> ActionVector:
     Coefficient i is gamma*(p_i - 1)/C, with an extra -1/C on the SAP's own
     state coordinate. The coefficients sum to -1 for every gamma in (0, 1].
     """
-    sap = model.saps[sap_index]
     c = mdp_constant(model)
-    coeffs = model.gamma * (sap.probs - 1.0) / c
-    coeffs[sap.state] -= 1.0 / c
-    return ActionVector(height=sap.reward, coeffs=coeffs)
+    coeffs = model.gamma * (model.sap_probs[sap_index] - 1.0) / c
+    coeffs[model.sap_states[sap_index]] -= 1.0 / c
+    return ActionVector(height=float(model.sap_rewards[sap_index]), coeffs=coeffs)
 
 
 def evaluate_policy(model: MdpModel, pi: Policy) -> tuple:
@@ -109,7 +109,7 @@ def evaluate_policy(model: MdpModel, pi: Policy) -> tuple:
             )
         raise NumericalCheckError(f"evaluation residual {residual:.3e} exceeds {limit:.3e}")
     v = c * x
-    consts = GeometryConstants(C=c, v_sigma=float(v.sum()), gamma=gamma, n=n)
+    consts = GeometryConstants(C=c, v_sigma=float(v.sum()), gamma=gamma)
     return PolicyVector(values=v), consts
 
 
@@ -175,12 +175,11 @@ def normalize_rewards(model: MdpModel, pi_star: Policy) -> MdpModel:
     SAPs of ``pi_star`` end up with reward 0; if ``pi_star`` is optimal all
     other rewards are nonpositive. Advantages of every SAP with respect to
     every evaluable policy are identical in the original and the normalized
-    model.
+    model, whose state and transition arrays the result shares. Raises
+    NonFiniteRewardError when a reward is NaN or infinite.
     """
+    check_finite_rewards(model)
     pv, _ = evaluate_policy(model, pi_star)
-    new_rewards = advantages(model, pv)
-    saps = tuple(
-        type(sap)(state=sap.state, reward=float(new_rewards[i]), probs=sap.probs)
-        for i, sap in enumerate(model.saps)
+    return MdpModel._from_arrays(
+        model.n, model.gamma, model.sap_states, advantages(model, pv), model.sap_probs
     )
-    return MdpModel(n=model.n, saps=saps, gamma=model.gamma)

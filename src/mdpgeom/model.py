@@ -2,9 +2,9 @@
 
 States are indexed 0..n-1. The atomic unit is the SAP (state-action pair):
 a state it is attached to, a deterministic reward, and a transition row.
-A policy picks exactly one SAP per state, so it is both a state -> SAP map
-and a set of SAPs. All objects are immutable value types; operations here
-are pure functions.
+A model stores its SAPs as arrays. A policy picks exactly one SAP per state,
+so it is both a state -> SAP map and a set of SAPs. All objects are
+immutable value types; operations here are pure functions.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EnumerationTooLargeError, InvalidPolicyError
+from .errors import (
+    EnumerationTooLargeError, InvalidPolicyError, NonFiniteRewardError, ValidationFailedError
+)
 
 # tolerance for "rows sum to 1" on input data; rows are never renormalized
 ROW_SUM_TOL = 1e-12
@@ -27,8 +29,8 @@ DISCOUNTED = "discounted-classical"
 AVERAGE_BIAS = "average-bias"
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _readonly(a, dtype=np.float64) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -56,85 +58,101 @@ class Sap:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MdpModel:
     """Finite MDP: ``n`` states, an ordered SAP list, and gamma in (0, 1].
 
     gamma = 1 selects the average-reward criterion. SAP order is the file
     order; every tie-break elsewhere refers to it, which keeps runs
-    reproducible.
+    reproducible. Entry i of three read-only arrays describes SAP i:
+    ``sap_states`` (int64, m), ``sap_rewards`` (float64, m) and
+    ``sap_probs`` (float64, m x n). ``MdpModel(n, saps, gamma)`` stacks
+    ``Sap``s, raising ValidationFailedError on rows of length other than n;
+    ``saps`` is a view of ``Sap``s over the arrays, built on first read.
     """
 
     n: int
-    saps: tuple
     gamma: float
+    sap_states: np.ndarray
+    sap_rewards: np.ndarray
+    sap_probs: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "saps", tuple(self.saps))
-        if self.n < 1:
-            raise ValueError(f"state count must be positive, got {self.n}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not self.saps:
-            raise ValueError("model has no SAPs")
-        if not all(isinstance(a, Sap) for a in self.saps):
+    def __init__(self, n: int, saps, gamma: float):
+        saps = tuple(saps)
+        if not all(isinstance(a, Sap) for a in saps):
             raise TypeError("saps must be Sap instances")
+        self._store(
+            n, gamma, [a.state for a in saps], [a.reward for a in saps], [a.probs for a in saps]
+        )
+
+    @classmethod
+    def _from_arrays(cls, n: int, gamma: float, states, rewards, probs) -> MdpModel:
+        """The model over per-SAP states, rewards and rows, sharing an (m, n) ``probs`` array."""
+        model = cls.__new__(cls)
+        model._store(n, gamma, states, rewards, probs)
+        return model
+
+    def _store(self, n, gamma, states, rewards, probs) -> None:
+        n, gamma = int(n), float(gamma)
+        if n < 1:
+            raise ValueError(f"state count must be positive, got {n}")
+        if not 0.0 < gamma <= 1.0:
+            raise ValueError(f"gamma must be in (0, 1], got {gamma}")
+        if len(states) == 0:
+            raise ValueError("model has no SAPs")
+        if not isinstance(probs, np.ndarray):  # rows to stack; an (m, n) matrix has no ragged row
+            ragged = [
+                f"sap {i}: transition row has length {len(row)}, expected {n}"
+                for i, row in enumerate(probs)
+                if len(row) != n
+            ]
+            if ragged:
+                raise ValidationFailedError(ragged)
+        try:
+            states = _readonly(states, np.int64)
+        except OverflowError:  # validate_model's message, for states an int64 cannot hold
+            bad = [(i, s) for i, s in enumerate(states) if not 0 <= s < n]
+            raise ValidationFailedError([f"sap {i}: state {s} outside [0, {n})" for i, s in bad])
+        probs = _readonly(probs)
+        if probs.shape != (states.size, n):
+            raise ValueError(f"transition rows of shape {probs.shape}, not ({states.size}, {n})")
+        vars(self).update(  # the frozen dataclass's fields, set once, here
+            n=n, gamma=gamma, sap_states=states, sap_rewards=_readonly(rewards), sap_probs=probs
+        )
 
     @property
     def m(self) -> int:
         """Number of SAPs."""
-        return len(self.saps)
+        return self.sap_states.size
 
     @property
     def is_average_reward(self) -> bool:
         return self.gamma == 1.0
 
-    # Cached dense views. These assume a model that passes validate_model;
-    # they raise on ragged probability rows.
     @cached_property
-    def sap_states(self) -> np.ndarray:
-        a = np.array([s.state for s in self.saps], dtype=np.int64)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def sap_rewards(self) -> np.ndarray:
-        return _readonly(np.array([s.reward for s in self.saps]))
-
-    @cached_property
-    def sap_probs(self) -> np.ndarray:
-        return _readonly(np.vstack([s.probs for s in self.saps]))
+    def saps(self) -> tuple:
+        """The SAPs as ``Sap`` objects over rows of ``sap_probs``, built on first read."""
+        return tuple(map(Sap, self.sap_states.tolist(), self.sap_rewards.tolist(), self.sap_probs))
 
     @cached_property
     def state_order(self) -> np.ndarray:
         """SAP indices sorted by state, ascending index within a state."""
-        a = np.argsort(self.sap_states, kind="stable").astype(np.int64)
-        a.setflags(write=False)
-        return a
+        return _readonly(np.argsort(self.sap_states, kind="stable"), np.int64)
 
     @cached_property
     def state_ptr(self) -> np.ndarray:
         """CSR-style offsets into state_order, one segment per state."""
         counts = np.bincount(self.sap_states, minlength=self.n)
-        ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        ptr.setflags(write=False)
-        return ptr
+        return _readonly(np.concatenate(([0], np.cumsum(counts))), np.int64)
 
     @cached_property
     def _owner_table(self) -> np.ndarray:
         """sap_states between two -1 sentinels: entry i + 1 is the state of SAP i."""
-        a = np.concatenate(([-1], self.sap_states, [-1]))
-        a.setflags(write=False)
-        return a
+        return _readonly(np.concatenate(([-1], self.sap_states, [-1])), np.int64)
 
     @cached_property
     def _state_ids(self) -> np.ndarray:
-        a = np.arange(self.n)
-        a.setflags(write=False)
-        return a
+        return _readonly(np.arange(self.n), np.int64)
 
     @cached_property
     def _sweep_segments(self) -> tuple:
@@ -142,12 +160,8 @@ class MdpModel:
 
         (segment starts, the state of each position, the positions 0..m-1).
         """
-        ptr = self.state_ptr
-        seg = np.repeat(self._state_ids, np.diff(ptr))
-        positions = np.arange(self.m)
-        seg.setflags(write=False)
-        positions.setflags(write=False)
-        return ptr[:-1], seg, positions
+        seg = _readonly(self.sap_states[self.state_order], np.int64)
+        return self.state_ptr[:-1], seg, _readonly(np.arange(self.m), np.int64)
 
     def saps_at(self, state: int) -> np.ndarray:
         """SAP indices attached to ``state``, ascending."""
@@ -159,8 +173,9 @@ class MdpModel:
         return (
             self.n == other.n
             and self.gamma == other.gamma
-            and len(self.saps) == len(other.saps)
-            and all(a == b for a, b in zip(self.saps, other.saps))
+            and np.array_equal(self.sap_states, other.sap_states)
+            and np.array_equal(self.sap_rewards, other.sap_rewards)
+            and np.array_equal(self.sap_probs, other.sap_probs)
         )
 
 
@@ -177,9 +192,6 @@ class Policy:
 
     def as_tuple(self) -> tuple:
         return tuple(int(i) for i in self.choice)
-
-    def __contains__(self, sap_index: int) -> bool:
-        return int(sap_index) in self.as_tuple()
 
     def __eq__(self, other):
         if not isinstance(other, Policy):
@@ -215,9 +227,7 @@ def check_policy(model: MdpModel, pi: Policy) -> None:
         idx = int(pi.choice[s])
         if not 0 <= idx < model.m:
             raise InvalidPolicyError(f"state {s}: SAP index {idx} out of range")
-        raise InvalidPolicyError(
-            f"state {s}: SAP {idx} is attached to state {model.saps[idx].state}"
-        )
+        raise InvalidPolicyError(f"state {s}: SAP {idx} is attached to state {owners[s]}")
 
 
 def validate_model(model: MdpModel) -> list:
@@ -226,26 +236,31 @@ def validate_model(model: MdpModel) -> list:
     An empty list means the model is valid. Stochasticity is checked at
     tolerance 1e-12 and rows are not repaired.
     """
+    n, states, probs = model.n, model.sap_states, model.sap_probs
+    bad_state = (states < 0) | (states >= n)
+    # written so that NaN, which compares false, fails both tests
+    bad_entries = ~np.all((probs >= -ROW_SUM_TOL) & (probs <= 1.0 + ROW_SUM_TOL), axis=1)
+    totals = probs.sum(axis=1)  # contiguous rows sum in the same order as a lone row
+    bad_sum = ~(np.abs(totals - 1.0) <= ROW_SUM_TOL)
     violations = []
-    for i, sap in enumerate(model.saps):
-        if not 0 <= sap.state < model.n:
-            violations.append(f"sap {i}: state {sap.state} outside [0, {model.n})")
-        if sap.probs.shape != (model.n,):
-            violations.append(
-                f"sap {i}: transition row has length {sap.probs.shape[0]}, expected {model.n}"
-            )
-            continue
-        # written so that NaN, which compares false, fails both tests
-        if not np.all((sap.probs >= -ROW_SUM_TOL) & (sap.probs <= 1.0 + ROW_SUM_TOL)):
+    for i in np.flatnonzero(bad_state | bad_entries | bad_sum).tolist():
+        if bad_state[i]:
+            violations.append(f"sap {i}: state {states[i]} outside [0, {n})")
+        if bad_entries[i]:
             violations.append(f"sap {i}: transition entries outside [0, 1]")
-        total = float(sap.probs.sum())
-        if not abs(total - 1.0) <= ROW_SUM_TOL:
-            violations.append(f"sap {i}: row sum {total!r} != 1")
-    covered = {sap.state for sap in model.saps if 0 <= sap.state < model.n}
-    for s in range(model.n):
-        if s not in covered:
-            violations.append(f"state {s}: no SAP attached")
+        if bad_sum[i]:
+            violations.append(f"sap {i}: row sum {float(totals[i])!r} != 1")
+    uncovered = np.flatnonzero(~np.isin(np.arange(n), states)).tolist()
+    violations.extend(f"state {s}: no SAP attached" for s in uncovered)
     return violations
+
+
+def check_finite_rewards(model: MdpModel) -> None:
+    """Raise NonFiniteRewardError naming the first SAP whose reward is NaN or infinite."""
+    finite = np.isfinite(model.sap_rewards)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise NonFiniteRewardError(f"sap {i}: reward {model.sap_rewards[i].item()!r} is not finite")
 
 
 def policy_kernel(model: MdpModel, pi: Policy) -> np.ndarray:
@@ -277,17 +292,12 @@ def enumerate_policies(model: MdpModel, cap: int = 10**6) -> Iterator[Policy]:
     Policies come out in lexicographic order of their SAP-index vectors.
     Raises EnumerationTooLargeError when the policy count exceeds ``cap``.
     """
-    per_state = []
-    for s in range(model.n):
-        ids = model.saps_at(s)
-        if ids.size == 0:
-            raise InvalidPolicyError(f"state {s}: no SAP attached")
-        per_state.append([int(i) for i in ids])
-    total = math.prod(len(ids) for ids in per_state)
+    per_state = [model.saps_at(s).tolist() for s in range(model.n)]
+    if [] in per_state:
+        raise InvalidPolicyError(f"state {per_state.index([])}: no SAP attached")
+    total = math.prod(map(len, per_state))
     if total > cap:
-        raise EnumerationTooLargeError(
-            f"{total} policies exceed the enumeration cap {cap}"
-        )
+        raise EnumerationTooLargeError(f"{total} policies exceed the enumeration cap {cap}")
     for combo in itertools.product(*per_state):
         yield Policy(np.array(combo, dtype=np.int64))
 
@@ -299,4 +309,4 @@ def policy_count(model: MdpModel) -> int:
 
 def lowest_index_policy(model: MdpModel) -> Policy:
     """The policy choosing the lowest-index SAP at every state."""
-    return Policy(np.array([int(model.saps_at(s)[0]) for s in range(model.n)], dtype=np.int64))
+    return Policy(model.state_order[model.state_ptr[:-1]])

@@ -24,12 +24,13 @@ import json
 import numpy as np
 
 from .errors import ModelFormatError, UnsupportedVersionError, ValidationFailedError
-from .model import MdpModel, Sap, validate_model
+from .model import MdpModel, validate_model
 
 SCHEMA_VERSION = 1
 
 # json's spellings of the reals that float.__repr__ writes as nan, inf, -inf
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_ENTRY_SEP = ",\n        "  # between the entries of an indented transition row
 
 
 def _reals(values: np.ndarray) -> list:
@@ -40,21 +41,17 @@ def _reals(values: np.ndarray) -> list:
     return cells
 
 
-def _probs_list(probs: np.ndarray) -> str:
-    if probs.size == 0:
-        return "[]"
-    return "[\n        " + ",\n        ".join(_reals(probs)) + "\n      ]"
-
-
 def emit_model(model: MdpModel) -> str:
     """The canonical schema-version-1 document of ``model``."""
     saps = ",\n".join(
         "    {\n"
-        f'      "state": {sap.state},\n'
+        f'      "state": {state},\n'
         f'      "reward": {reward},\n'
-        f'      "probs": {_probs_list(sap.probs)}\n'
+        f'      "probs": [\n        {_ENTRY_SEP.join(_reals(probs))}\n      ]\n'
         "    }"
-        for sap, reward in zip(model.saps, _reals(model.sap_rewards))
+        for state, reward, probs in zip(
+            model.sap_states.tolist(), _reals(model.sap_rewards), model.sap_probs
+        )
     )
     return (
         "{\n"
@@ -93,23 +90,23 @@ def parse_model(text: str) -> MdpModel:
     raw_saps = doc["saps"]
     if not isinstance(raw_saps, list) or not raw_saps:
         raise ModelFormatError("saps must be a non-empty list")
-    saps = []
+    states, rewards, rows = [], [], []
     for i, entry in enumerate(raw_saps):
         if not isinstance(entry, dict):
             raise ModelFormatError(f"sap {i}: must be an object")
         try:
-            saps.append(
-                Sap(
-                    state=int(entry["state"]),
-                    reward=float(entry["reward"]),
-                    probs=[float(p) for p in entry["probs"]],
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            states.append(int(entry["state"]))
+            rewards.append(float(entry["reward"]))
+            rows.append(entry["probs"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"sap {i}: {exc}") from exc
+        if not isinstance(rows[-1], list):
+            raise ModelFormatError(f"sap {i}: probs must be a list")
     try:
-        model = MdpModel(n=int(doc["n"]), saps=tuple(saps), gamma=float(doc["gamma"]))
-    except (TypeError, ValueError) as exc:
+        model = MdpModel._from_arrays(int(doc["n"]), float(doc["gamma"]), states, rewards, rows)
+    except ValidationFailedError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(str(exc)) from exc
     violations = validate_model(model)
     if violations:

@@ -60,6 +60,47 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "sap 0: row sum nan != 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "sap, key, value, code, message",
+        [
+            # an int64 cannot hold this state; it is still an input error, not an OverflowError
+            (2, "state", 1e30, 2, "sap 2: state 1000000000000000019884624838656 outside [0, 2)"),
+            (0, "probs", [None, 1.0], 2, "sap 0: "),
+            (0, "probs", ["0.5", "0.5"], 0, ""),
+            (1, "probs", [0.5, 0.25, 0.25], 2, "sap 1: transition row has length 3, expected 2"),
+        ],
+        ids=["state-1e30", "null-entry", "string-entries", "ragged"],
+    )
+    def test_awkward_documents(self, tmp_path, capsys, sap, key, value, code, message):
+        # outcomes as before the model held arrays
+        doc = {
+            "schema_version": 1,
+            "n": 2,
+            "gamma": 0.9,
+            "saps": [
+                {"state": 0, "reward": 1.0, "probs": [0.5, 0.5]},
+                {"state": 1, "reward": 0.0, "probs": [1.0, 0.0]},
+                {"state": 1, "reward": 0.5, "probs": [0.0, 1.0]},
+            ],
+        }
+        doc["saps"][sap][key] = value
+        path = tmp_path / "awkward.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == code
+        err = capsys.readouterr().err
+        assert message in err if code else err == ""
+
+    @pytest.mark.parametrize("key", ["state", "reward", "probs"])
+    def test_real_beyond_float_range_exit_2(self, tmp_path, swap_model, key, capsys):
+        # an integer no double holds is an input error, not an internal one
+        doc = json.loads(emit_model(swap_model))
+        doc["saps"][0][key] = [10**400, 0] if key == "probs" else 10**400
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and ("sap 0: " in err or key == "probs")
+
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/model.json"]) == 2
 
@@ -194,6 +235,15 @@ class TestNonFiniteReward:
         argv = [command, path] + (["-o", str(tmp_path / "out.json")] if command == "normalize" else [])
         assert main(argv) == 2
         assert f"sap 1: reward {reward!r} is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", [None, "1,2", "0,2"])
+    def test_normalize_rejects_nan_reward(self, reward_file, tmp_path, policy, capsys):
+        # every reward becomes an advantage, so one NaN anywhere is rejected
+        out = tmp_path / "out.json"
+        argv = ["normalize", reward_file(math.nan), "-o", str(out)]
+        assert main(argv + (["--policy", policy] if policy else [])) == 2
+        assert "sap 1: reward nan is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGammaNearOne:
@@ -376,6 +426,27 @@ class TestGoldenOutputs:
         del doc["provenance"]  # names the input path
         assert _sha256(json.dumps(doc, indent=2).encode()) == report_digest
         assert _sha256((out / "trace.csv").read_bytes()) == trace_digest
+
+    @pytest.mark.parametrize(
+        "gamma, policy, digest",
+        [
+            ("0.95", None, "94a31a3692ff930d2da270989e6f9c93f16042c1ef35244249ac0bc36ee21124"),
+            (
+                "1.0",
+                ",".join(str(4 * s) for s in range(50)),
+                "a4951ae68fee712562ae7e27c44063b71f74c5c41a57c1992569f5831cf1cb19",
+            ),
+        ],
+        ids=["optimal", "explicit-policy"],
+    )
+    def test_normalize(self, tmp_path, gamma, policy, digest):
+        model = tmp_path / "m.json"
+        argv = ["generate", "--n", "50", "--saps", "4", "--sparsity", "0.3", "--seed", "3"]
+        assert main(argv + ["--gamma", gamma, "-o", str(model)]) == 0
+        out = tmp_path / "norm.json"
+        policy_args = ["--policy", policy] if policy else []
+        assert main(["normalize", str(model), "-o", str(out)] + policy_args) == 0
+        assert _sha256(out.read_bytes()) == digest
 
     def test_converge_report_and_trace(self, tmp_path):
         model = tmp_path / "m.json"

@@ -23,6 +23,8 @@ from mdpgeom import (
     to_classical_values,
 )
 
+from mdpgeom.model import lowest_index_policy
+
 from conftest import make_model, random_instance
 
 
@@ -264,6 +266,13 @@ class TestNormalize:
         for old, new in zip(swap_plus_selfloop.saps, norm.saps):
             assert old.state == new.state
             assert np.array_equal(old.probs, new.probs)
+
+    def test_shares_the_transition_rows(self):
+        # the normalized model holds new rewards over the same, uncopied rows
+        m = random_instance(3, n=50, gamma=0.95, saps_per_state=4, sparsity=0.3)
+        norm = normalize_rewards(m, lowest_index_policy(m))
+        assert np.shares_memory(norm.sap_probs, m.sap_probs)
+        assert not np.shares_memory(norm.sap_rewards, m.sap_rewards)
 
     def test_idempotent(self, swap_plus_selfloop):
         pi = Policy([0, 1])

@@ -165,7 +165,7 @@ class TestModelDocuments:
         assert emit_model(parse_model(text)) == text
 
     def test_writer_spells_non_finite_probs_as_json(self):
-        model = make_model(1, 0.5, [(0, 0.0, [math.nan, math.inf, -math.inf, 1.0])])
+        model = make_model(4, 0.5, [(0, 0.0, [math.nan, math.inf, -math.inf, 1.0])])
         assert emit_model(model) == json_oracle(model)
 
     def test_bad_gamma_rejected(self, swap_model):

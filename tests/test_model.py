@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mdpgeom import (
     EnumerationTooLargeError,
@@ -7,6 +10,8 @@ from mdpgeom import (
     MdpModel,
     Policy,
     Sap,
+    ValidationFailedError,
+    emit_model,
     enumerate_policies,
     policy_kernel,
     policy_rewards,
@@ -36,6 +41,28 @@ class TestConstruction:
         with pytest.raises(ValueError):
             m.sap_probs[0, 0] = 0.5
 
+    def test_ragged_row_raises(self):
+        # an (m, n) matrix cannot hold a row of another length: every such row is listed
+        rows = [(0, 1.0, [0, 1]), (1, 0.0, [0.5, 0.25, 0.25]), (1, 0.0, [1.0])]
+        with pytest.raises(ValidationFailedError) as err:
+            make_model(2, 1.0, rows)
+        assert err.value.violations == [
+            "sap 1: transition row has length 3, expected 2",
+            "sap 2: transition row has length 1, expected 2",
+        ]
+
+    def test_state_beyond_int64_reported(self):
+        rows = [(0, 0.0, [1, 0]), (1, 0.0, [0, 1]), (10**30, 0.0, [0, 1])]
+        with pytest.raises(ValidationFailedError) as err:
+            make_model(2, 0.9, rows)
+        assert err.value.violations == [f"sap 2: state {10**30} outside [0, 2)"]
+
+    def test_saps_view_shares_the_rows(self):
+        m = make_model(2, 0.9, [(0, 1.5, [0.25, 0.75]), (1, -2.0, [1, 0])])
+        assert [(a.state, a.reward) for a in m.saps] == [(0, 1.5), (1, -2.0)]
+        assert all(np.shares_memory(a.probs, m.sap_probs) for a in m.saps)
+        assert m.saps is m.saps
+
 
 class TestValidateModel:
     def test_valid_two_state(self):
@@ -56,10 +83,6 @@ class TestValidateModel:
     def test_state_out_of_range(self):
         m = make_model(2, 1.0, [(0, 1.0, [0, 1]), (1, 0.0, [1, 0]), (5, 0.0, [1, 0])])
         assert any("outside" in v for v in validate_model(m))
-
-    def test_ragged_row_reported_not_raised(self):
-        m = make_model(2, 1.0, [(0, 1.0, [0, 1]), (1, 0.0, [0.5, 0.25, 0.25])])
-        assert any("length 3" in v for v in validate_model(m))
 
     def test_negative_entry(self):
         m = make_model(2, 1.0, [(0, 1.0, [-0.5, 1.5]), (1, 0.0, [1, 0])])
@@ -194,3 +217,80 @@ class TestEnumeratePolicies:
 
     def test_lowest_index_policy(self, swap_plus_selfloop):
         assert lowest_index_policy(swap_plus_selfloop).as_tuple() == (0, 1)
+
+
+def validate_oracle(model):
+    """validate_model as a per-SAP loop over the Sap view: the reference for the vectorised one.
+
+    It has no ragged-row branch: an (m, n) matrix holds no ragged row.
+    """
+    violations = []
+    for i, sap in enumerate(model.saps):
+        if not 0 <= sap.state < model.n:
+            violations.append(f"sap {i}: state {sap.state} outside [0, {model.n})")
+        # written so that NaN, which compares false, fails both tests
+        if not np.all((sap.probs >= -1e-12) & (sap.probs <= 1.0 + 1e-12)):
+            violations.append(f"sap {i}: transition entries outside [0, 1]")
+        total = float(sap.probs.sum())
+        if not abs(total - 1.0) <= 1e-12:
+            violations.append(f"sap {i}: row sum {total!r} != 1")
+    covered = {sap.state for sap in model.saps if 0 <= sap.state < model.n}
+    for s in range(model.n):
+        if s not in covered:
+            violations.append(f"state {s}: no SAP attached")
+    return violations
+
+
+# reals that are awkward to store and print: signed zero, subnormals, huge, inexact
+AWKWARD = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 0.1 + 0.2, 1.0 / 3.0, 1.0, 1e300, -3.5]
+
+
+@st.composite
+def sap_lists(draw, valid=True):
+    """(n, gamma, [(state, reward, probs)]) with 1-4 SAPs per state in shuffled state order.
+
+    Valid lists have rows summing to 1 within 1e-12. Otherwise states may fall
+    outside [0, n) or go uncovered, and entries may be negative, NaN or off-sum.
+    """
+    n = draw(st.integers(1, 9))
+    gamma = draw(st.sampled_from([1e-300, 0.1 + 0.2, 0.95, 1.0]))
+    reals = st.sampled_from(AWKWARD)
+    states = [s for s in range(n) for _ in range(draw(st.integers(1, 4)))]
+    if not valid:
+        states = draw(st.lists(st.integers(-2, n + 1), min_size=1, max_size=4 * n))
+        reals = st.sampled_from(AWKWARD + [-0.25, 1.5, math.nan, math.inf])
+    saps = []
+    for state in draw(st.permutations(states)):
+        probs = draw(st.lists(reals, min_size=n, max_size=n))
+        if valid:
+            probs = [abs(p) if abs(p) <= 1.0 else 0.0 for p in probs[:-1]]
+            probs.insert(draw(st.integers(0, n - 1)), 1.0 - math.fsum(probs))
+            if min(probs) < 0.0:
+                probs = [1.0 / n] * n
+        saps.append((state, draw(reals), probs))
+    return n, gamma, saps
+
+
+class TestArrayModel:
+    """The Sap constructor and the array constructor build one model."""
+
+    @given(sap_lists())
+    def test_sap_and_array_construction_agree(self, case):
+        n, gamma, saps = case
+        by_sap = make_model(n, gamma, saps)
+        states, rewards, rows = zip(*saps)
+        from_lists = MdpModel._from_arrays(n, gamma, list(states), list(rewards), list(rows))
+        from_arrays = MdpModel._from_arrays(
+            n, gamma, np.array(states), np.array(rewards), np.array(rows, dtype=np.float64)
+        )
+        text = emit_model(by_sap)
+        for model in (from_lists, from_arrays):
+            assert model == by_sap
+            assert emit_model(model) == text
+        assert MdpModel(by_sap.n, by_sap.saps, by_sap.gamma) == by_sap
+        assert validate_model(by_sap) == []
+
+    @given(sap_lists(valid=False))
+    def test_validate_matches_the_per_sap_loop(self, case):
+        model = make_model(*case)
+        assert validate_model(model) == validate_oracle(model)
