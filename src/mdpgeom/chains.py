@@ -41,7 +41,7 @@ class PrimitivityCertificate:
     omega: float
 
 
-def check_stochastic(p: np.ndarray, tol: float = STOCHASTIC_TOL) -> np.ndarray:
+def check_stochastic(p: np.ndarray) -> np.ndarray:
     """Return ``p`` as a float64 array, raising ValueError if not row-stochastic."""
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -50,7 +50,7 @@ def check_stochastic(p: np.ndarray, tol: float = STOCHASTIC_TOL) -> np.ndarray:
     if not np.all(p >= 0.0):
         raise ValueError("matrix has negative or NaN entries")
     sums = p.sum(axis=1)
-    bad = ~(np.abs(sums - 1.0) <= tol)
+    bad = ~(np.abs(sums - 1.0) <= STOCHASTIC_TOL)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValueError(f"row {i} sums to {float(sums[i])!r}, not 1")

@@ -76,11 +76,14 @@ def evaluate_discounted(model: MdpModel, pi: Policy) -> ValueVector:
 
     The solution must pass a componentwise backward-error check: each row's
     residual is at most RESIDUAL_TOL * (|A||V| + |R|). The bound scales with
-    |V|, which grows like 1/(1 - gamma), so it holds as gamma -> 1.
+    |V|, which grows like 1/(1 - gamma), so it holds as gamma -> 1. Raises
+    NonFiniteRewardError when a SAP that ``pi`` uses has a NaN or infinite
+    reward.
     """
     if model.is_average_reward:
         raise CriterionMismatchError("discounted evaluation needs gamma < 1")
     p = policy_kernel(model, pi)  # checks pi
+    check_finite_rewards(model, pi)
     r = model.sap_rewards[pi.choice]
     a = np.eye(model.n) - model.gamma * p
     v = solve_checked(a, r)
@@ -94,10 +97,16 @@ def evaluate_discounted(model: MdpModel, pi: Policy) -> ValueVector:
 
 
 def evaluate_average(model: MdpModel, pi: Policy, anchor_state: int = 0) -> GainBias:
-    """Solve (I - P) h + rho * 1 = R with h(anchor_state) = 0 at gamma = 1."""
+    """Solve (I - P) h + rho * 1 = R with h(anchor_state) = 0 at gamma = 1.
+
+    The residual bound is 1e-9 times the largest of 1, |R| and |h|.
+    Raises NonFiniteRewardError when a SAP that ``pi`` uses has a NaN or
+    infinite reward.
+    """
     if not model.is_average_reward:
         raise CriterionMismatchError("average-reward evaluation needs gamma = 1")
     p = policy_kernel(model, pi)  # checks pi
+    check_finite_rewards(model, pi)
     return _gain_bias(p, model.sap_rewards[pi.choice], anchor_state)
 
 
@@ -118,8 +127,10 @@ def _gain_bias(p: np.ndarray, r: np.ndarray, anchor_state: int = 0) -> GainBias:
         ) from exc
     h, rho = x[:n], float(x[n])
     residual = float(np.max(np.abs(r + p @ h - h - rho)))
-    if residual > 1e-9:
-        raise NotUnichainError(f"gain/bias residual {residual:.3e} exceeds 1e-9")
+    if residual > 1e-9:  # the floor; above it, the bound scales with the rewards and the bias
+        limit = 1e-9 * max(1.0, float(np.abs(r).max()), float(np.abs(h).max()))
+        if residual > limit:
+            raise NotUnichainError(f"gain/bias residual {residual:.3e} exceeds {limit:.3e}")
     return GainBias(gain=rho, bias=h, anchor_state=anchor_state)
 
 

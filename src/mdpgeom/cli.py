@@ -87,7 +87,7 @@ def _provenance(**extra) -> dict:
 
 def _cmd_validate(args) -> int:
     try:
-        model = parse_model(Path(args.file).read_text())
+        model = _read_model(args.file)
     except ModelFormatError as exc:
         violations = getattr(exc, "violations", None) or [str(exc)]
         for v in violations:
@@ -174,10 +174,8 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_converge(args) -> int:
     model = _read_model(args.file)
-    if args.v0 == "basis":
-        v0 = np.zeros(model.n)
-        v0[0] = 1.0
-    else:
+    v0 = None  # verify_contraction starts from e_0 by default
+    if args.v0 == "random":
         v0 = uniform_vector(SplitMix64(args.seed ^ V0_SEED_XOR), model.n)
     report = verify_contraction(model, v0=v0, trace_steps=args.steps)
     provenance = _provenance(

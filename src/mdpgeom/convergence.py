@@ -263,8 +263,9 @@ def verify_contraction(
     bound_satisfied=None, never an exception. The verified run happens on
     the reward-normalized model; the raw model's span trace, for
     comparison, is run when the report's ``unnormalized_span_trace`` is
-    first read. ``trace_steps`` extends the recorded trace beyond the N
-    steps the bound itself needs.
+    first read. ``v0`` defaults to e_0 (1 at state 0, 0 elsewhere).
+    ``trace_steps`` extends the recorded trace beyond the N steps the bound
+    itself needs.
     """
     if v0 is None:
         v0 = np.zeros(model.n)

@@ -154,6 +154,6 @@ def generate_model(spec: GeneratorSpec) -> GenerationResult:
     return GenerationResult(model=model, spec=spec, repaired_rows=repaired)
 
 
-def uniform_vector(rng: SplitMix64, n: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
-    """n uniforms in [lo, hi) from ``rng``; used for random VI start vectors."""
-    return lo + rng.uniforms(n) * (hi - lo)
+def uniform_vector(rng: SplitMix64, n: int) -> np.ndarray:
+    """n uniforms in [-1, 1) from ``rng``; used for random VI start vectors."""
+    return -1.0 + rng.uniforms(n) * 2.0

@@ -83,11 +83,13 @@ def evaluate_policy(model: MdpModel, pi: Policy) -> tuple:
 
     At gamma = 1 a singular system means the induced chain is not unichain
     and NotUnichainError is raised. At gamma < 1 the system is provably
-    nonsingular for stochastic kernels.
+    nonsingular for stochastic kernels. Raises NonFiniteRewardError when a
+    SAP that ``pi`` uses has a NaN or infinite reward.
     """
     n, gamma = model.n, model.gamma
     c = mdp_constant(model)
     p = policy_kernel(model, pi)  # checks pi
+    check_finite_rewards(model, pi)
     r = model.sap_rewards[pi.choice]
     a = np.eye(n) + gamma * np.ones((n, n)) - gamma * p
     try:

@@ -1,51 +1,50 @@
 """Dense pivoted factorization with explicit singularity detection.
 
 All linear systems in this package are small and dense (the all-ones matrix
-makes them dense anyway), so everything goes through one LU factorization
-with a relative pivot threshold: the matrix is declared singular when the
-smallest pivot magnitude is at most REL_PIVOT_TOL times the largest one.
-A relative threshold is used because the matrices involved have entries of
-size O(n), which makes absolute cutoffs misfire as n grows.
+makes them dense anyway), so each goes through one partial-pivoting LU,
+LAPACK getrf/getrs on float64. A matrix is singular unless its smallest pivot
+magnitude exceeds REL_PIVOT_TOL times the largest, which zero and NaN pivots
+fail; relative, because entries of size O(n) make absolute cutoffs misfire.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import SingularMatrixError
 
 REL_PIVOT_TOL = 1e-10
 
 
-def _lu_factor(a: np.ndarray):
-    # exact singularity is an expected outcome here, not a user-facing warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        return scipy.linalg.lu_factor(a, check_finite=False)
+def _getrf(a) -> tuple:
+    """(lu, piv, |diag(U)|) of a square matrix; getrf prints, not raises, on an empty one."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
+    lu, piv, _ = dgetrf(a)
+    return lu, piv, np.abs(lu.diagonal())
+
+
+def _singular(mags: np.ndarray) -> bool:
+    # written so that NaN, which compares false, counts as singular
+    return not mags.min() > REL_PIVOT_TOL * mags.max()
 
 
 def pivot_magnitudes(a: np.ndarray) -> np.ndarray:
     """Absolute values of the U diagonal from a partial-pivoting LU."""
-    lu, _ = _lu_factor(np.asarray(a, dtype=np.float64))
-    return np.abs(np.diag(lu))
+    return _getrf(a)[2]
 
 
 def is_invertible(a: np.ndarray) -> bool:
-    piv = pivot_magnitudes(a)
-    return bool(piv.min() > REL_PIVOT_TOL * piv.max())
+    return not _singular(pivot_magnitudes(a))
 
 
 def solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b, raising SingularMatrixError at the pivot threshold."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    lu, piv = _lu_factor(a)
-    mags = np.abs(np.diag(lu))
-    if mags.min() <= REL_PIVOT_TOL * mags.max():
+    lu, piv, mags = _getrf(a)
+    if _singular(mags):
         raise SingularMatrixError(
             f"pivot ratio {mags.min():.3e} / {mags.max():.3e} below relative threshold {REL_PIVOT_TOL:g}"
         )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return dgetrs(lu, piv, np.asarray(b, dtype=np.float64))[0]

@@ -48,6 +48,9 @@ class Sap:
         object.__setattr__(self, "reward", float(self.reward))
         object.__setattr__(self, "probs", _readonly(np.atleast_1d(self.probs)))
 
+    def __reduce__(self):  # copies go through the constructor, which makes probs read-only
+        return Sap, (self.state, self.reward, self.probs)
+
     def __eq__(self, other):
         if not isinstance(other, Sap):
             return NotImplemented
@@ -120,6 +123,11 @@ class MdpModel:
             n=n, gamma=gamma, sap_states=states, sap_rewards=_readonly(rewards), sap_probs=probs
         )
 
+    def __reduce__(self):  # copies go through _store, which makes the arrays read-only
+        return MdpModel._from_arrays, (
+            self.n, self.gamma, self.sap_states, self.sap_rewards, self.sap_probs
+        )
+
     @property
     def m(self) -> int:
         """Number of SAPs."""
@@ -190,6 +198,9 @@ class Policy:
         a.setflags(write=False)
         object.__setattr__(self, "choice", a)
 
+    def __reduce__(self):  # copies go through __post_init__, which makes choice read-only
+        return Policy, (self.choice,)
+
     def as_tuple(self) -> tuple:
         return tuple(int(i) for i in self.choice)
 
@@ -211,6 +222,9 @@ class ValueVector:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
+
+    def __reduce__(self):  # copies go through __post_init__, which makes values read-only
+        return ValueVector, (self.values, self.criterion)
 
 
 def check_policy(model: MdpModel, pi: Policy) -> None:
@@ -255,11 +269,15 @@ def validate_model(model: MdpModel) -> list:
     return violations
 
 
-def check_finite_rewards(model: MdpModel) -> None:
-    """Raise NonFiniteRewardError naming the first SAP whose reward is NaN or infinite."""
-    finite = np.isfinite(model.sap_rewards)
+def check_finite_rewards(model: MdpModel, pi: Policy | None = None) -> None:
+    """Raise NonFiniteRewardError naming the first SAP whose reward is NaN or infinite.
+
+    With ``pi``, only the SAPs that ``pi`` uses are checked, in state order.
+    """
+    saps = np.arange(model.m) if pi is None else pi.choice
+    finite = np.isfinite(model.sap_rewards[saps])
     if not finite.all():
-        i = int(finite.argmin())
+        i = int(saps[finite.argmin()])
         raise NonFiniteRewardError(f"sap {i}: reward {model.sap_rewards[i].item()!r} is not finite")
 
 

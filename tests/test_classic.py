@@ -99,6 +99,17 @@ class TestEvaluateAverage:
             count += 1
         assert count >= 8
 
+    @pytest.mark.parametrize("reward_hi", [1e6, 1e12])
+    def test_residual_bound_scales_with_rewards(self, reward_hi):
+        # every policy is unichain; at 1e6 the residual of one of them is
+        # about 1.05e-9, which an absolute 1e-9 bound rejected
+        m = random_instance(
+            5, n=6, gamma=1.0, saps_per_state=3, sparsity=0.3, reward_range=(0.0, reward_hi)
+        )
+        result = optimal_policy(m)
+        assert result.skipped_multichain == 0
+        assert evaluate_average(m, result.policy).gain == result.gain
+
 
 class TestValueIteration:
     def test_fixed_point_start(self):

@@ -246,6 +246,21 @@ class TestNonFiniteReward:
         assert not out.exists()
 
 
+class TestLargeRewards:
+    """The gain/bias residual bound scales with the rewards: large rewards are no multichain."""
+
+    @pytest.mark.parametrize("reward_hi", ["1e6", "1e12"])
+    def test_solve_and_converge(self, tmp_path, reward_hi, capsys):
+        path = str(tmp_path / "large.json")
+        argv = ["generate", "--n", "6", "--saps", "3", "--gamma", "1.0", "--sparsity", "0.3"]
+        assert main(argv + ["--seed", "5", "--reward-hi", reward_hi, "-o", path]) == 0
+        assert main(["solve", path]) == 0, capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["converge", path, "--strict"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["diagnostics"] == {"unique": True, "unichain": True, "aperiodic": True}
+
+
 class TestGammaNearOne:
     """Discounted values grow like 1/(1 - gamma); the residual checks must scale with them."""
 

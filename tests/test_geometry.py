@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from mdpgeom import (
     CriterionMismatchError,
+    NonFiniteRewardError,
     NotUnichainError,
     Policy,
     action_vector,
@@ -86,6 +89,42 @@ class TestEvaluatePolicy:
             a = np.eye(n) + gamma * np.ones((n, n)) - gamma * policy_kernel(m, pi)
             r = policy_rewards(m, pi)
             assert np.max(np.abs(a @ (pv.values / consts.C) - r)) <= 1e-10 * (1 + np.max(np.abs(r)))
+
+
+class TestNonFiniteRewardGates:
+    """A NaN or infinite reward on a SAP the policy uses is rejected, not solved into NaN."""
+
+    CASES = [
+        (evaluate_policy, 0.9),
+        (evaluate_policy, 1.0),
+        (evaluate_discounted, 0.9),
+        (evaluate_average, 1.0),
+    ]
+
+    @staticmethod
+    def model(gamma, reward):
+        # SAP 1 carries the reward; policies (1, 2) and (0, 2) are both unichain
+        return make_model(
+            2, gamma, [(0, 1.0, [0.5, 0.5]), (0, reward, [0, 1]), (1, 0.0, [0.5, 0.5])]
+        )
+
+    @staticmethod
+    def values(result):
+        if isinstance(result, tuple):  # evaluate_policy: (PolicyVector, GeometryConstants)
+            return result[0].values
+        return result.bias if hasattr(result, "bias") else result.values
+
+    @pytest.mark.parametrize("evaluate, gamma", CASES)
+    @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_used_sap_rejected(self, evaluate, gamma, reward):
+        with pytest.raises(NonFiniteRewardError, match=f"sap 1: reward {reward!r} is not finite"):
+            evaluate(self.model(gamma, reward), Policy([1, 2]))
+
+    @pytest.mark.parametrize("evaluate, gamma", CASES)
+    def test_unused_sap_still_evaluates(self, evaluate, gamma):
+        finite = self.values(evaluate(self.model(gamma, 0.0), Policy([0, 2])))
+        got = self.values(evaluate(self.model(gamma, math.nan), Policy([0, 2])))
+        assert got.tobytes() == finite.tobytes()
 
 
 class TestAdvantage:

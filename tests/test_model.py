@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from mdpgeom import (
     Policy,
     Sap,
     ValidationFailedError,
+    ValueVector,
     emit_model,
     enumerate_policies,
     policy_kernel,
@@ -20,7 +23,7 @@ from mdpgeom import (
 )
 from mdpgeom.model import check_policy, lowest_index_policy, policy_count
 
-from conftest import make_model
+from conftest import make_model, random_instance
 
 
 class TestConstruction:
@@ -294,3 +297,25 @@ class TestArrayModel:
     def test_validate_matches_the_per_sap_loop(self, case):
         model = make_model(*case)
         assert validate_model(model) == validate_oracle(model)
+
+
+class TestCopies:
+    """pickle and deepcopy rebuild each object through its constructor, so arrays stay read-only."""
+
+    @pytest.mark.parametrize(
+        "round_trip", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_equal_and_read_only(self, round_trip):
+        model = random_instance(3, n=5, gamma=0.9)
+        assert model.saps  # built and cached before the copy
+        pi = Policy([0, 2, 4, 6, 8])
+        vector = ValueVector(values=np.arange(5.0), criterion="discounted-classical")
+        model2, sap2, pi2, vector2 = map(round_trip, [model, model.saps[3], pi, vector])
+        assert (model2, sap2, pi2) == (model, model.saps[3], pi)
+        # ValueVector's generated __eq__ cannot compare arrays, so compare its fields
+        assert np.array_equal(vector2.values, vector.values)
+        assert vector2.criterion == vector.criterion
+        arrays = [model2.sap_states, model2.sap_rewards, model2.sap_probs]
+        arrays += [sap2.probs, pi2.choice, vector2.values]
+        assert not any(a.flags.writeable for a in arrays)
+        assert "saps" not in vars(model2)
