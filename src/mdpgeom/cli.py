@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import traceback
@@ -194,11 +195,11 @@ def _cmd_converge(args) -> int:
         print(f"wrote {outdir / 'report.json'} and {outdir / 'trace.csv'}")
     else:
         _print_json(doc)
-    if args.strict and (report.diagnostics is None or not report.diagnostics.all_pass):
+    if args.strict and not report.diagnostics.all_pass:
         failed = [
             name
             for name in ("unique", "unichain", "aperiodic")
-            if report.diagnostics is None or not getattr(report.diagnostics, name)
+            if not getattr(report.diagnostics, name)
         ]
         print(f"assumption diagnostics failed: {', '.join(failed)}", file=sys.stderr)
         return 3
@@ -233,9 +234,9 @@ class SweepRow:
     seed: int
     n: int
     gamma: float
-    unique: bool | None
-    unichain: bool | None
-    aperiodic: bool | None
+    unique: bool
+    unichain: bool
+    aperiodic: bool
     exponent: int | None
     delta: float | None
     omega: float | None
@@ -263,9 +264,9 @@ def _sweep_trial(spec: GeneratorSpec, base_seed: int, trial: int) -> SweepRow:
         seed=seed,
         n=model.n,
         gamma=model.gamma,
-        unique=diag.unique if diag else None,
-        unichain=diag.unichain if diag else None,
-        aperiodic=diag.aperiodic if diag else None,
+        unique=diag.unique,
+        unichain=diag.unichain,
+        aperiodic=diag.aperiodic,
         exponent=report.exponent,
         delta=consts.delta if consts else None,
         omega=consts.omega if consts else None,
@@ -277,7 +278,7 @@ def _sweep_trial(spec: GeneratorSpec, base_seed: int, trial: int) -> SweepRow:
         span_final=report.span_trace[-1],
         bound_satisfied=report.bound_satisfied,
         sanity_bound_satisfied=report.sanity_bound_satisfied,
-        excluded=diag is None or not diag.all_pass,
+        excluded=not diag.all_pass,
     )
 
 
@@ -288,14 +289,14 @@ def _cmd_sweep(args) -> int:
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(f.name for f in dataclasses.fields(SweepRow))]
+    names = [f.name for f in dataclasses.fields(SweepRow)]
+    lines = [",".join(names)]
     for row in rows:
-        lines.append(",".join(_fmt(value) for value in dataclasses.astuple(row)))
+        lines.append(",".join(_fmt(getattr(row, name)) for name in names))
     (outdir / "sweep.csv").write_text("\n".join(lines) + "\n")
 
     excluded = sum(1 for r in rows if r.excluded)
-    counted = [r for r in rows if not r.excluded]
-    failures = sum(1 for r in counted if r.bound_satisfied is False)
+    failures = sum(1 for r in rows if not r.excluded and r.bound_satisfied is False)
     summary = {
         "sweep_version": 1,
         "trials": trials,
@@ -374,8 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first call of main, once per process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except AssumptionViolatedError as exc:

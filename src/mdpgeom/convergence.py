@@ -85,7 +85,7 @@ class ConvergenceReport:
 
     gamma: float
     v0: tuple
-    diagnostics: AssumptionDiagnostics | None
+    diagnostics: AssumptionDiagnostics
     pi_star: tuple | None
     exponent: int | None
     span_trace: list
@@ -151,20 +151,14 @@ def run_vi(model: MdpModel, v0: np.ndarray, steps: int) -> ViRun:
             break
         maxq, greedy[t] = kernels.greedy_sweep_model(model, scale, v)
         v = c * maxq - gamma * float(v.sum())
-        v -= v.mean()
+        v -= v.sum() / v.size  # v.mean()'s bits, without its Python-level wrapper
         new_span = float(v.max() - v.min())
         ratios.append(new_span / prev if prev > 0.0 else None)
         spans.append(new_span)
         t += 1
     # greedy policy at the final iterate, so every recorded vector has one
     _, greedy[t] = kernels.greedy_sweep_model(model, scale, v)
-    return ViRun(
-        spans=spans,
-        ratios=ratios,
-        greedy=greedy[: t + 1],
-        final_values=v,
-        early_stopped=early_stopped,
-    )
+    return ViRun(spans, ratios, greedy[: t + 1], final_values=v, early_stopped=early_stopped)
 
 
 def suboptimality_gap(model: MdpModel, pi_star: Policy) -> float:
@@ -228,11 +222,9 @@ def _constants(
     converged_early = len(input_spans) < n_steps or any(
         s < SPAN_FLOOR / c for s in input_spans
     )
-    if converged_early:
-        phi = None
-        tau = None
-        degenerate = False
-    else:
+    phi = tau = None
+    degenerate = False
+    if not converged_early:
         factors = [min(1.0, delta / (model.gamma * s)) for s in input_spans]
         phi = cert.omega * math.prod(factors)
         tau = 1.0 - model.n * phi
@@ -273,57 +265,35 @@ def verify_contraction(
     v0 = np.asarray(v0, dtype=np.float64)
     gamma = model.gamma
 
+    pi_star = cert = None
     try:
         optimal = classic.optimal_policy(model)
     except NotUnichainError:
-        # no unichain policy at gamma = 1: report the failed diagnostic
-        # with an informational raw trace instead of crashing
-        steps = trace_steps or _wielandt(model.n)
-        raw = run_vi(model, v0, steps)
-        return ConvergenceReport(
-            gamma=gamma,
-            v0=tuple(float(x) for x in v0),
-            diagnostics=AssumptionDiagnostics(unique=False, unichain=False, aperiodic=False),
-            pi_star=None,
-            exponent=None,
-            span_trace=raw.spans,
-            per_step_ratios=raw.ratios,
-            greedy_policies=raw.greedy,
-            constants=None,
-            bound_satisfied=None,
-            sanity_bound_satisfied=None,
-            converged_early=False,
-            model=model,
-            steps=steps,
-        )
-    pi_star = optimal.policy
-    kernel = policy_kernel(model, pi_star)
-    unichain = classify_chain(kernel).is_unichain
-    # at gamma = 1 optimal_policy returns only unichain policies, so pi_star
-    # is evaluable at every gamma; the normalized rewards are its advantages
-    normalized = normalize_rewards(model, pi_star)
-    unique = optimal.unique and _gap(normalized.sap_rewards, pi_star) > 1e-9
+        # no unichain policy at gamma = 1: report the failed diagnostics with
+        # an informational run on the raw model instead of crashing
+        diagnostics = AssumptionDiagnostics(unique=False, unichain=False, aperiodic=False)
+        run_model, steps = model, trace_steps or _wielandt(model.n)
+    else:
+        pi_star = optimal.policy
+        kernel = policy_kernel(model, pi_star)
+        unichain = classify_chain(kernel).is_unichain
+        # at gamma = 1 optimal_policy returns only unichain policies, so pi_star
+        # is evaluable at every gamma; the normalized rewards are its advantages
+        run_model = normalize_rewards(model, pi_star)
+        unique = optimal.unique and _gap(run_model.sap_rewards, pi_star) > 1e-9
+        try:
+            cert = primitivity_certificate(kernel)
+        except NotPrimitiveError:
+            pass
+        diagnostics = AssumptionDiagnostics(unique, unichain, aperiodic=cert is not None)
+        steps = max(cert.exponent if cert else 0, trace_steps or 0) or _wielandt(model.n)
 
-    cert = None
-    try:
-        cert = primitivity_certificate(kernel)
-    except NotPrimitiveError:
-        pass
-    diagnostics = AssumptionDiagnostics(
-        unique=unique, unichain=unichain, aperiodic=cert is not None
-    )
+    run = run_vi(run_model, v0, steps)
 
-    exponent = cert.exponent if cert is not None else None
-    steps = max(exponent or 0, trace_steps or 0) or _wielandt(model.n)
-
-    run = run_vi(normalized, v0, steps)
-
-    constants = None
-    bound = None
-    sanity = None
+    constants = bound = sanity = None
     converged_early = False
     if diagnostics.all_pass:
-        constants = _constants(normalized, cert, suboptimality_gap(normalized, pi_star), run.spans)
+        constants = _constants(run_model, cert, suboptimality_gap(run_model, pi_star), run.spans)
         converged_early = constants.converged_early
         n_steps = constants.exponent
         span_n = run.spans[n_steps] if len(run.spans) > n_steps else run.spans[-1]
@@ -340,8 +310,8 @@ def verify_contraction(
         gamma=gamma,
         v0=tuple(float(x) for x in v0),
         diagnostics=diagnostics,
-        pi_star=pi_star.as_tuple(),
-        exponent=exponent,
+        pi_star=pi_star.as_tuple() if pi_star is not None else None,
+        exponent=cert.exponent if cert is not None else None,
         span_trace=run.spans,
         per_step_ratios=run.ratios,
         greedy_policies=run.greedy,

@@ -177,11 +177,9 @@ def normalize_rewards(model: MdpModel, pi_star: Policy) -> MdpModel:
     SAPs of ``pi_star`` end up with reward 0; if ``pi_star`` is optimal all
     other rewards are nonpositive. Advantages of every SAP with respect to
     every evaluable policy are identical in the original and the normalized
-    model, whose state and transition arrays the result shares. Raises
-    NonFiniteRewardError when a reward is NaN or infinite.
+    model, which shares every array but the rewards, and the cached tables,
+    with ``model``. Raises NonFiniteRewardError when a reward is NaN or infinite.
     """
     check_finite_rewards(model)
     pv, _ = evaluate_policy(model, pi_star)
-    return MdpModel._from_arrays(
-        model.n, model.gamma, model.sap_states, advantages(model, pv), model.sap_probs
-    )
+    return model._with_rewards(advantages(model, pv))

@@ -8,6 +8,11 @@ and returns the per-state maximum together with the first SAP index
 attaining it (ties go to the lowest SAP index). Callers supply ``scale``
 (gamma for classical updates, gamma/C for updates on the geometric values)
 and apply their own constant shifts, which do not change the argmax.
+
+Scores are gathered through the model's ``_sweep_blocks``, tables whose rows
+list one state's SAPs ascending, padded with its first SAP: a row's first
+maximal column is the lowest-index SAP, and the maximum is read there, so a
+tie of 0.0 and -0.0 keeps that SAP's sign.
 """
 
 from __future__ import annotations
@@ -17,14 +22,10 @@ import numpy as np
 
 def greedy_sweep_model(model, scale, v):
     """Per-state max of reward + scale * probs @ v, plus the greedy SAP ids."""
-    order = model.state_order
-    starts, seg, positions = model._sweep_segments
-    v = np.asarray(v, dtype=np.float64)
-    q = model.sap_rewards + float(scale) * (model.sap_probs @ v)
-    qs = q[order]
-    maxq = np.maximum.reduceat(qs, starts)
-    # first position in each segment attaining the segment max; segments are
-    # ascending SAP index, so this is the lowest-index tie-break
-    pos = np.where(qs == maxq[seg], positions, positions.shape[0])
-    first = np.minimum.reduceat(pos, starts)
-    return maxq, order[first]
+    q = model.sap_rewards + float(scale) * (model.sap_probs @ np.asarray(v, dtype=np.float64))
+    maxq, greedy = np.empty(model.n), np.empty(model.n, dtype=np.int64)
+    for states, row_starts, table in model._sweep_blocks:
+        qt = q[table]
+        at = qt.argmax(axis=1) + row_starts  # flat position of each row's first maximum
+        maxq[states], greedy[states] = qt.take(at), table.take(at)
+    return maxq, greedy

@@ -72,6 +72,9 @@ class MdpModel:
     ``sap_probs`` (float64, m x n). ``MdpModel(n, saps, gamma)`` stacks
     ``Sap``s, raising ValidationFailedError on rows of length other than n;
     ``saps`` is a view of ``Sap``s over the arrays, built on first read.
+    Tables that depend only on ``sap_states``, such as the padded SAP tables
+    the greedy sweep reads, are also built on first read, and a model with
+    other rewards (``_with_rewards``) shares them.
     """
 
     n: int
@@ -143,17 +146,6 @@ class MdpModel:
         return tuple(map(Sap, self.sap_states.tolist(), self.sap_rewards.tolist(), self.sap_probs))
 
     @cached_property
-    def state_order(self) -> np.ndarray:
-        """SAP indices sorted by state, ascending index within a state."""
-        return _readonly(np.argsort(self.sap_states, kind="stable"), np.int64)
-
-    @cached_property
-    def state_ptr(self) -> np.ndarray:
-        """CSR-style offsets into state_order, one segment per state."""
-        counts = np.bincount(self.sap_states, minlength=self.n)
-        return _readonly(np.concatenate(([0], np.cumsum(counts))), np.int64)
-
-    @cached_property
     def _owner_table(self) -> np.ndarray:
         """sap_states between two -1 sentinels: entry i + 1 is the state of SAP i."""
         return _readonly(np.concatenate(([-1], self.sap_states, [-1])), np.int64)
@@ -163,17 +155,46 @@ class MdpModel:
         return _readonly(np.arange(self.n), np.int64)
 
     @cached_property
-    def _sweep_segments(self) -> tuple:
-        """The greedy sweep's static tables over state_order positions.
+    def _sweep_blocks(self) -> tuple:
+        """The greedy sweep's ``(states, row_starts, table)`` blocks, one row per state:
+        row i of ``table`` lists the SAPs of ``states[i]`` ascending, padded with its
+        first SAP, from flat position ``row_starts[i]``. A block takes the next SAP
+        count only while its table stays within twice its SAPs: equal counts make
+        one (n, k) table, and skewed ones at most 2m entries."""
+        counts = np.bincount(self.sap_states, minlength=self.n)
+        if counts.min() == 0:
+            uncovered = np.flatnonzero(counts == 0)
+            raise ValidationFailedError([f"state {s}: no SAP attached" for s in uncovered])
+        widths, held, saps = [], 0, 0  # each block's largest count; the last block's states, SAPs
+        for k, mult in zip(*(a.tolist() for a in np.unique(counts, return_counts=True))):
+            held, saps = held + mult, saps + mult * k
+            if widths and held * k > 2 * saps:  # the last block would pad more than it holds
+                widths.append(k)
+                held, saps = mult, mult * k
+            else:  # the last block (or the first) widens to k
+                widths[-1:] = [k]
+        order = np.argsort(self.sap_states, kind="stable")  # by state, ascending within one
+        starts = np.cumsum(counts) - counts
+        blocks, lo = [], 0
+        for k in widths:
+            states = np.flatnonzero((counts > lo) & (counts <= k))
+            cols = np.arange(k)
+            table = order[starts[states, None] + np.where(cols < counts[states, None], cols, 0)]
+            row_starts = np.arange(0, table.size, k)
+            blocks.append(tuple(_readonly(a, np.int64) for a in (states, row_starts, table)))
+            lo = k
+        return tuple(blocks)
 
-        (segment starts, the state of each position, the positions 0..m-1).
-        """
-        seg = _readonly(self.sap_states[self.state_order], np.int64)
-        return self.state_ptr[:-1], seg, _readonly(np.arange(self.m), np.int64)
+    def _with_rewards(self, rewards) -> MdpModel:
+        """This model with other rewards, sharing every other array and table."""
+        model = MdpModel._from_arrays(self.n, self.gamma, self.sap_states, rewards, self.sap_probs)
+        shared = ("_sweep_blocks", "_owner_table", "_state_ids")  # built from sap_states alone
+        vars(model).update((name, getattr(self, name)) for name in shared)
+        return model
 
     def saps_at(self, state: int) -> np.ndarray:
         """SAP indices attached to ``state``, ascending."""
-        return self.state_order[self.state_ptr[state] : self.state_ptr[state + 1]]
+        return np.flatnonzero(self.sap_states == state)
 
     def __eq__(self, other):
         if not isinstance(other, MdpModel):
@@ -213,7 +234,7 @@ class Policy:
         return hash(self.as_tuple())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueVector:
     """A length-n value vector tagged with the criterion it belongs to."""
 
@@ -225,6 +246,11 @@ class ValueVector:
 
     def __reduce__(self):  # copies go through __post_init__, which makes values read-only
         return ValueVector, (self.values, self.criterion)
+
+    def __eq__(self, other):
+        if not isinstance(other, ValueVector):
+            return NotImplemented
+        return self.criterion == other.criterion and np.array_equal(self.values, other.values)
 
 
 def check_policy(model: MdpModel, pi: Policy) -> None:
@@ -327,4 +353,4 @@ def policy_count(model: MdpModel) -> int:
 
 def lowest_index_policy(model: MdpModel) -> Policy:
     """The policy choosing the lowest-index SAP at every state."""
-    return Policy(model.state_order[model.state_ptr[:-1]])
+    return Policy(np.unique(model.sap_states, return_index=True)[1])

@@ -57,7 +57,7 @@ def _json_safe(value):
     if isinstance(value, (str, int, bool)) or value is None:
         return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {k: _json_safe(v) for k, v in dataclasses.asdict(value).items()}
+        return {f.name: _json_safe(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -367,6 +367,35 @@ class TestSweep:
         assert len(rows) == 1 + trials
 
 
+class TestCachedParser:
+    """main parses with one parser per process; no call may see another's arguments."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path):
+        model, spec = tmp_path / "m.json", tmp_path / "spec.json"
+        argv = ["generate", "--n", "5", "--saps", "3", "--gamma", "0.9", "--seed", "4"]
+        assert main(argv + ["-o", str(model)]) == 0
+        spec.write_text(json.dumps({"n": 4, "saps_per_state": 2, "gamma": 0.9, "sparsity": 0.3}))
+        runs = [
+            (["converge", str(model), "--steps", "5", "-o"], ["report.json", "trace.csv"]),
+            (["converge", str(model), "-o"], ["report.json", "trace.csv"]),
+            (["sweep", "--spec", str(spec), "--trials", "3", "-o"], ["sweep.csv", "sweep.json"]),
+        ]
+        for k, (argv, names) in enumerate(runs):
+            assert main(argv + [str(tmp_path / f"in-{k}")]) == 0
+        assert cli._parser() is cli._parser()
+        for k, (argv, names) in enumerate(runs):
+            fresh = tmp_path / f"fresh-{k}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "mdpgeom.cli", *argv, str(fresh)],
+                capture_output=True,
+                text=True,
+                env=package_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            for name in names:
+                assert (tmp_path / f"in-{k}" / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

@@ -311,11 +311,23 @@ class TestCopies:
         pi = Policy([0, 2, 4, 6, 8])
         vector = ValueVector(values=np.arange(5.0), criterion="discounted-classical")
         model2, sap2, pi2, vector2 = map(round_trip, [model, model.saps[3], pi, vector])
-        assert (model2, sap2, pi2) == (model, model.saps[3], pi)
-        # ValueVector's generated __eq__ cannot compare arrays, so compare its fields
-        assert np.array_equal(vector2.values, vector.values)
-        assert vector2.criterion == vector.criterion
+        assert (model2, sap2, pi2, vector2) == (model, model.saps[3], pi, vector)
         arrays = [model2.sap_states, model2.sap_rewards, model2.sap_probs]
         arrays += [sap2.probs, pi2.choice, vector2.values]
         assert not any(a.flags.writeable for a in arrays)
         assert "saps" not in vars(model2)
+
+
+class TestValueVectorEquality:
+    def test_equal(self):
+        assert ValueVector(np.arange(3.0), "x") == ValueVector(np.arange(3.0), "x")
+
+    def test_unequal_values(self):
+        assert ValueVector(np.arange(3.0), "x") != ValueVector(np.arange(1.0, 4.0), "x")
+        assert ValueVector(np.arange(3.0), "x") != ValueVector(np.arange(2.0), "x")
+
+    def test_unequal_criteria(self):
+        assert ValueVector(np.arange(3.0), "x") != ValueVector(np.arange(3.0), "y")
+
+    def test_other_types(self):
+        assert ValueVector(np.arange(3.0), "x") != (np.arange(3.0), "x")
