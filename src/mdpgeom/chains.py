@@ -65,32 +65,34 @@ def classify_chain(p: np.ndarray) -> ChainClassification:
     states a recurrent state reaches form its closed class, and the other
     states are transient. Unichain means exactly one closed class.
     """
-    return _classify(check_stochastic(p))
+    count, recurrent = _classify(check_stochastic(p))
+    return ChainClassification(
+        closed_class_count=int(count),
+        transient_states=frozenset(np.flatnonzero(~recurrent).tolist()),
+        is_unichain=bool(count == 1),
+    )
 
 
-def _classify(p: np.ndarray) -> ChainClassification:
-    """classify_chain for a ``p`` known to be row-stochastic (rows of a validated model)."""
-    n = p.shape[0]
-    # reflexive-transitive closure of the support by repeated squaring, at most
+def _classify(p: np.ndarray) -> tuple:
+    """Closed-class counts (...) and recurrent-state masks (..., n) of a stack of
+    row-stochastic kernels (..., n, n), such as rows of a validated model."""
+    n = p.shape[-1]
+    # reflexive-transitive closure of each support by repeated squaring, at most
     # ceil(log2 n) + 1 products. Products of 0/1 matrices stay <= n, so float64
-    # is exact; the support only grows, so an unchanged count is the fixed point.
+    # is exact; supports only grow, so an unchanged count over the whole stack
+    # is the fixed point of every kernel in it.
     r = np.sign(p)
-    np.fill_diagonal(r, 1.0)
+    np.einsum("...ii->...i", r)[...] = 1.0  # a writeable view of each diagonal
     size, last = np.count_nonzero(r), -1
     while size != last:
         r = np.sign(r @ r)
         size, last = np.count_nonzero(r), size
     reach = r > 0.0
     # i is recurrent iff every state it reaches reaches it back
-    recurrent = np.all(reach <= reach.T, axis=1)
+    recurrent = np.all(reach <= np.swapaxes(reach, -2, -1), axis=-1)
     # a recurrent state reaches exactly its class: count each class at its lowest state
-    closed = recurrent & (reach.argmax(axis=1) == np.arange(n))
-    count = int(np.count_nonzero(closed))
-    return ChainClassification(
-        closed_class_count=count,
-        transient_states=frozenset(np.flatnonzero(~recurrent).tolist()),
-        is_unichain=count == 1,
-    )
+    closed = recurrent & (reach.argmax(axis=-1) == np.arange(n))
+    return closed.sum(axis=-1), recurrent
 
 
 def unichain_by_invertibility(p: np.ndarray) -> bool:

@@ -5,6 +5,11 @@ average-reward gain/bias evaluation, relative value iteration, and optimal
 policy computation. Cross-checks between this module and the geometric one
 are what the test suite is built on, so nothing here may import from
 mdpgeom.geometry.
+
+The gamma = 1 optimum enumerates every policy, a chunk at a time: one
+reachability closure classifies a chunk's kernels, each unichain kernel gets
+its own gain/bias solve, and one expression checks the chunk's residuals.
+The result is that of a loop over single policies, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,14 +28,15 @@ from .errors import (
 from .linalg import solve_checked
 from .model import (
     DISCOUNTED,
+    ENUMERATION_CAP,
     MdpModel,
     Policy,
     ValueVector,
     check_finite_rewards,
-    enumerate_policies,
     lowest_index_policy,
     policy_kernel,
     span,
+    _policy_chunks,
 )
 from .chains import _classify
 
@@ -107,31 +113,49 @@ def evaluate_average(model: MdpModel, pi: Policy, anchor_state: int = 0) -> Gain
         raise CriterionMismatchError("average-reward evaluation needs gamma = 1")
     p = policy_kernel(model, pi)  # checks pi
     check_finite_rewards(model, pi)
-    return _gain_bias(p, model.sap_rewards[pi.choice], anchor_state)
+    gains, biases = _gain_bias(p[None], model.sap_rewards[pi.choice][None], anchor_state)
+    return GainBias(gain=float(gains[0]), bias=biases[0], anchor_state=anchor_state)
 
 
-def _gain_bias(p: np.ndarray, r: np.ndarray, anchor_state: int = 0) -> GainBias:
-    # evaluate_average on a policy's kernel and rewards, already looked up
-    n = p.shape[0]
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = np.eye(n) - p
-    a[:n, n] = 1.0
-    a[n, anchor_state] = 1.0
-    b = np.zeros(n + 1)
-    b[:n] = r
-    try:
-        x = solve_checked(a, b)
-    except SingularMatrixError as exc:
-        raise NotUnichainError(
-            "average-reward evaluation needs a unichain kernel"
-        ) from exc
-    h, rho = x[:n], float(x[n])
-    residual = float(np.max(np.abs(r + p @ h - h - rho)))
-    if residual > 1e-9:  # the floor; above it, the bound scales with the rewards and the bias
-        limit = 1e-9 * max(1.0, float(np.abs(r).max()), float(np.abs(h).max()))
-        if residual > limit:
-            raise NotUnichainError(f"gain/bias residual {residual:.3e} exceeds {limit:.3e}")
-    return GainBias(gain=rho, bias=h, anchor_state=anchor_state)
+def _gain_bias(p: np.ndarray, r: np.ndarray, anchor_state: int = 0) -> tuple:
+    """(gains (k,), biases (k, n)) of a stack of k kernels (k, n, n) with rewards (k, n).
+
+    evaluate_average's solve, one ``solve_checked`` per kernel, then one
+    residual check for the whole stack. Raises NotUnichainError for the first
+    kernel, in stack order, whose solve is singular or whose residual is out
+    of bounds.
+    """
+    k, n = r.shape
+    a = np.zeros((k, n + 1, n + 1))
+    a[:, :n, :n] = np.eye(n) - p
+    a[:, :n, n] = 1.0
+    a[:, n, anchor_state] = 1.0
+    b = np.zeros((k, n + 1))
+    b[:, :n] = r
+    x = np.empty((k, n + 1))
+    singular, solved = None, k
+    for i in range(k):
+        try:
+            x[i] = solve_checked(a[i], b[i])
+        except SingularMatrixError as exc:
+            singular, solved = exc, i
+            break
+    p, r, h, rho = p[:solved], r[:solved], x[:solved, :n], x[:solved, n]
+    residual = np.abs(_bellman_residuals(p, r, h, rho)).max(axis=1)
+    # the floor is 1e-9; above it, the bound scales with the rewards and the bias
+    limit = 1e-9 * np.maximum(1.0, np.maximum(np.abs(r).max(axis=1), np.abs(h).max(axis=1)))
+    failed = np.flatnonzero(residual > limit)
+    if failed.size:
+        i = failed[0]
+        raise NotUnichainError(f"gain/bias residual {residual[i]:.3e} exceeds {limit[i]:.3e}")
+    if singular is not None:
+        raise NotUnichainError("average-reward evaluation needs a unichain kernel") from singular
+    return rho, h
+
+
+def _bellman_residuals(p: np.ndarray, r: np.ndarray, h: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """r + p @ h - h - rho for each kernel of a stack, bit for bit the per-kernel product."""
+    return r + (p @ h[..., None])[..., 0] - h - rho[:, None]
 
 
 def value_iteration(
@@ -240,26 +264,27 @@ def _optimal_discounted(model: MdpModel) -> OptimalPolicyResult:
 def _optimal_average(model: MdpModel) -> OptimalPolicyResult:
     best_gain = -np.inf
     best_policy = None
-    gains = []
+    near = np.empty(0)  # the gains within 1e-9 of the best so far, which only rises
     skipped = 0
     # enumerated policies are valid by construction, so they index the model
     # directly, and their kernels are rows of a validated model
-    for pi in enumerate_policies(model):
-        kernel = model.sap_probs[pi.choice]
-        if not _classify(kernel).is_unichain:
-            skipped += 1
-            continue
-        rho = _gain_bias(kernel, model.sap_rewards[pi.choice]).gain
-        gains.append(rho)
-        if rho > best_gain + 1e-9:
-            best_gain = rho
-            best_policy = pi
+    for block in _policy_chunks(model, ENUMERATION_CAP):
+        kernels = model.sap_probs[block]
+        unichain = _classify(kernels)[0] == 1
+        skipped += block.shape[0] - int(np.count_nonzero(unichain))
+        block = block[unichain]
+        gains, _ = _gain_bias(kernels[unichain], model.sap_rewards[block])
+        for i, rho in enumerate(gains.tolist()):
+            if rho > best_gain + 1e-9:
+                best_gain = rho
+                best_policy = block[i]
+        near = np.concatenate((near, gains))
+        near = near[near >= best_gain - 1e-9]
     if best_policy is None:
         raise NotUnichainError("no unichain policy to optimize over at gamma = 1")
-    within = sum(1 for g in gains if g >= best_gain - 1e-9)
     return OptimalPolicyResult(
-        policy=best_policy,
-        unique=within == 1,
+        policy=Policy(best_policy),
+        unique=near.size == 1,
         gain=best_gain,
         skipped_multichain=skipped,
     )
@@ -269,10 +294,14 @@ def optimal_policy(model: MdpModel) -> OptimalPolicyResult:
     """Optimal deterministic policy under the model's criterion.
 
     gamma < 1: Howard policy iteration. gamma = 1: exhaustive enumeration
-    over unichain policies maximizing the gain (this module is the oracle;
-    simplicity beats speed), with EnumerationTooLargeError above the
-    enumeration cap of ``enumerate_policies``. Raises NonFiniteRewardError,
-    naming the first SAP whose reward is NaN or infinite, before any solve.
+    over unichain policies maximizing the gain. Policies go in lexicographic
+    order, in chunks of ``POLICY_CHUNK_BYTES`` of kernels; a policy becomes
+    the optimum when its gain exceeds the best before it by more than 1e-9,
+    and the optimum is unique when no other unichain policy's gain is within
+    1e-9 of it. A gain/bias failure raises for the first failing policy in
+    that order. EnumerationTooLargeError above ``ENUMERATION_CAP`` policies.
+    Raises NonFiniteRewardError, naming the first SAP whose reward is NaN or
+    infinite, before any solve.
     """
     check_finite_rewards(model)
     if model.is_average_reward:

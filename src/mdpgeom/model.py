@@ -9,10 +9,11 @@ immutable value types; operations here are pure functions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Iterator
 
 import numpy as np
@@ -330,20 +331,45 @@ def span(v) -> float:
     return float(a.max() - a.min())
 
 
-def enumerate_policies(model: MdpModel, cap: int = 10**6) -> Iterator[Policy]:
+# the most policies that enumeration walks through by default
+ENUMERATION_CAP = 10**6
+
+# byte budget of one chunk of enumerated policies' (k, n, n) kernel stack
+POLICY_CHUNK_BYTES = 2**20
+
+
+def _policy_chunks(model: MdpModel, cap: int) -> Iterator[np.ndarray]:
+    """Every deterministic stationary policy, as int64 (k, n) SAP-index blocks.
+
+    Rows come in lexicographic order (``itertools.product`` over each state's
+    SAPs, ascending): policy index i is decoded in mixed radix, the last state
+    varying fastest. A block holds as many policies as have (k, n, n) float64
+    kernels within POLICY_CHUNK_BYTES, and at least one.
+    """
+    counts = np.bincount(model.sap_states, minlength=model.n)
+    if counts.min() == 0:
+        raise InvalidPolicyError(f"state {int(counts.argmin())}: no SAP attached")
+    total = policy_count(model)
+    if total > cap:
+        raise EnumerationTooLargeError(f"{total} policies exceed the enumeration cap {cap}")
+    order = np.argsort(model.sap_states, kind="stable")  # by state, ascending within one
+    starts = np.cumsum(counts) - counts
+    radix = counts.tolist()
+    strides = np.array(list(accumulate(radix[:0:-1], mul, initial=1))[::-1], dtype=np.int64)
+    k = max(1, POLICY_CHUNK_BYTES // (8 * model.n * model.n))
+    for lo in range(0, total, k):
+        index = np.arange(lo, min(lo + k, total), dtype=np.int64)[:, None]
+        yield order[starts + index // strides % counts]
+
+
+def enumerate_policies(model: MdpModel, cap: int = ENUMERATION_CAP) -> Iterator[Policy]:
     """Yield every deterministic stationary policy exactly once.
 
     Policies come out in lexicographic order of their SAP-index vectors.
     Raises EnumerationTooLargeError when the policy count exceeds ``cap``.
     """
-    per_state = [model.saps_at(s).tolist() for s in range(model.n)]
-    if [] in per_state:
-        raise InvalidPolicyError(f"state {per_state.index([])}: no SAP attached")
-    total = math.prod(map(len, per_state))
-    if total > cap:
-        raise EnumerationTooLargeError(f"{total} policies exceed the enumeration cap {cap}")
-    for combo in itertools.product(*per_state):
-        yield Policy(np.array(combo, dtype=np.int64))
+    for block in _policy_chunks(model, cap):
+        yield from map(Policy, block)
 
 
 def policy_count(model: MdpModel) -> int:

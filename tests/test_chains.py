@@ -17,6 +17,8 @@ from mdpgeom import (
     unichain_by_invertibility,
 )
 
+from mdpgeom.chains import _classify
+
 from conftest import random_stochastic
 
 
@@ -55,6 +57,19 @@ def sparse_kernels(draw):
         cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
         p[i, cols] = 1.0 / len(cols)
     return p
+
+
+@st.composite
+def kernel_stacks(draw):
+    """Stacks of one to six kernels of one size n <= 8, reducible and multichain ones among them."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 6))
+    stack = np.zeros((k, n, n))
+    for p in stack:
+        for i in range(n):
+            cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+            p[i, cols] = 1.0 / len(cols)
+    return stack
 
 
 def float_power_search(p):
@@ -175,6 +190,27 @@ class TestClassifyChain:
     @given(sparse_kernels())
     def test_matches_oracle_on_sparse_kernels(self, p):
         assert classify_chain(p) == oracle_classification(p)
+
+    @given(kernel_stacks())
+    def test_stacked_closure_matches_each_kernel(self, stack):
+        counts, recurrent = _classify(stack)
+        for p, count, rec in zip(stack, counts.tolist(), recurrent):
+            cls = classify_chain(p)
+            assert count == cls.closed_class_count == oracle_classification(p).closed_class_count
+            assert frozenset(np.flatnonzero(~rec).tolist()) == cls.transient_states
+            assert (count == 1) == unichain_by_invertibility(p)
+
+    def test_fortran_order_kernel(self):
+        # the closure writes each diagonal through a view, whatever the layout
+        p = np.asfortranarray([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert classify_chain(p) == ChainClassification(2, frozenset({0}), False)
+
+    def test_stack_mixes_verdicts(self):
+        # unichain, two absorbing states, and a reducible kernel with a transient state
+        stack = np.array([[[0.5, 0.5], [1.0, 0.0]], np.eye(2), [[0.0, 1.0], [0.0, 1.0]]])
+        counts, recurrent = _classify(stack)
+        assert counts.tolist() == [1, 2, 1]
+        assert recurrent.tolist() == [[True, True], [True, True], [False, True]]
 
     @pytest.mark.parametrize("last_absorbing", [False, True], ids=["cycle", "into-absorbing"])
     def test_paths_of_256_steps(self, last_absorbing):

@@ -492,6 +492,22 @@ class TestGoldenOutputs:
         assert main(["normalize", str(model), "-o", str(out)] + policy_args) == 0
         assert _sha256(out.read_bytes()) == digest
 
+    @pytest.mark.parametrize(
+        "sparsity, digest",
+        [
+            ("0.3", "e2c2142a10feccad609422be4db54a29750b803e1a8a878d78ec7ef539a647c0"),
+            ("0.7", "d0cd3fc8828c3d940f71fd38ecb679f63043039a019db613f2e9744aa279c55b"),
+        ],
+    )
+    def test_solve_average(self, tmp_path, capsys, sparsity, digest):
+        # pins the gain and bias bits of the gamma = 1 search; at 0.7 the optimum is not unique
+        model = tmp_path / "m.json"
+        argv = ["generate", "--n", "6", "--saps", "3", "--gamma", "1.0", "--sparsity", sparsity]
+        assert main(argv + ["--seed", "3", "-o", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(model)]) == 0
+        assert _sha256(capsys.readouterr().out.encode()) == digest
+
     def test_converge_report_and_trace(self, tmp_path):
         model = tmp_path / "m.json"
         argv = ["generate", "--n", "8", "--saps", "3", "--gamma", "0.9", "--sparsity", "0.4"]

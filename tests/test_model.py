@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 
@@ -210,6 +211,16 @@ class TestEnumeratePolicies:
         pols = [p.as_tuple() for p in enumerate_policies(m)]
         assert pols == [(0, 2), (0, 3), (1, 2), (1, 3)]
         assert len(set(pols)) == len(pols)
+
+    def test_lexicographic_across_chunks(self):
+        # 4^7 policies of n = 7 span several chunks; unequal SAP counts too
+        for counts in ([4] * 7, [1, 3, 2, 5, 1, 4, 3]):
+            saps = [(s, 0.0, np.eye(7)[s]) for s, c in enumerate(counts) for _ in range(c)]
+            m = make_model(7, 1.0, saps[::-1])  # SAP order is not state order
+            per_state = [m.saps_at(s).tolist() for s in range(7)]
+            expected = list(itertools.product(*per_state))
+            assert [p.as_tuple() for p in enumerate_policies(m)] == expected
+            assert policy_count(m) == len(expected)
 
     def test_cap(self):
         m = make_model(
