@@ -2,9 +2,9 @@
 
 These are the oracle routes: discounted evaluation and value iteration,
 average-reward gain/bias evaluation, relative value iteration, and optimal
-policy computation. Cross-checks between this module and the geometric one
-are what the test suite is built on, so nothing here may import from
-mdpgeom.geometry.
+policies by enumeration. Cross-checks between this module and the geometric
+one are what the test suite is built on, so nothing here may import from
+mdpgeom.geometry, whose policy iteration is the library's discounted optimum.
 
 The gamma = 1 optimum enumerates every policy, a chunk at a time: one
 reachability closure classifies a chunk's kernels, each unichain kernel gets
@@ -33,7 +33,7 @@ from .model import (
     Policy,
     ValueVector,
     check_finite_rewards,
-    lowest_index_policy,
+    enumerate_policies,
     policy_kernel,
     span,
     _policy_chunks,
@@ -68,6 +68,7 @@ class OptimalPolicyResult:
     ``values`` carries V* for gamma < 1; ``gain`` the optimal gain at
     gamma = 1. ``skipped_multichain`` counts enumerated policies that had to
     be skipped at gamma = 1 because their kernel is not unichain.
+    ``advantages`` (from ``geometry.optimal_policy``) are each SAP's, against the optimum.
     """
 
     policy: Policy
@@ -75,6 +76,7 @@ class OptimalPolicyResult:
     values: np.ndarray | None = None
     gain: float | None = None
     skipped_multichain: int = 0
+    advantages: np.ndarray | None = None
 
 
 def evaluate_discounted(model: MdpModel, pi: Policy) -> ValueVector:
@@ -107,10 +109,12 @@ def evaluate_average(model: MdpModel, pi: Policy, anchor_state: int = 0) -> Gain
 
     The residual bound is 1e-9 times the largest of 1, |R| and |h|.
     Raises NonFiniteRewardError when a SAP that ``pi`` uses has a NaN or
-    infinite reward.
+    infinite reward, and ValueError for an anchor outside [0, n).
     """
     if not model.is_average_reward:
         raise CriterionMismatchError("average-reward evaluation needs gamma = 1")
+    if not 0 <= anchor_state < model.n:
+        raise ValueError(f"anchor state {anchor_state} outside [0, {model.n})")
     p = policy_kernel(model, pi)  # checks pi
     check_finite_rewards(model, pi)
     gains, biases = _gain_bias(p[None], model.sap_rewards[pi.choice][None], anchor_state)
@@ -235,30 +239,15 @@ def classical_advantages(model: MdpModel, values: np.ndarray) -> np.ndarray:
 
 
 def _optimal_discounted(model: MdpModel) -> OptimalPolicyResult:
-    # Howard policy iteration, ties to the lowest SAP index.
-    pi = lowest_index_policy(model)
-    for _ in range(10_000):
+    # the first policy with no classical advantage above rounding solves the
+    # Bellman optimality equation (Puterman 1994, section 6.2)
+    for pi in enumerate_policies(model):
         v = evaluate_discounted(model, pi).values
-        maxq, greedy_ids = kernels.greedy_sweep_model(model, model.gamma, v)
-        q_current = (
-            model.sap_rewards[pi.choice]
-            + model.gamma * (model.sap_probs[pi.choice] @ v)
-        )
-        improve = maxq > q_current + 1e-12
-        if not np.any(improve):
-            break
-        choice = pi.choice.copy()
-        choice[improve] = greedy_ids[improve]
-        pi = Policy(choice)
-    else:  # pragma: no cover
-        raise NumericalCheckError("policy iteration failed to terminate")
-    # the loop stopped right after evaluating pi, so v holds pi's values
-    adv = classical_advantages(model, v)
-    member = np.zeros(model.m, dtype=bool)
-    member[pi.choice] = True
-    nonmember = adv[~member]
-    unique = bool(nonmember.size == 0 or np.max(nonmember) < -1e-9)
-    return OptimalPolicyResult(policy=pi, unique=unique, values=v)
+        adv = classical_advantages(model, v)
+        if adv.max() <= 1e-9 * max(1.0, float(np.abs(v).max())):
+            adv[pi.choice] = -np.inf
+            return OptimalPolicyResult(policy=pi, unique=bool(adv.max() < -1e-9), values=v)
+    raise NumericalCheckError("no policy passes the optimality certificate")
 
 
 def _optimal_average(model: MdpModel) -> OptimalPolicyResult:
@@ -291,15 +280,16 @@ def _optimal_average(model: MdpModel) -> OptimalPolicyResult:
 
 
 def optimal_policy(model: MdpModel) -> OptimalPolicyResult:
-    """Optimal deterministic policy under the model's criterion.
+    """Optimal deterministic policy under the model's criterion, by enumeration.
 
-    gamma < 1: Howard policy iteration. gamma = 1: exhaustive enumeration
-    over unichain policies maximizing the gain. Policies go in lexicographic
-    order, in chunks of ``POLICY_CHUNK_BYTES`` of kernels; a policy becomes
-    the optimum when its gain exceeds the best before it by more than 1e-9,
-    and the optimum is unique when no other unichain policy's gain is within
-    1e-9 of it. A gain/bias failure raises for the first failing policy in
-    that order. EnumerationTooLargeError above ``ENUMERATION_CAP`` policies.
+    Policies go in lexicographic order. gamma < 1: the first one whose
+    classical advantages are at most 1e-9 * max(1, |V|); it is unique when
+    the others' are below -1e-9. gamma = 1: over unichain policies, in
+    chunks of ``POLICY_CHUNK_BYTES`` of kernels; a policy becomes the optimum
+    when its gain exceeds the best before it by more than 1e-9, and the
+    optimum is unique when no other unichain policy's gain is within 1e-9 of
+    it. A gain/bias failure raises for the first failing policy in that
+    order. EnumerationTooLargeError above ``ENUMERATION_CAP`` policies.
     Raises NonFiniteRewardError, naming the first SAP whose reward is NaN or
     infinite, before any solve.
     """

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, classic, geometry
+from . import __version__, geometry
 from .chains import (
     _stationary,
     classify_chain,
@@ -105,7 +105,9 @@ def _solve_result(model: MdpModel, criterion: str, anchor: int) -> EvaluationRes
         raise MdpError("--criterion discounted needs gamma < 1")
     if criterion == "average" and not model.is_average_reward:
         raise MdpError("--criterion average needs gamma = 1")
-    result = classic.optimal_policy(model)
+    if not 0 <= anchor < model.n:
+        raise MdpError(f"--anchor {anchor} outside [0, {model.n})")
+    result = geometry.optimal_policy(model)
     pv, consts = geometry.evaluate_policy(model, result.policy)
     out = EvaluationResult(
         criterion=criterion,
@@ -166,7 +168,7 @@ def _cmd_normalize(args) -> int:
     if args.policy is not None:
         pi = _parse_policy_arg(args.policy, model)
     else:
-        pi = classic.optimal_policy(model).policy
+        pi = geometry.optimal_policy(model).policy
     normalized = geometry.normalize_rewards(model, pi)
     Path(args.output).write_text(emit_model(normalized))
     print(f"wrote {args.output} (normalized against policy {list(pi.as_tuple())})")
@@ -316,6 +318,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mdpgeom",
@@ -348,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="run the span-contraction verification pipeline")
     p.add_argument("file")
     p.add_argument("--v0", choices=("basis", "random"), default="basis")
-    p.add_argument("--steps", type=int, default=None, help="extend the recorded trace")
+    p.add_argument("--steps", type=_count, default=None, help="extend the recorded trace")
     p.add_argument("--seed", type=int, default=0, help="seed for --v0 random")
     p.add_argument("--strict", action="store_true", help="exit 3 when diagnostics fail")
     p.add_argument("-o", "--output", help="directory for report.json and trace.csv")
@@ -367,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run converge over many generated instances")
     p.add_argument("--spec", required=True, help="GeneratorSpec JSON file")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sweep)

@@ -17,10 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import classic, kernels
+from . import kernels
 from .chains import PrimitivityCertificate, check_stochastic, classify_chain, primitivity_certificate
 from .errors import AssumptionViolatedError, NotPrimitiveError, NotUnichainError
-from .geometry import advantages, evaluate_policy, mdp_constant, normalize_rewards
+from .geometry import _gap, advantages, evaluate_policy, mdp_constant, optimal_policy
 from .model import MdpModel, Policy, policy_kernel, span
 
 SPAN_FLOOR = 1e-13
@@ -167,16 +167,6 @@ def suboptimality_gap(model: MdpModel, pi_star: Policy) -> float:
     return _gap(advantages(model, pv), pi_star)
 
 
-def _gap(adv: np.ndarray, pi_star: Policy) -> float:
-    # suboptimality_gap on the advantages with respect to pi_star
-    member = np.zeros(adv.size, dtype=bool)
-    member[pi_star.choice] = True
-    nonmember = adv[~member]
-    if nonmember.size == 0:
-        return math.inf
-    return float(-np.max(nonmember))
-
-
 def contraction_constants(
     model: MdpModel, pi_star: Policy, spans: list
 ) -> ContractionConstants:
@@ -267,7 +257,7 @@ def verify_contraction(
 
     pi_star = cert = None
     try:
-        optimal = classic.optimal_policy(model)
+        optimal = optimal_policy(model)
     except NotUnichainError:
         # no unichain policy at gamma = 1: report the failed diagnostics with
         # an informational run on the raw model instead of crashing
@@ -277,9 +267,8 @@ def verify_contraction(
         pi_star = optimal.policy
         kernel = policy_kernel(model, pi_star)
         unichain = classify_chain(kernel).is_unichain
-        # at gamma = 1 optimal_policy returns only unichain policies, so pi_star
-        # is evaluable at every gamma; the normalized rewards are its advantages
-        run_model = normalize_rewards(model, pi_star)
+        # the normalized rewards are pi_star's advantages, from the search's last solve
+        run_model = model._with_rewards(optimal.advantages)
         unique = optimal.unique and _gap(run_model.sap_rewards, pi_star) > 1e-9
         try:
             cert = primitivity_certificate(kernel)

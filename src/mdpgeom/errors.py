@@ -44,9 +44,8 @@ class AssumptionViolatedError(MdpError):
 class NumericalCheckError(MdpError):
     """A computed result failed a runtime numerical check.
 
-    Raised when a solution's residual exceeds its bound, when a system that
-    is provably nonsingular tests singular, or when an iteration that must
-    terminate does not.
+    Raised when a solution's residual exceeds its bound, or when an
+    iteration that must terminate does not.
     """
 
 

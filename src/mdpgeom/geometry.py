@@ -15,19 +15,21 @@ product of its action vector with (1, v), with no case split on gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import classic, kernels
 from .errors import (
     CriterionMismatchError,
     NotUnichainError,
     NumericalCheckError,
     SingularMatrixError,
 )
-from .linalg import solve_checked
+from .linalg import solve, solve_checked
 from .model import (
-    AVERAGE_BIAS, DISCOUNTED, MdpModel, Policy, ValueVector, check_finite_rewards, policy_kernel
+    AVERAGE_BIAS, DISCOUNTED, MdpModel, Policy, ValueVector, check_finite_rewards,
+    lowest_index_policy, policy_kernel,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -81,10 +83,15 @@ def action_vector(model: MdpModel, sap_index: int) -> ActionVector:
 def evaluate_policy(model: MdpModel, pi: Policy) -> tuple:
     """Solve the shifted value system for ``pi``; returns (PolicyVector, GeometryConstants).
 
-    At gamma = 1 a singular system means the induced chain is not unichain
-    and NotUnichainError is raised. At gamma < 1 the system is provably
-    nonsingular for stochastic kernels. Raises NonFiniteRewardError when a
-    SAP that ``pi`` uses has a NaN or infinite reward.
+    At gamma < 1, A = B + gamma*E with B = I - gamma*P is nonsingular, so no
+    pivot test runs: the eigenvalues of gamma*P lie inside the unit disc, so
+    det B > 0; B^-1 1 = 1/(1 - gamma) as P1 = 1, and the matrix determinant
+    lemma gives det A = det B * (1 + gamma*n/(1 - gamma)) > 0. At gamma = 1
+    a singular system means a multichain kernel: NotUnichainError. Each row's
+    residual must be at most RESIDUAL_TOL * (|A||x| + |R|), the backward-error
+    bound of ``classic.evaluate_discounted``, or NotUnichainError (gamma = 1)
+    or NumericalCheckError is raised. Raises NonFiniteRewardError when a SAP
+    that ``pi`` uses has a NaN or infinite reward.
     """
     n, gamma = model.n, model.gamma
     c = mdp_constant(model)
@@ -93,23 +100,14 @@ def evaluate_policy(model: MdpModel, pi: Policy) -> tuple:
     r = model.sap_rewards[pi.choice]
     a = np.eye(n) + gamma * np.ones((n, n)) - gamma * p
     try:
-        x = solve_checked(a, r)
+        x = solve_checked(a, r) if model.is_average_reward else solve(a, r)
     except SingularMatrixError as exc:
-        if model.is_average_reward:
-            raise NotUnichainError(
-                "policy evaluation at gamma=1 needs a unichain kernel"
-            ) from exc
-        raise NumericalCheckError(
-            "singular evaluation system at gamma < 1 on a stochastic kernel"
-        ) from exc
-    residual = float(np.max(np.abs(a @ x - r)))
-    limit = RESIDUAL_TOL * (1.0 + float(np.max(np.abs(r))))
-    if residual > limit:
-        if model.is_average_reward:
-            raise NotUnichainError(
-                f"evaluation residual {residual:.3e} exceeds {limit:.3e}"
-            )
-        raise NumericalCheckError(f"evaluation residual {residual:.3e} exceeds {limit:.3e}")
+        raise NotUnichainError("policy evaluation at gamma=1 needs a unichain kernel") from exc
+    residual = np.abs(a @ x - r)
+    # written so that a NaN residual fails
+    if not np.all(residual <= RESIDUAL_TOL * (np.abs(a) @ np.abs(x) + np.abs(r))):
+        error = NotUnichainError if model.is_average_reward else NumericalCheckError
+        raise error(f"evaluation residual {residual.max():.3e} exceeds its backward-error bound")
     v = c * x
     consts = GeometryConstants(C=c, v_sigma=float(v.sum()), gamma=gamma)
     return PolicyVector(values=v), consts
@@ -162,11 +160,14 @@ def bias(
     """The bias representative with h(anchor_state) = 0 (gamma = 1 only).
 
     v / C itself solves the average-reward Bellman equation up to an
-    additive constant; anchoring picks the reproducible member.
+    additive constant; anchoring picks the reproducible member. Raises
+    ValueError for an anchor outside [0, n).
     """
     if consts.gamma != 1.0:
         raise CriterionMismatchError("bias is defined at gamma = 1")
     h = np.asarray(pv.values, dtype=np.float64) / consts.C
+    if not 0 <= anchor_state < h.size:
+        raise ValueError(f"anchor state {anchor_state} outside [0, {h.size})")
     return ValueVector(values=h - h[anchor_state], criterion=AVERAGE_BIAS)
 
 
@@ -183,3 +184,41 @@ def normalize_rewards(model: MdpModel, pi_star: Policy) -> MdpModel:
     check_finite_rewards(model)
     pv, _ = evaluate_policy(model, pi_star)
     return model._with_rewards(advantages(model, pv))
+
+
+def _gap(adv: np.ndarray, pi_star: Policy) -> float:
+    """Negated maximum of ``adv`` over the SAPs outside ``pi_star``; inf if none exist."""
+    outside = adv.copy()
+    outside[pi_star.choice] = -np.inf
+    return float(-outside.max())
+
+
+def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
+    """Optimal deterministic policy with its advantages, which ``normalize_rewards`` would give.
+
+    gamma < 1: Howard policy iteration (Puterman 1994, section 6.4) on the
+    advantages, which equal the classical ones. From the lowest-index policy
+    a state switches to its best SAP (ties to the lowest index) when that
+    beats the current SAP by more than 1e-12. The optimum is unique when its
+    gap exceeds 1e-9; ``values`` is V* from the last solve. gamma = 1:
+    ``classic.optimal_policy``'s enumeration. Raises NonFiniteRewardError,
+    naming the first SAP whose reward is NaN or infinite, before any solve.
+    """
+    if model.is_average_reward:
+        result = classic.optimal_policy(model)  # checks the rewards first
+        pv, _ = evaluate_policy(model, result.policy)
+        return replace(result, advantages=advantages(model, pv))
+    check_finite_rewards(model)
+    pi = lowest_index_policy(model)
+    for _ in range(10_000):
+        pv, consts = evaluate_policy(model, pi)
+        adv = advantages(model, pv)
+        best, greedy = kernels.greedy_by_state(model, adv)
+        improve = best > adv[pi.choice] + 1e-12
+        if not improve.any():
+            break
+        pi = Policy(np.where(improve, greedy, pi.choice))
+    else:  # pragma: no cover
+        raise NumericalCheckError("policy iteration failed to terminate")
+    values = to_classical_values(pv, consts, model).values
+    return classic.OptimalPolicyResult(pi, _gap(adv, pi) > 1e-9, values, advantages=adv)

@@ -8,6 +8,7 @@ and returns the per-state maximum together with the first SAP index
 attaining it (ties go to the lowest SAP index). Callers supply ``scale``
 (gamma for classical updates, gamma/C for updates on the geometric values)
 and apply their own constant shifts, which do not change the argmax.
+``greedy_by_state`` selects the same way from given scores, such as advantages.
 
 Scores are gathered through the model's ``_sweep_blocks``, tables whose rows
 list one state's SAPs ascending, padded with its first SAP: a row's first
@@ -22,7 +23,13 @@ import numpy as np
 
 def greedy_sweep_model(model, scale, v):
     """Per-state max of reward + scale * probs @ v, plus the greedy SAP ids."""
-    q = model.sap_rewards + float(scale) * (model.sap_probs @ np.asarray(v, dtype=np.float64))
+    return greedy_by_state(
+        model, model.sap_rewards + float(scale) * (model.sap_probs @ np.asarray(v, dtype=np.float64))
+    )
+
+
+def greedy_by_state(model, q):
+    """Per-state max of the per-SAP scores ``q``, plus the first SAP id attaining it."""
     maxq, greedy = np.empty(model.n), np.empty(model.n, dtype=np.int64)
     for states, row_starts, table in model._sweep_blocks:
         qt = q[table]

@@ -40,6 +40,12 @@ def is_invertible(a: np.ndarray) -> bool:
     return not _singular(pivot_magnitudes(a))
 
 
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a @ x = b with no pivot test, for systems nonsingular by construction."""
+    lu, piv, _ = _getrf(a)
+    return dgetrs(lu, piv, np.asarray(b, dtype=np.float64))[0]
+
+
 def solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b, raising SingularMatrixError at the pivot threshold."""
     lu, piv, mags = _getrf(a)

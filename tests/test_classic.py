@@ -144,6 +144,11 @@ class TestEvaluateAverage:
         np.testing.assert_allclose(gb.bias, [1.0, 0.0], atol=1e-12)
         assert gb.bias[gb.anchor_state] == 0.0
 
+    @pytest.mark.parametrize("anchor", [2, -1])
+    def test_anchor_outside_states_rejected(self, swap_model, swap_policy, anchor):
+        with pytest.raises(ValueError, match=rf"anchor state {anchor} outside \[0, 2\)"):
+            evaluate_average(swap_model, swap_policy, anchor_state=anchor)
+
     def test_constant_rewards(self):
         m = make_model(2, 1.0, [(0, 4.0, [0, 1]), (1, 4.0, [1, 0])])
         gb = evaluate_average(m, Policy([0, 1]))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mdpgeom
@@ -129,6 +130,20 @@ class TestSolve:
         assert doc["criterion"] == "discounted"
         assert doc["values"] is not None
         assert doc["gain"] is None
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.9])
+    @pytest.mark.parametrize("anchor", ["9", "-1"])
+    def test_anchor_outside_states_exit_2(self, tmp_path, gamma, anchor, capsys):
+        # -1 used to anchor at the last state while printing "anchor_state": -1, and
+        # 9 ended in an IndexError traceback with exit 1
+        model = tmp_path / "m.json"
+        argv = ["generate", "--n", "4", "--saps", "2", "--gamma", str(gamma), "--seed", "2"]
+        assert main(argv + ["-o", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(model), "--anchor", anchor]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--anchor {anchor} outside [0, 4)" in captured.err
 
 
 class TestAnalyze:
@@ -367,6 +382,29 @@ class TestSweep:
         assert len(rows) == 1 + trials
 
 
+class TestNegativeCounts:
+    """A negative --trials or --steps is an argument error (exit 2), before any work."""
+
+    def test_sweep_trials(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 3, "saps_per_state": 2, "gamma": 0.9}))
+        out = tmp_path / "sw"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--spec", str(spec), "--trials", "-1", "-o", str(out)])
+        assert exc.value.code == 2
+        assert "argument --trials: -1 is negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_converge_steps(self, discounted_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", discounted_file, "--steps", "-3"])
+        assert exc.value.code == 2
+        assert "argument --steps: -3 is negative" in capsys.readouterr().err
+
+    def test_zero_steps_accepted(self, discounted_file, capsys):
+        assert main(["converge", discounted_file, "--steps", "0"]) == 0
+
+
 class TestCachedParser:
     """main parses with one parser per process; no call may see another's arguments."""
 
@@ -507,6 +545,26 @@ class TestGoldenOutputs:
         capsys.readouterr()
         assert main(["solve", str(model)]) == 0
         assert _sha256(capsys.readouterr().out.encode()) == digest
+
+    @pytest.mark.parametrize(
+        "sparsity, digest",
+        [
+            ("0.3", "5cd37e87aedf61a0af795133047490650c5dfc6408950cc63c0800e0ed82ff51"),
+            ("0.7", "55aa322758e41a003b8a0637a3517592db02bf55f5fc975cf9a2657e9ae5e10e"),
+        ],
+    )
+    def test_solve_discounted(self, tmp_path, capsys, sparsity, digest):
+        # pins V* as to_classical_values converts it from the shifted system's solve
+        model = tmp_path / "m.json"
+        argv = ["generate", "--n", "6", "--saps", "3", "--gamma", "0.95", "--sparsity", sparsity]
+        assert main(argv + ["--seed", "3", "-o", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(model)]) == 0
+        out = capsys.readouterr().out
+        assert _sha256(out.encode()) == digest
+        doc = json.loads(out)
+        oracle = mdpgeom.evaluate_discounted(parse_model(model.read_text()), mdpgeom.Policy(doc["policy"]))
+        np.testing.assert_allclose(doc["values"], oracle.values, rtol=1e-12)
 
     def test_converge_report_and_trace(self, tmp_path):
         model = tmp_path / "m.json"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from mdpgeom import (
     AssumptionViolatedError,
@@ -251,6 +251,29 @@ class TestVerifyContraction:
         assert report.v0 == (1.0, 0.0, 0.0, 0.0)
         assert report.span_trace[0] == 1.0
 
+    # measured max of |difference| / (1 - gamma) over 290 unichain models (n 3-6,
+    # 2-3 SAPs, sparsity 0 and 0.3) and k = 6..12: 2.94 for tau, 1.11 for delta
+    LIMIT_C = 10.0
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(3, 6),
+        saps=st.integers(2, 3),
+        sparsity=st.sampled_from([0.0, 0.3]),
+        k=st.integers(6, 12),
+    )
+    def test_report_tends_to_gamma_one(self, seed, n, saps, sparsity, k):
+        # the pipeline stays well posed as gamma -> 1, and pi*, delta and tau reach
+        # their gamma = 1 values linearly in 1 - gamma
+        at_one = verify_contraction(random_instance(seed, n=n, gamma=1.0, saps_per_state=saps, sparsity=sparsity))
+        limit = at_one.constants
+        assume(at_one.diagnostics.all_pass and limit.tau is not None)
+        gamma = 1 - 10.0**-k
+        report = verify_contraction(random_instance(seed, n=n, gamma=gamma, saps_per_state=saps, sparsity=sparsity))
+        assert report.pi_star == at_one.pi_star
+        assert abs(report.constants.delta - limit.delta) <= self.LIMIT_C * (1 - gamma)
+        assert abs(report.constants.tau - limit.tau) <= self.LIMIT_C * (1 - gamma)
+
     def test_no_unichain_policy_reports_instead_of_crashing(self):
         # both states absorbing under the only policy: nothing to optimize at gamma=1
         m = make_model(2, 1.0, [(0, 1.0, [1, 0]), (1, 0.0, [0, 1])])
@@ -281,6 +304,8 @@ class TestWorkCounts:
                 (convergence, "evaluate_policy"),
                 (geometry, "evaluate_policy"),
                 (classic, "evaluate_discounted"),
+                (kernels, "greedy_by_state"),
+                (kernels, "greedy_sweep_model"),
                 (model, "check_policy"),
             ],
         )
@@ -288,10 +313,16 @@ class TestWorkCounts:
         assert report.diagnostics.all_pass
         assert calls["classify_chain"] == 1
         assert calls["primitivity_certificate"] == 1
-        # once for the normalized rewards, once for the normalized model's gap
-        assert calls["evaluate_policy"] == 2
+        # the search's rounds: each VI step also calls greedy_by_state, through greedy_sweep_model
+        rounds = calls["greedy_by_state"] - calls["greedy_sweep_model"]
+        assert rounds == (0 if m.is_average_reward else 3)
+        # one evaluation per round of the search (gamma = 1 enumerates, then evaluates
+        # its optimum once), plus one for the normalized model's gap
+        assert calls["evaluate_policy"] == max(rounds, 1) + 1
+        # the normalized rewards are the search's last advantages; the oracle is not called
+        assert calls["evaluate_discounted"] == 0
         # one check per evaluation, plus one for pi*'s kernel; enumeration checks nothing
-        assert calls["check_policy"] == calls["evaluate_policy"] + calls["evaluate_discounted"] + 1
+        assert calls["check_policy"] == calls["evaluate_policy"] + 1
 
     def test_raw_run_only_when_read(self, monkeypatch):
         m = random_instance(31, n=5, gamma=0.5, saps_per_state=3)
@@ -313,11 +344,13 @@ class TestWorkCounts:
     def test_howard_evaluates_once_per_iteration(self, monkeypatch):
         m = random_instance(3, n=8, gamma=0.95, saps_per_state=3)
         calls = count_calls(
-            monkeypatch, [(classic, "evaluate_discounted"), (kernels, "greedy_sweep_model")]
+            monkeypatch,
+            [(geometry, "evaluate_policy"), (kernels, "greedy_by_state"), (classic, "evaluate_discounted")],
         )
-        classic.optimal_policy(m)
-        assert calls["greedy_sweep_model"] == 3  # two improvements, then no change
-        assert calls["evaluate_discounted"] == calls["greedy_sweep_model"]
+        geometry.optimal_policy(m)
+        assert calls["greedy_by_state"] == 3  # two improvements, then no change
+        assert calls["evaluate_policy"] == calls["greedy_by_state"]
+        assert calls["evaluate_discounted"] == 0
 
 
 class TestProductExpansion:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from mdpgeom import (
     CriterionMismatchError,
@@ -20,12 +21,15 @@ from mdpgeom import (
     gain,
     mdp_constant,
     normalize_rewards,
+    optimal_policy,
     policy_kernel,
     policy_rewards,
     stationary_distribution,
     to_classical_values,
 )
 
+from mdpgeom import classic, geometry
+from mdpgeom.classic import classical_advantages
 from mdpgeom.model import lowest_index_policy
 
 from conftest import make_model, random_instance
@@ -89,6 +93,15 @@ class TestEvaluatePolicy:
             a = np.eye(n) + gamma * np.ones((n, n)) - gamma * policy_kernel(m, pi)
             r = policy_rewards(m, pi)
             assert np.max(np.abs(a @ (pv.values / consts.C) - r)) <= 1e-10 * (1 + np.max(np.abs(r)))
+
+    def test_every_policy_evaluates_near_gamma_one(self):
+        # at gamma = 1 - 1e-12 many of these kernels are multichain; the system stays
+        # nonsingular, and the values pass the backward-error bound
+        for seed in range(20):
+            m = random_instance(seed, n=5, gamma=1 - 1e-12, saps_per_state=2, sparsity=0.7)
+            for pi in enumerate_policies(m):
+                pv, consts = evaluate_policy(m, pi)
+                assert np.all(np.isfinite(to_classical_values(pv, consts, m).values))
 
 
 class TestNonFiniteRewardGates:
@@ -229,6 +242,13 @@ class TestGainAndBias:
         np.testing.assert_allclose(bias(pv, consts, 1).values, [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(bias(pv, consts, 0).values, [0.0, -1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("anchor", [2, -1])
+    def test_bias_anchor_outside_states_rejected(self, swap_model, swap_policy, anchor):
+        # a negative anchor is not read from the end of the vector
+        pv, consts = evaluate_policy(swap_model, swap_policy)
+        with pytest.raises(ValueError, match=rf"anchor state {anchor} outside \[0, 2\)"):
+            bias(pv, consts, anchor)
+
     def test_bias_constant_values(self):
         m = make_model(2, 1.0, [(0, 1.0, [0, 1]), (1, 1.0, [1, 0])])
         pv, consts = evaluate_policy(m, Policy([0, 1]))
@@ -291,6 +311,61 @@ class TestAdvantageIdentities:
                 np.testing.assert_allclose(advantages(m, pv), oracle, atol=1e-9)
 
 
+class TestOptimalPolicy:
+    """Howard iteration on the geometric advantages at gamma < 1."""
+
+    @pytest.mark.parametrize("sparsity", [0.0, 0.7])
+    @pytest.mark.parametrize("gamma", [0.5, 0.9, 0.99, 1 - 1e-6])
+    def test_against_enumeration_over_the_classical_oracle(self, gamma, sparsity):
+        for seed in range(100):
+            m = random_instance(seed, n=5, gamma=gamma, saps_per_state=2, sparsity=sparsity)
+            result = optimal_policy(m)
+            v_star = evaluate_discounted(m, result.policy).values
+            tol = 1e-9 * max(1.0, float(np.abs(v_star).max()))
+            # the classical-advantage certificate
+            assert classical_advantages(m, v_star).max() <= tol
+            # value dominance over every enumerated policy, the best among them included
+            values = np.array([evaluate_discounted(m, pi).values for pi in enumerate_policies(m)])
+            assert np.all(v_star >= values - tol)
+
+    @pytest.mark.parametrize("gamma", [0.5, 0.95, 1.0])
+    def test_advantages_are_the_normalized_rewards(self, gamma):
+        for seed in range(20):
+            m = random_instance(seed, n=6, gamma=gamma, saps_per_state=3, sparsity=0.3)
+            result = optimal_policy(m)
+            normalized = normalize_rewards(m, result.policy).sap_rewards
+            assert result.advantages.tobytes() == normalized.tobytes()
+
+    def test_values_are_the_classical_values(self):
+        for seed in range(20):
+            m = random_instance(seed, n=6, gamma=0.95, saps_per_state=3, sparsity=0.3)
+            result = optimal_policy(m)
+            oracle = evaluate_discounted(m, result.policy).values
+            np.testing.assert_allclose(result.values, oracle, rtol=1e-12)
+
+    def test_agrees_with_the_classic_enumeration(self):
+        # classic's discounted optimum enumerates policies, with no improvement loop
+        for seed in range(30):
+            m = random_instance(seed, n=5, gamma=0.9, saps_per_state=3, sparsity=0.3)
+            ours, oracle = optimal_policy(m), classic.optimal_policy(m)
+            assert ours.policy == oracle.policy
+            assert ours.unique == oracle.unique
+
+    def test_unique_from_the_advantage_gap(self):
+        # duplicate SAPs at s0: the optimum cannot be unique
+        m = make_model(2, 0.9, [(0, 2.0, [0, 1]), (0, 2.0, [0, 1]), (1, 0.0, [1, 0])])
+        result = optimal_policy(m)
+        assert result.policy.as_tuple() == (0, 2)
+        assert not result.unique
+        assert geometry._gap(result.advantages, result.policy) <= 1e-9
+
+    def test_non_finite_reward_before_any_solve(self, monkeypatch):
+        m = make_model(2, 0.9, [(0, 1.0, [0, 1]), (0, math.nan, [1, 0]), (1, 0.0, [1, 0])])
+        monkeypatch.setattr(geometry, "evaluate_policy", None)  # never reached
+        with pytest.raises(NonFiniteRewardError, match="sap 1"):
+            optimal_policy(m)
+
+
 class TestNormalize:
     def test_member_rewards_zero(self, swap_plus_selfloop):
         norm = normalize_rewards(swap_plus_selfloop, Policy([0, 1]))
@@ -334,6 +409,29 @@ class TestNormalize:
             np.testing.assert_allclose(
                 advantages(m, pv_orig), advantages(norm, pv_norm), atol=1e-9
             )
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(2, 5),
+        saps=st.integers(1, 3),
+        gamma=st.sampled_from([0.5, 0.9, 0.999, 1 - 1e-9, 1.0]),
+        sparsity=st.sampled_from([0.0, 0.5]),
+        picks=st.lists(st.integers(0, 2), min_size=10, max_size=10),
+    )
+    def test_normalization_preserves_every_advantage(self, seed, n, saps, gamma, sparsity, picks):
+        # the advantage of every SAP with respect to every evaluable policy is the
+        # same in the normalized model, whichever evaluable policy it is normalized against
+        m = random_instance(seed, n=n, gamma=gamma, saps_per_state=saps, sparsity=sparsity)
+        star = Policy([m.saps_at(s)[picks[s] % saps] for s in range(n)])
+        pi = Policy([m.saps_at(s)[picks[5 + s] % saps] for s in range(n)])
+        try:
+            norm = normalize_rewards(m, star)
+            pv, _ = evaluate_policy(m, pi)
+        except NotUnichainError:
+            assume(False)
+        adv = advantages(m, pv)
+        adv_norm = advantages(norm, evaluate_policy(norm, pi)[0])
+        np.testing.assert_allclose(adv_norm, adv, rtol=0, atol=1e-10 * max(1.0, np.abs(adv).max()))
 
     def test_greedy_argmax_preserved(self):
         m = random_instance(23, n=4, gamma=0.8, saps_per_state=3)
