@@ -4,12 +4,15 @@ These are the oracle routes: discounted evaluation and value iteration,
 average-reward gain/bias evaluation, relative value iteration, and optimal
 policies by enumeration. Cross-checks between this module and the geometric
 one are what the test suite is built on, so nothing here may import from
-mdpgeom.geometry, whose policy iteration is the library's discounted optimum.
+mdpgeom.geometry, whose policy iteration is the library's optimum for both
+criteria.
 
-The gamma = 1 optimum enumerates every policy, a chunk at a time: one
-reachability closure classifies a chunk's kernels, each unichain kernel gets
-its own gain/bias solve, and one expression checks the chunk's residuals.
-The result is that of a loop over single policies, bit for bit.
+The gamma = 1 enumeration is that search's fallback, for the models where
+it cannot certify its optimum unique, and the oracle the tests compare it
+with. It walks every policy, a chunk at a time: one reachability closure
+classifies a chunk's kernels, each unichain kernel gets its own gain/bias
+solve, and one expression checks the chunk's residuals. The result is that
+of a loop over single policies, bit for bit.
 """
 
 from __future__ import annotations
@@ -67,8 +70,11 @@ class OptimalPolicyResult:
 
     ``values`` carries V* for gamma < 1; ``gain`` the optimal gain at
     gamma = 1. ``skipped_multichain`` counts enumerated policies that had to
-    be skipped at gamma = 1 because their kernel is not unichain.
-    ``advantages`` (from ``geometry.optimal_policy``) are each SAP's, against the optimum.
+    be skipped at gamma = 1 because their kernel is not unichain; it is 0
+    when ``geometry.optimal_policy`` certified its optimum with no enumeration.
+    ``geometry.optimal_policy`` also sets ``advantages``, each SAP's against
+    the optimum, and the optimum's ``geometry.PolicyVector`` and
+    ``geometry.GeometryConstants`` as ``policy_vector`` and ``constants``.
     """
 
     policy: Policy
@@ -77,6 +83,8 @@ class OptimalPolicyResult:
     gain: float | None = None
     skipped_multichain: int = 0
     advantages: np.ndarray | None = None
+    policy_vector: object | None = None
+    constants: object | None = None
 
 
 def evaluate_discounted(model: MdpModel, pi: Policy) -> ValueVector:

@@ -108,7 +108,7 @@ def _solve_result(model: MdpModel, criterion: str, anchor: int) -> EvaluationRes
     if not 0 <= anchor < model.n:
         raise MdpError(f"--anchor {anchor} outside [0, {model.n})")
     result = geometry.optimal_policy(model)
-    pv, consts = geometry.evaluate_policy(model, result.policy)
+    pv, consts = result.policy_vector, result.constants  # from the search's last solve
     out = EvaluationResult(
         criterion=criterion,
         policy=list(result.policy.as_tuple()),
@@ -167,9 +167,10 @@ def _cmd_normalize(args) -> int:
     model = _read_model(args.file)
     if args.policy is not None:
         pi = _parse_policy_arg(args.policy, model)
-    else:
-        pi = geometry.optimal_policy(model).policy
-    normalized = geometry.normalize_rewards(model, pi)
+        normalized = geometry.normalize_rewards(model, pi)
+    else:  # the normalized rewards are the search's last advantages
+        optimal = geometry.optimal_policy(model)
+        pi, normalized = optimal.policy, model._with_rewards(optimal.advantages)
     Path(args.output).write_text(emit_model(normalized))
     print(f"wrote {args.output} (normalized against policy {list(pi.as_tuple())})")
     return 0

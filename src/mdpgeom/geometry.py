@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import classic, kernels
+from .chains import _classify
 from .errors import (
     CriterionMismatchError,
     NotUnichainError,
@@ -28,8 +29,8 @@ from .errors import (
 )
 from .linalg import solve, solve_checked
 from .model import (
-    AVERAGE_BIAS, DISCOUNTED, MdpModel, Policy, ValueVector, check_finite_rewards,
-    lowest_index_policy, policy_kernel,
+    AVERAGE_BIAS, DISCOUNTED, ENUMERATION_CAP, MdpModel, Policy, ValueVector,
+    check_finite_rewards, lowest_index_policy, policy_count, policy_kernel,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -193,32 +194,135 @@ def _gap(adv: np.ndarray, pi_star: Policy) -> float:
     return float(-outside.max())
 
 
-def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
-    """Optimal deterministic policy with its advantages, which ``normalize_rewards`` would give.
+def _policy_iteration(model: MdpModel, pi: Policy):
+    """Howard's loop on the advantages from ``pi``: (pi, pv, consts, adv) of its last round.
 
-    gamma < 1: Howard policy iteration (Puterman 1994, section 6.4) on the
-    advantages, which equal the classical ones. From the lowest-index policy
-    a state switches to its best SAP (ties to the lowest index) when that
-    beats the current SAP by more than 1e-12. The optimum is unique when its
-    gap exceeds 1e-9; ``values`` is V* from the last solve. gamma = 1:
-    ``classic.optimal_policy``'s enumeration. Raises NonFiniteRewardError,
-    naming the first SAP whose reward is NaN or infinite, before any solve.
+    Each round evaluates the policy, then a state switches to its best SAP
+    (ties to the lowest index) when that beats the current one by more than
+    1e-12. At gamma = 1 it returns None when an iterate's kernel is
+    multichain or fails its evaluation, or when 10,000 rounds pass.
     """
-    if model.is_average_reward:
-        result = classic.optimal_policy(model)  # checks the rewards first
-        pv, _ = evaluate_policy(model, result.policy)
-        return replace(result, advantages=advantages(model, pv))
-    check_finite_rewards(model)
-    pi = lowest_index_policy(model)
+    average = model.is_average_reward
     for _ in range(10_000):
-        pv, consts = evaluate_policy(model, pi)
+        if average and _classify(model.sap_probs[pi.choice])[0] != 1:
+            return None
+        try:
+            pv, consts = evaluate_policy(model, pi)
+        except NotUnichainError:  # raised at gamma = 1 only
+            return None
         adv = advantages(model, pv)
         best, greedy = kernels.greedy_by_state(model, adv)
         improve = best > adv[pi.choice] + 1e-12
         if not improve.any():
-            break
+            return pi, pv, consts, adv
         pi = Policy(np.where(improve, greedy, pi.choice))
-    else:  # pragma: no cover
-        raise NumericalCheckError("policy iteration failed to terminate")
+    if average:
+        return None
+    raise NumericalCheckError("policy iteration failed to terminate")  # pragma: no cover
+
+
+def _rivals_below(model: MdpModel, pi: Policy, limit: float) -> bool:
+    """Whether every policy other than ``pi`` has a gain below ``limit`` (gamma = 1).
+
+    Any other policy uses some SAP a outside ``pi``. For each such a, Howard's
+    loop restricted to the policies that use a (the other SAPs at a's state
+    masked), warm-started from ``pi`` with a switched in, ends at the best
+    gain among them: its advantages bound every such policy's gain. The runs
+    go in one stack, a round at a time, until each ends. False as soon as a
+    gain reaches ``limit`` (a run's gain only rises), or a run meets a
+    multichain kernel, a singular solve or a residual above its bound.
+    """
+    states = model.sap_states
+    outside = np.ones(model.m, dtype=bool)
+    outside[pi.choice] = False
+    saps = np.flatnonzero(outside)
+    runs = np.arange(saps.size)
+    choices = np.tile(pi.choice, (saps.size, 1))
+    choices[runs, states[saps]] = saps
+    masked = states == states[saps, None]
+    masked[runs, saps] = False
+    shift = np.eye(model.n) + 1.0  # I + E
+    for _ in range(10_000):
+        if not choices.size:
+            return True
+        p, r = model.sap_probs[choices], model.sap_rewards[choices]
+        if np.any(_classify(p)[0] != 1):
+            return False
+        a = shift - p
+        try:  # x = v / C of each run's policy
+            x = np.array([solve_checked(ai, ri) for ai, ri in zip(a, r)])
+        except SingularMatrixError:
+            return False
+        ax = (a @ x[..., None])[..., 0]
+        bound = RESIDUAL_TOL * ((np.abs(a) @ np.abs(x)[..., None])[..., 0] + np.abs(r))
+        gains = x.sum(axis=1)
+        # written so that NaN fails
+        if not (np.all(np.abs(ax - r) <= bound) and np.all(gains < limit)):
+            return False
+        adv = model.sap_rewards + (x @ model.sap_probs.T - gains[:, None]) - x[:, states]
+        best, greedy = kernels.greedy_by_state(model, np.where(masked, -np.inf, adv))
+        improve = best > np.take_along_axis(adv, choices, axis=1) + 1e-12
+        going = improve.any(axis=1)
+        choices, masked = np.where(improve, greedy, choices)[going], masked[going]
+    return False
+
+
+def _optimal_average(model: MdpModel) -> classic.OptimalPolicyResult:
+    # the margin covers the rounding that the gain/bias residual bound allows
+    run = _policy_iteration(model, lowest_index_policy(model))
+    if run is not None:
+        pi, pv, consts, adv = run
+        margin = 1e-9 * max(1.0, float(np.abs(model.sap_rewards).max()))
+        unique = _rivals_below(model, pi, gain(consts) - 1e-9 - margin)
+        if unique or policy_count(model) > ENUMERATION_CAP:
+            p, r = model.sap_probs[pi.choice], model.sap_rewards[pi.choice]
+            try:
+                gains, _ = classic._gain_bias(p[None], r[None])  # enumeration's bits
+            except NotUnichainError:
+                pass
+            else:
+                return classic.OptimalPolicyResult(
+                    pi, unique, gain=float(gains[0]), advantages=adv, policy_vector=pv, constants=consts
+                )
+    result = classic.optimal_policy(model)
+    pv, consts = evaluate_policy(model, result.policy)
+    return replace(result, advantages=advantages(model, pv), policy_vector=pv, constants=consts)
+
+
+def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
+    """Optimal deterministic policy with its advantages, which ``normalize_rewards`` would give.
+
+    Howard policy iteration (Puterman 1994, sections 6.4 and 8.6) on the
+    advantages, which equal the classical ones at gamma < 1 and r + P h - h - g
+    at gamma = 1. From the lowest-index policy a state switches to its best
+    SAP (ties to the lowest index) when that beats the current SAP by more
+    than 1e-12. The result carries the last round's advantages, policy vector
+    and constants.
+
+    gamma < 1: the optimum is unique when its gap exceeds 1e-9; ``values``
+    is V* from the last solve.
+
+    gamma = 1: every iterate must be unichain. The optimum is unique when
+    every other policy's gain is more than 1e-9 + 1e-9 * max(1, max|r|)
+    below its own, which a restricted run per SAP outside it checks
+    (``_rivals_below``); ``gain`` has the bits of ``classic``'s gain/bias
+    solve. A multichain iterate, a multichain policy in a restricted run, a
+    failed check, a failed gain/bias solve or 10,000 rounds hand the search
+    to ``classic.optimal_policy``'s enumeration, which is exact and picks the
+    lexicographic-first optimum; ``skipped_multichain`` is its count, and 0
+    when no enumeration ran. Above ``ENUMERATION_CAP`` policies a failed
+    check, restricted runs included, returns Howard's policy with
+    ``unique=False``; the other cases raise EnumerationTooLargeError
+    (multichain policy iteration, Puterman section 9.2, is not implemented).
+
+    Raises NonFiniteRewardError, naming the first SAP whose reward is NaN or
+    infinite, before any solve.
+    """
+    check_finite_rewards(model)
+    if model.is_average_reward:
+        return _optimal_average(model)
+    pi, pv, consts, adv = _policy_iteration(model, lowest_index_policy(model))
     values = to_classical_values(pv, consts, model).values
-    return classic.OptimalPolicyResult(pi, _gap(adv, pi) > 1e-9, values, advantages=adv)
+    return classic.OptimalPolicyResult(
+        pi, _gap(adv, pi) > 1e-9, values, advantages=adv, policy_vector=pv, constants=consts
+    )

@@ -8,7 +8,8 @@ and returns the per-state maximum together with the first SAP index
 attaining it (ties go to the lowest SAP index). Callers supply ``scale``
 (gamma for classical updates, gamma/C for updates on the geometric values)
 and apply their own constant shifts, which do not change the argmax.
-``greedy_by_state`` selects the same way from given scores, such as advantages.
+``greedy_by_state`` selects the same way from given scores, such as advantages,
+or from a stack of score vectors at once.
 
 Scores are gathered through the model's ``_sweep_blocks``, tables whose rows
 list one state's SAPs ascending, padded with its first SAP: a row's first
@@ -29,10 +30,28 @@ def greedy_sweep_model(model, scale, v):
 
 
 def greedy_by_state(model, q):
-    """Per-state max of the per-SAP scores ``q``, plus the first SAP id attaining it."""
+    """Per-state max of the per-SAP scores ``q``, plus the first SAP id attaining it.
+
+    ``q`` may also be a (k, m) stack of score vectors; the results are then (k, n).
+    """
+    if q.ndim == 2:
+        return _greedy_by_state_stack(model, q)
     maxq, greedy = np.empty(model.n), np.empty(model.n, dtype=np.int64)
     for states, row_starts, table in model._sweep_blocks:
         qt = q[table]
         at = qt.argmax(axis=1) + row_starts  # flat position of each row's first maximum
         maxq[states], greedy[states] = qt.take(at), table.take(at)
+    return maxq, greedy
+
+
+def _greedy_by_state_stack(model, q):
+    # a loop of its own: indexing with ``...`` in the 1-D loop doubles the cost of
+    # the sweep that every value-iteration step runs
+    k = q.shape[0]
+    maxq, greedy = np.empty((k, model.n)), np.empty((k, model.n), dtype=np.int64)
+    for states, row_starts, table in model._sweep_blocks:
+        qt = q[:, table]
+        at = qt.argmax(axis=2) + row_starts  # as above, within each score vector's table
+        greedy[:, states] = table.take(at)
+        maxq[:, states] = qt.take(at + np.arange(0, qt.size, table.size)[:, None])
     return maxq, greedy

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mdpgeom
-from mdpgeom import chains, cli, convergence, parse_model
+from mdpgeom import chains, cli, convergence, geometry, parse_model
 from mdpgeom.cli import main
 
 from conftest import count_calls, make_model
@@ -272,6 +272,36 @@ class TestLargeRewards:
         assert main(["solve", path]) == 0, capsys.readouterr().err
         capsys.readouterr()
         assert main(["converge", path, "--strict"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["diagnostics"] == {"unique": True, "unichain": True, "aperiodic": True}
+
+
+class TestSearchReused:
+    """solve and normalize take pi*'s solve and advantages from the search's last round."""
+
+    @pytest.mark.parametrize("gamma", ["0.95", "1.0"])
+    @pytest.mark.parametrize("command", ["solve", "normalize"])
+    def test_no_evaluation_after_the_search(self, tmp_path, monkeypatch, gamma, command, capsys):
+        path = tmp_path / "m.json"
+        argv = ["generate", "--n", "6", "--saps", "3", "--sparsity", "0.3", "--seed", "2"]
+        assert main(argv + ["--gamma", gamma, "-o", str(path)]) == 0
+        calls = count_calls(monkeypatch, [(geometry, "evaluate_policy")])
+        geometry.optimal_policy(parse_model(path.read_text()))
+        search = calls["evaluate_policy"]
+        out = ["-o", str(tmp_path / "norm.json")] if command == "normalize" else []
+        assert main([command, str(path)] + out) == 0
+        # the search's evaluations again, and none more
+        assert calls["evaluate_policy"] == 2 * search
+
+
+class TestBeyondTheEnumerationCap:
+    def test_converge_exit_0(self, tmp_path, capsys):
+        # 4^10 policies: more than enumeration takes, which made converge exit 2
+        path = str(tmp_path / "big.json")
+        argv = ["generate", "--n", "10", "--saps", "4", "--gamma", "1.0", "--sparsity", "0.3"]
+        assert main(argv + ["--seed", "0", "-o", path]) == 0
+        capsys.readouterr()
+        assert main(["converge", path, "--strict"]) == 0, capsys.readouterr().err
         doc = json.loads(capsys.readouterr().out)
         assert doc["diagnostics"] == {"unique": True, "unichain": True, "aperiodic": True}
 

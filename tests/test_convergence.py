@@ -304,24 +304,35 @@ class TestWorkCounts:
                 (convergence, "evaluate_policy"),
                 (geometry, "evaluate_policy"),
                 (classic, "evaluate_discounted"),
+                (classic, "optimal_policy"),
                 (kernels, "greedy_by_state"),
                 (kernels, "greedy_sweep_model"),
                 (model, "check_policy"),
             ],
         )
+        stacked = []  # the gamma = 1 uniqueness check's rounds, each on a stack of runs
+        greedy_by_state = kernels.greedy_by_state
+
+        def by_state(model, q):
+            stacked.append(q.ndim == 2)
+            return greedy_by_state(model, q)
+
+        monkeypatch.setattr(kernels, "greedy_by_state", by_state)
         report = verify_contraction(m)
         assert report.diagnostics.all_pass
         assert calls["classify_chain"] == 1
         assert calls["primitivity_certificate"] == 1
         # the search's rounds: each VI step also calls greedy_by_state, through greedy_sweep_model
-        rounds = calls["greedy_by_state"] - calls["greedy_sweep_model"]
-        assert rounds == (0 if m.is_average_reward else 3)
-        # one evaluation per round of the search (gamma = 1 enumerates, then evaluates
-        # its optimum once), plus one for the normalized model's gap
-        assert calls["evaluate_policy"] == max(rounds, 1) + 1
-        # the normalized rewards are the search's last advantages; the oracle is not called
-        assert calls["evaluate_discounted"] == 0
-        # one check per evaluation, plus one for pi*'s kernel; enumeration checks nothing
+        rounds = calls["greedy_by_state"] - calls["greedy_sweep_model"] - sum(stacked)
+        assert rounds == 3
+        # gamma = 1: the four SAPs outside pi* start four restricted runs; two run a second round
+        assert sum(stacked) == (2 if m.is_average_reward else 0)
+        # one evaluation per round of the search, plus one for the normalized model's gap;
+        # the restricted runs solve their stacks themselves
+        assert calls["evaluate_policy"] == rounds + 1
+        # the normalized rewards are the search's last advantages; the oracles are not called
+        assert calls["evaluate_discounted"] == calls["optimal_policy"] == 0
+        # one check per evaluation, plus one for pi*'s kernel
         assert calls["check_policy"] == calls["evaluate_policy"] + 1
 
     def test_raw_run_only_when_read(self, monkeypatch):

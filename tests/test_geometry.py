@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from scipy.optimize import linprog
 
 from mdpgeom import (
     CriterionMismatchError,
+    EnumerationTooLargeError,
+    MdpError,
+    MdpModel,
     NonFiniteRewardError,
     NotUnichainError,
     Policy,
+    Sap,
     action_vector,
     advantage,
     advantages,
@@ -30,9 +35,9 @@ from mdpgeom import (
 
 from mdpgeom import classic, geometry
 from mdpgeom.classic import classical_advantages
-from mdpgeom.model import lowest_index_policy
+from mdpgeom.model import ENUMERATION_CAP, lowest_index_policy, policy_count
 
-from conftest import make_model, random_instance
+from conftest import count_calls, make_model, random_instance
 
 
 class TestActionVector:
@@ -364,6 +369,98 @@ class TestOptimalPolicy:
         monkeypatch.setattr(geometry, "evaluate_policy", None)  # never reached
         with pytest.raises(NonFiniteRewardError, match="sap 1"):
             optimal_policy(m)
+
+
+def dual_lp_gain(model):
+    """The optimal gain from the average-reward dual LP (Puterman 1994, section 8.8):
+    the best reward rate over stationary state-action frequencies."""
+    flow = (model.sap_states == np.arange(model.n)[:, None]) - model.sap_probs.T
+    a_eq = np.vstack([flow, np.ones(model.m)])
+    b_eq = np.zeros(model.n + 1)
+    b_eq[-1] = 1.0
+    res = linprog(-model.sap_rewards, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def search_outcome(search, model):
+    """(policy, unique, gain hex) of a gamma = 1 search, or the type of the error it raises."""
+    try:
+        result = search(model)
+    except MdpError as exc:
+        return type(exc)
+    return result.policy.as_tuple(), result.unique, result.gain.hex()
+
+
+def with_copies_at_state_0(model):
+    """``model`` with every SAP at state 0 a copy of its first: each policy's gain is tied
+    with the policies that differ from it at state 0 alone."""
+    first = model.saps[int(model.saps_at(0)[0])]
+    return MdpModel(model.n, [first if sap.state == 0 else sap for sap in model.saps], model.gamma)
+
+
+class TestAverageOptimum:
+    """Howard iteration on the geometric advantages at gamma = 1, certified by restricted runs."""
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 5),
+        saps=st.integers(1, 3),
+        sparsity=st.floats(0.0, 0.6),
+        exponent=st.integers(-20, 40),
+    )
+    def test_agrees_with_enumeration(self, seed, n, saps, sparsity, exponent):
+        m = random_instance(seed, n=n, gamma=1.0, saps_per_state=saps, sparsity=sparsity)
+        # a power of two scales every reward, gain and advantage exactly
+        m = MdpModel(n, [Sap(s.state, s.reward * 2.0**exponent, s.probs) for s in m.saps], 1.0)
+        assert search_outcome(optimal_policy, m) == search_outcome(classic.optimal_policy, m)
+
+    @pytest.mark.parametrize("reward_hi", [1e6, 1e12])
+    def test_agrees_at_large_rewards(self, reward_hi):
+        # the models of generate --reward-hi 1e6 and 1e12; seeds 23 and 41 have tied optima
+        for seed in [*range(16), 23, 41]:
+            m = random_instance(seed, n=6, gamma=1.0, saps_per_state=3, sparsity=0.3, reward_range=(0.0, reward_hi))
+            found = search_outcome(optimal_policy, m)
+            assert found == search_outcome(classic.optimal_policy, m), seed
+            assert found[1] is (seed not in (23, 41))
+
+    def test_enumerates_only_without_a_certificate(self, monkeypatch):
+        calls = count_calls(monkeypatch, [(classic, "optimal_policy")])
+        m = random_instance(2, n=6, gamma=1.0, saps_per_state=3, sparsity=0.3)
+        result = optimal_policy(m)
+        assert result.unique and result.skipped_multichain == 0
+        assert calls["optimal_policy"] == 0
+        # tied with the policies that differ at state 0: enumeration picks the first of them
+        result = optimal_policy(with_copies_at_state_0(m))
+        assert not result.unique
+        assert calls["optimal_policy"] == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_beyond_the_enumeration_cap(self, seed):
+        m = random_instance(seed, n=10, gamma=1.0, saps_per_state=4, sparsity=0.3)
+        assert policy_count(m) == 4**10 > ENUMERATION_CAP
+        result = optimal_policy(m)
+        assert result.unique
+        scale = max(1.0, float(np.abs(m.sap_rewards).max()))
+        assert abs(result.gain - dual_lp_gain(m)) <= 1e-9 * scale
+        assert result.advantages.max() <= 1e-12  # the loop's switching tolerance
+
+    def test_tie_beyond_the_cap_is_not_unique(self):
+        m = with_copies_at_state_0(random_instance(0, n=10, gamma=1.0, saps_per_state=4, sparsity=0.3))
+        result = optimal_policy(m)
+        assert not result.unique
+        assert result.policy.choice[0] == m.saps_at(0)[0]  # ties go to the lowest index
+        assert abs(result.gain - dual_lp_gain(m)) <= 1e-9 * max(1.0, float(np.abs(m.sap_rewards).max()))
+
+    def test_multichain_iterate_beyond_the_cap_raises(self):
+        # every state's first SAP is a self-loop, so the starting policy has ten closed classes
+        m = random_instance(0, n=10, gamma=1.0, saps_per_state=4, sparsity=0.3)
+        saps = [
+            Sap(s.state, s.reward, np.eye(10)[s.state]) if i == m.saps_at(s.state)[0] else s
+            for i, s in enumerate(m.saps)
+        ]
+        with pytest.raises(EnumerationTooLargeError):
+            optimal_policy(MdpModel(10, saps, 1.0))
 
 
 class TestNormalize:
