@@ -125,7 +125,7 @@ def primitivity_certificate(p: np.ndarray) -> PrimitivityCertificate:
     period = int(np.gcd.reduce(level[u] + 1 - level[v]))
     if period != 1:
         raise NotPrimitiveError(f"kernel has period {period}")
-    bound = n * n - 2 * n + 2
+    bound = wielandt_bound(n)
     power = p.copy()
     for exponent in range(1, bound + 1):
         if np.all(power > 0.0):
@@ -134,6 +134,11 @@ def primitivity_certificate(p: np.ndarray) -> PrimitivityCertificate:
     raise NotPrimitiveError(
         f"no entrywise-positive power up to the Wielandt bound {bound}"
     )
+
+
+def wielandt_bound(n: int) -> int:
+    """n^2 - 2n + 2: a primitive n-state kernel has an entrywise-positive power at most this."""
+    return n * n - 2 * n + 2
 
 
 def _bfs_levels(adj: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from .errors import (
 from .generate import GeneratorSpec, SplitMix64, generate_model, uniform_vector, PRNG_NAME
 from .model import MdpModel, Policy, check_policy, policy_kernel
 from .modelfile import emit_model, parse_model
-from .reporting import _fmt, _json_safe, policy_hash, report_dict, trace_csv
+from .reporting import SweepRow, _json_safe, policy_hash, report_dict, sweep_csv, trace_csv
 
 V0_SEED_XOR = 0xA5A5A5A5A5A5A5A5
 
@@ -229,31 +229,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepRow:
-    """One sweep trial; the field order is the column order of sweep.csv."""
-
-    trial: int
-    seed: int
-    n: int
-    gamma: float
-    unique: bool
-    unichain: bool
-    aperiodic: bool
-    exponent: int | None
-    delta: float | None
-    omega: float | None
-    phi: float | None
-    tau: float | None
-    degenerate: bool | None
-    converged_early: bool
-    span0: float
-    span_final: float
-    bound_satisfied: bool | None
-    sanity_bound_satisfied: bool | None
-    excluded: bool
-
-
 def _sweep_trial(spec: GeneratorSpec, base_seed: int, trial: int) -> SweepRow:
     seed = base_seed + trial
     trial_spec = dataclasses.replace(spec, seed=seed)
@@ -292,11 +267,7 @@ def _cmd_sweep(args) -> int:
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = [f.name for f in dataclasses.fields(SweepRow)]
-    lines = [",".join(names)]
-    for row in rows:
-        lines.append(",".join(_fmt(getattr(row, name)) for name in names))
-    (outdir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    (outdir / "sweep.csv").write_text(sweep_csv(rows))
 
     excluded = sum(1 for r in rows if r.excluded)
     failures = sum(1 for r in rows if not r.excluded and r.bound_satisfied is False)

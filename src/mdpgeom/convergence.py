@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import kernels
+from . import chains, kernels
 from .chains import PrimitivityCertificate, check_stochastic, classify_chain, primitivity_certificate
 from .errors import AssumptionViolatedError, NotPrimitiveError, NotUnichainError
 from .geometry import _gap, advantages, evaluate_policy, mdp_constant, optimal_policy
@@ -230,10 +230,6 @@ def _constants(
     )
 
 
-def _wielandt(n: int) -> int:
-    return n * n - 2 * n + 2
-
-
 def verify_contraction(
     model: MdpModel,
     v0: np.ndarray | None = None,
@@ -262,7 +258,7 @@ def verify_contraction(
         # no unichain policy at gamma = 1: report the failed diagnostics with
         # an informational run on the raw model instead of crashing
         diagnostics = AssumptionDiagnostics(unique=False, unichain=False, aperiodic=False)
-        run_model, steps = model, trace_steps or _wielandt(model.n)
+        run_model, steps = model, trace_steps or chains.wielandt_bound(model.n)
     else:
         pi_star = optimal.policy
         kernel = policy_kernel(model, pi_star)
@@ -275,7 +271,7 @@ def verify_contraction(
         except NotPrimitiveError:
             pass
         diagnostics = AssumptionDiagnostics(unique, unichain, aperiodic=cert is not None)
-        steps = max(cert.exponent if cert else 0, trace_steps or 0) or _wielandt(model.n)
+        steps = max(cert.exponent if cert else 0, trace_steps or 0) or chains.wielandt_bound(model.n)
 
     run = run_vi(run_model, v0, steps)
 

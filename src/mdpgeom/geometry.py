@@ -30,7 +30,7 @@ from .errors import (
 from .linalg import solve, solve_checked
 from .model import (
     AVERAGE_BIAS, DISCOUNTED, ENUMERATION_CAP, MdpModel, Policy, ValueVector,
-    check_finite_rewards, lowest_index_policy, policy_count, policy_kernel,
+    check_finite_rewards, check_policy, lowest_index_policy, policy_count,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -84,6 +84,16 @@ def action_vector(model: MdpModel, sap_index: int) -> ActionVector:
 def evaluate_policy(model: MdpModel, pi: Policy) -> tuple:
     """Solve the shifted value system for ``pi``; returns (PolicyVector, GeometryConstants).
 
+    The one-policy case of ``_evaluate``, after checking ``pi`` and that its SAPs' rewards are finite.
+    """
+    check_policy(model, pi)
+    check_finite_rewards(model, pi)
+    return _evaluated(model, mdp_constant(model) * _evaluate(model, pi.choice[None])[0])
+
+
+def _evaluate(model: MdpModel, choices: np.ndarray) -> np.ndarray:
+    """x = v / C of each policy in a (k, n) stack of SAP choices, one shifted solve per row.
+
     At gamma < 1, A = B + gamma*E with B = I - gamma*P is nonsingular, so no
     pivot test runs: the eigenvalues of gamma*P lie inside the unit disc, so
     det B > 0; B^-1 1 = 1/(1 - gamma) as P1 = 1, and the matrix determinant
@@ -91,35 +101,39 @@ def evaluate_policy(model: MdpModel, pi: Policy) -> tuple:
     a singular system means a multichain kernel: NotUnichainError. Each row's
     residual must be at most RESIDUAL_TOL * (|A||x| + |R|), the backward-error
     bound of ``classic.evaluate_discounted``, or NotUnichainError (gamma = 1)
-    or NumericalCheckError is raised. Raises NonFiniteRewardError when a SAP
-    that ``pi`` uses has a NaN or infinite reward.
+    or NumericalCheckError is raised. A row's bits do not depend on the
+    other rows.
     """
     n, gamma = model.n, model.gamma
-    c = mdp_constant(model)
-    p = policy_kernel(model, pi)  # checks pi
-    check_finite_rewards(model, pi)
-    r = model.sap_rewards[pi.choice]
-    a = np.eye(n) + gamma * np.ones((n, n)) - gamma * p
+    shift = np.full((n, n), gamma)  # I + gamma*E, as 1.0 + gamma on the diagonal
+    shift.flat[:: n + 1] = 1.0 + gamma
+    a = shift - gamma * model.sap_probs[choices]
+    r = model.sap_rewards[choices]
+    linear = solve_checked if model.is_average_reward else solve
+    x = np.empty(r.shape)
     try:
-        x = solve_checked(a, r) if model.is_average_reward else solve(a, r)
+        for i in range(x.shape[0]):
+            x[i] = linear(a[i], r[i])
     except SingularMatrixError as exc:
         raise NotUnichainError("policy evaluation at gamma=1 needs a unichain kernel") from exc
-    residual = np.abs(a @ x - r)
-    # written so that a NaN residual fails
-    if not np.all(residual <= RESIDUAL_TOL * (np.abs(a) @ np.abs(x) + np.abs(r))):
+    # one matrix-vector product per row: a 2-D product of stacked rows rounds differently
+    residual = np.abs((a @ x[..., None])[..., 0] - r)
+    bound = RESIDUAL_TOL * ((np.abs(a) @ np.abs(x)[..., None])[..., 0] + np.abs(r))
+    if not (residual <= bound).all():  # written so that a NaN residual fails
         error = NotUnichainError if model.is_average_reward else NumericalCheckError
         raise error(f"evaluation residual {residual.max():.3e} exceeds its backward-error bound")
-    v = c * x
-    consts = GeometryConstants(C=c, v_sigma=float(v.sum()), gamma=gamma)
-    return PolicyVector(values=v), consts
+    return x
+
+
+def _evaluated(model: MdpModel, v: np.ndarray) -> tuple:
+    """(PolicyVector, GeometryConstants) of one policy's values ``v``."""
+    return PolicyVector(v), GeometryConstants(mdp_constant(model), float(v.sum()), model.gamma)
 
 
 def advantage(model: MdpModel, sap_index: int, pv: PolicyVector) -> float:
     """Inner product of a SAP's action vector with the policy vector."""
     if np.asarray(pv.values).shape != (model.n,):
-        raise ValueError(
-            f"policy vector has {np.asarray(pv.values).shape} values, expected ({model.n},)"
-        )
+        raise ValueError(f"policy vector has {np.asarray(pv.values).shape} values, expected ({model.n},)")
     av = action_vector(model, sap_index)
     return float(av.height + av.coeffs @ pv.values)
 
@@ -128,12 +142,16 @@ def advantages(model: MdpModel, pv: PolicyVector) -> np.ndarray:
     """Advantages of every SAP with respect to one evaluated policy."""
     values = np.asarray(pv.values, dtype=np.float64)
     if values.shape != (model.n,):
-        raise ValueError(
-            f"policy vector has {values.shape} values, expected ({model.n},)"
-        )
-    vt = values / mdp_constant(model)
-    base = model.sap_probs @ vt - vt.sum()
-    return model.sap_rewards + model.gamma * base - vt[model.sap_states]
+        raise ValueError(f"policy vector has {values.shape} values, expected ({model.n},)")
+    return _advantages(model, values)
+
+
+def _advantages(model: MdpModel, v: np.ndarray) -> np.ndarray:
+    """Advantages of every SAP against the values ``v`` of one policy (n,) or a stack (k, n)."""
+    vt = v / mdp_constant(model)
+    # one matrix-vector product per row, as for a lone policy
+    base = (model.sap_probs @ vt[..., None])[..., 0] - vt.sum(axis=-1, keepdims=True)
+    return model.sap_rewards + model.gamma * base - vt.take(model.sap_states, axis=-1)
 
 
 def to_classical_values(
@@ -194,31 +212,42 @@ def _gap(adv: np.ndarray, pi_star: Policy) -> float:
     return float(-outside.max())
 
 
-def _policy_iteration(model: MdpModel, pi: Policy):
-    """Howard's loop on the advantages from ``pi``: (pi, pv, consts, adv) of its last round.
+def _howard(
+    model: MdpModel, choices: np.ndarray, masked: np.ndarray | None = None, limit: float | None = None
+):
+    """Howard's loop on the advantages over a (k, n) stack of policies, one round for all.
 
-    Each round evaluates the policy, then a state switches to its best SAP
-    (ties to the lowest index) when that beats the current one by more than
-    1e-12. At gamma = 1 it returns None when an iterate's kernel is
-    multichain or fails its evaluation, or when 10,000 rounds pass.
+    Each round evaluates every policy, then a state switches to its best SAP
+    (ties to the lowest index) when that beats its current one by more than
+    1e-12; SAPs that the (k, m) mask ``masked`` marks are never picked. A run
+    ends, and leaves the stack, when no state switches. Once every run has
+    ended, returns (choices, v, advantages) of the runs that ended last: the
+    optimum's, for one row. Returns None as soon as a gamma = 1 iterate is
+    multichain or fails its evaluation, or a gain (the sum of v / C) is not
+    below ``limit``, and after 10,000 rounds.
     """
-    average = model.is_average_reward
+    average, c = model.is_average_reward, mdp_constant(model)
     for _ in range(10_000):
-        if average and _classify(model.sap_probs[pi.choice])[0] != 1:
+        if average and np.any(_classify(model.sap_probs[choices])[0] != 1):
             return None
         try:
-            pv, consts = evaluate_policy(model, pi)
+            x = _evaluate(model, choices)
         except NotUnichainError:  # raised at gamma = 1 only
             return None
-        adv = advantages(model, pv)
-        best, greedy = kernels.greedy_by_state(model, adv)
-        improve = best > adv[pi.choice] + 1e-12
-        if not improve.any():
-            return pi, pv, consts, adv
-        pi = Policy(np.where(improve, greedy, pi.choice))
-    if average:
-        return None
-    raise NumericalCheckError("policy iteration failed to terminate")  # pragma: no cover
+        if limit is not None and not (x.sum(axis=1) < limit).all():  # written so that NaN fails
+            return None
+        v = c * x
+        adv = _advantages(model, v)
+        scores = adv if masked is None else np.where(masked, -np.inf, adv)
+        best, greedy = kernels.greedy_by_state(model, scores)
+        improve = best > adv[np.arange(len(choices))[:, None], choices] + 1e-12
+        going = improve.any(axis=1)
+        if not going.any():
+            return choices, v, adv
+        choices = np.where(improve, greedy, choices)[going]
+        if masked is not None:
+            masked = masked[going]
+    return None
 
 
 def _rivals_below(model: MdpModel, pi: Policy, limit: float) -> bool:
@@ -228,9 +257,8 @@ def _rivals_below(model: MdpModel, pi: Policy, limit: float) -> bool:
     loop restricted to the policies that use a (the other SAPs at a's state
     masked), warm-started from ``pi`` with a switched in, ends at the best
     gain among them: its advantages bound every such policy's gain. The runs
-    go in one stack, a round at a time, until each ends. False as soon as a
-    gain reaches ``limit`` (a run's gain only rises), or a run meets a
-    multichain kernel, a singular solve or a residual above its bound.
+    go in one stack through ``_howard``, which fails as soon as a gain
+    reaches ``limit`` (a run's gain only rises).
     """
     states = model.sap_states
     outside = np.ones(model.m, dtype=bool)
@@ -241,41 +269,52 @@ def _rivals_below(model: MdpModel, pi: Policy, limit: float) -> bool:
     choices[runs, states[saps]] = saps
     masked = states == states[saps, None]
     masked[runs, saps] = False
-    shift = np.eye(model.n) + 1.0  # I + E
-    for _ in range(10_000):
-        if not choices.size:
-            return True
-        p, r = model.sap_probs[choices], model.sap_rewards[choices]
-        if np.any(_classify(p)[0] != 1):
-            return False
-        a = shift - p
-        try:  # x = v / C of each run's policy
-            x = np.array([solve_checked(ai, ri) for ai, ri in zip(a, r)])
-        except SingularMatrixError:
-            return False
-        ax = (a @ x[..., None])[..., 0]
-        bound = RESIDUAL_TOL * ((np.abs(a) @ np.abs(x)[..., None])[..., 0] + np.abs(r))
-        gains = x.sum(axis=1)
-        # written so that NaN fails
-        if not (np.all(np.abs(ax - r) <= bound) and np.all(gains < limit)):
-            return False
-        adv = model.sap_rewards + (x @ model.sap_probs.T - gains[:, None]) - x[:, states]
-        best, greedy = kernels.greedy_by_state(model, np.where(masked, -np.inf, adv))
-        improve = best > np.take_along_axis(adv, choices, axis=1) + 1e-12
-        going = improve.any(axis=1)
-        choices, masked = np.where(improve, greedy, choices)[going], masked[going]
-    return False
+    return _howard(model, choices, masked, limit) is not None
 
 
-def _optimal_average(model: MdpModel) -> classic.OptimalPolicyResult:
-    # the margin covers the rounding that the gain/bias residual bound allows
-    run = _policy_iteration(model, lowest_index_policy(model))
+def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
+    """Optimal deterministic policy with its advantages, which ``normalize_rewards`` would give.
+
+    Howard policy iteration (Puterman 1994, sections 6.4 and 8.6) on the
+    advantages, which equal the classical ones at gamma < 1 and r + P h - h - g
+    at gamma = 1: the one-row run of ``_howard`` from the lowest-index policy.
+    The result carries its last round's advantages, policy vector and constants.
+    A search still running after 10,000 rounds hands over to enumeration.
+
+    gamma < 1: the optimum is unique when its gap exceeds 1e-9; ``values``
+    is V* from the last solve.
+
+    gamma = 1: every iterate must be unichain. The optimum is unique when
+    every other policy's gain is more than 1e-9 + 1e-9 * max(1, max|r|)
+    below its own, which one stacked run of ``_howard`` checks
+    (``_rivals_below``); ``gain`` has the bits of ``classic``'s gain/bias
+    solve. A multichain iterate, a multichain policy in the check, a failed
+    check or a failed gain/bias solve hand the search to
+    ``classic.optimal_policy``'s enumeration, which is exact and picks the
+    lexicographic-first optimum; ``skipped_multichain`` is its count, and 0
+    when no enumeration ran. Above ``ENUMERATION_CAP`` policies a failed
+    check returns Howard's policy with ``unique=False``; the other cases
+    raise EnumerationTooLargeError (multichain policy iteration, Puterman
+    section 9.2, is not implemented).
+
+    Raises NonFiniteRewardError, naming the first SAP whose reward is NaN or
+    infinite, before any solve.
+    """
+    check_finite_rewards(model)
+    run = _howard(model, lowest_index_policy(model).choice[None])
     if run is not None:
-        pi, pv, consts, adv = run
+        choices, v, adv = run[0][0], run[1][0], run[2][0]  # its one row
+        pi, (pv, consts) = Policy(choices), _evaluated(model, v)
+        if not model.is_average_reward:
+            values = to_classical_values(pv, consts, model).values
+            return classic.OptimalPolicyResult(
+                pi, _gap(adv, pi) > 1e-9, values, advantages=adv, policy_vector=pv, constants=consts
+            )
+        # the margin covers the rounding that the gain/bias residual bound allows
         margin = 1e-9 * max(1.0, float(np.abs(model.sap_rewards).max()))
         unique = _rivals_below(model, pi, gain(consts) - 1e-9 - margin)
         if unique or policy_count(model) > ENUMERATION_CAP:
-            p, r = model.sap_probs[pi.choice], model.sap_rewards[pi.choice]
+            p, r = model.sap_probs[choices], model.sap_rewards[choices]
             try:
                 gains, _ = classic._gain_bias(p[None], r[None])  # enumeration's bits
             except NotUnichainError:
@@ -287,42 +326,3 @@ def _optimal_average(model: MdpModel) -> classic.OptimalPolicyResult:
     result = classic.optimal_policy(model)
     pv, consts = evaluate_policy(model, result.policy)
     return replace(result, advantages=advantages(model, pv), policy_vector=pv, constants=consts)
-
-
-def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
-    """Optimal deterministic policy with its advantages, which ``normalize_rewards`` would give.
-
-    Howard policy iteration (Puterman 1994, sections 6.4 and 8.6) on the
-    advantages, which equal the classical ones at gamma < 1 and r + P h - h - g
-    at gamma = 1. From the lowest-index policy a state switches to its best
-    SAP (ties to the lowest index) when that beats the current SAP by more
-    than 1e-12. The result carries the last round's advantages, policy vector
-    and constants.
-
-    gamma < 1: the optimum is unique when its gap exceeds 1e-9; ``values``
-    is V* from the last solve.
-
-    gamma = 1: every iterate must be unichain. The optimum is unique when
-    every other policy's gain is more than 1e-9 + 1e-9 * max(1, max|r|)
-    below its own, which a restricted run per SAP outside it checks
-    (``_rivals_below``); ``gain`` has the bits of ``classic``'s gain/bias
-    solve. A multichain iterate, a multichain policy in a restricted run, a
-    failed check, a failed gain/bias solve or 10,000 rounds hand the search
-    to ``classic.optimal_policy``'s enumeration, which is exact and picks the
-    lexicographic-first optimum; ``skipped_multichain`` is its count, and 0
-    when no enumeration ran. Above ``ENUMERATION_CAP`` policies a failed
-    check, restricted runs included, returns Howard's policy with
-    ``unique=False``; the other cases raise EnumerationTooLargeError
-    (multichain policy iteration, Puterman section 9.2, is not implemented).
-
-    Raises NonFiniteRewardError, naming the first SAP whose reward is NaN or
-    infinite, before any solve.
-    """
-    check_finite_rewards(model)
-    if model.is_average_reward:
-        return _optimal_average(model)
-    pi, pv, consts, adv = _policy_iteration(model, lowest_index_policy(model))
-    values = to_classical_values(pv, consts, model).values
-    return classic.OptimalPolicyResult(
-        pi, _gap(adv, pi) > 1e-9, values, advantages=adv, policy_vector=pv, constants=consts
-    )

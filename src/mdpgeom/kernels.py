@@ -35,7 +35,12 @@ def greedy_by_state(model, q):
     ``q`` may also be a (k, m) stack of score vectors; the results are then (k, n).
     """
     if q.ndim == 2:
-        return _greedy_by_state_stack(model, q)
+        # a loop of its own: indexing with ``...`` in the 1-D loop doubles the cost of
+        # the sweep that every value-iteration step runs
+        greedy = np.empty((len(q), model.n), dtype=np.int64)
+        for states, row_starts, table in model._sweep_blocks:
+            greedy[:, states] = table.take(q.take(table, axis=1).argmax(axis=2) + row_starts)
+        return q[np.arange(len(q))[:, None], greedy], greedy
     maxq, greedy = np.empty(model.n), np.empty(model.n, dtype=np.int64)
     for states, row_starts, table in model._sweep_blocks:
         qt = q[table]
@@ -43,15 +48,3 @@ def greedy_by_state(model, q):
         maxq[states], greedy[states] = qt.take(at), table.take(at)
     return maxq, greedy
 
-
-def _greedy_by_state_stack(model, q):
-    # a loop of its own: indexing with ``...`` in the 1-D loop doubles the cost of
-    # the sweep that every value-iteration step runs
-    k = q.shape[0]
-    maxq, greedy = np.empty((k, model.n)), np.empty((k, model.n), dtype=np.int64)
-    for states, row_starts, table in model._sweep_blocks:
-        qt = q[:, table]
-        at = qt.argmax(axis=2) + row_starts  # as above, within each score vector's table
-        greedy[:, states] = table.take(at)
-        maxq[:, states] = qt.take(at + np.arange(0, qt.size, table.size)[:, None])
-    return maxq, greedy

@@ -1,4 +1,4 @@
-"""Machine-readable result emission: JSON reports and span-trace CSVs.
+"""Machine-readable result emission: JSON reports, span-trace and sweep CSVs.
 
 Everything written here is a pure function of its inputs (no timestamps,
 no environment probes), so reruns with the same seed and flags are
@@ -102,6 +102,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv(names, rows) -> str:
+    """CSV text: a header of ``names``, then one line of ``_fmt`` cells per row."""
+    return "\n".join([",".join(names), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+
+
 def trace_csv(report: ConvergenceReport, policy_hashes: list) -> str:
     """CSV of the verified run: columns t, span, ratio, greedy_policy_hash.
 
@@ -109,8 +114,37 @@ def trace_csv(report: ConvergenceReport, policy_hashes: list) -> str:
     ``policy_hashes`` is the report's ``greedy_policy_hashes`` list, so each
     policy is hashed once for both outputs.
     """
-    lines = ["t,span,ratio,greedy_policy_hash"]
-    for t, s in enumerate(report.span_trace):
-        ratio = report.per_step_ratios[t - 1] if t >= 1 else None
-        lines.append(f"{t},{_fmt(float(s))},{_fmt(ratio)},{policy_hashes[t]}")
-    return "\n".join(lines) + "\n"
+    ratios = [None, *report.per_step_ratios]
+    rows = ((t, float(s), ratios[t], policy_hashes[t]) for t, s in enumerate(report.span_trace))
+    return _csv(("t", "span", "ratio", "greedy_policy_hash"), rows)
+
+
+@dataclasses.dataclass(frozen=True)
+class SweepRow:
+    """One sweep trial; the field order is the column order of sweep.csv."""
+
+    trial: int
+    seed: int
+    n: int
+    gamma: float
+    unique: bool
+    unichain: bool
+    aperiodic: bool
+    exponent: int | None
+    delta: float | None
+    omega: float | None
+    phi: float | None
+    tau: float | None
+    degenerate: bool | None
+    converged_early: bool
+    span0: float
+    span_final: float
+    bound_satisfied: bool | None
+    sanity_bound_satisfied: bool | None
+    excluded: bool
+
+
+def sweep_csv(rows: list) -> str:
+    """sweep.csv: one line per ``SweepRow``, its fields in order."""
+    names = [f.name for f in dataclasses.fields(SweepRow)]
+    return _csv(names, ([getattr(row, name) for name in names] for row in rows))

@@ -284,6 +284,39 @@ class TestVerifyContraction:
         assert report.span_trace
 
 
+def record_loop(monkeypatch):
+    """Log each evaluation and each greedy selection of ``geometry._howard`` as (run, rows).
+
+    run is "search" in the one-row optimal-policy search, "certificate" in the
+    masked stack of the gamma = 1 uniqueness check, and "lone" for an
+    evaluation outside the loop; rows is the size of the stack.
+    """
+    log = {"evaluations": [], "selections": []}
+    runs = ["lone"]
+    howard, evaluate, greedy_by_state = geometry._howard, geometry._evaluate, kernels.greedy_by_state
+
+    def in_run(model, choices, masked=None, limit=None):
+        runs.append("search" if masked is None else "certificate")
+        try:
+            return howard(model, choices, masked, limit)
+        finally:
+            runs.pop()
+
+    def evaluating(model, choices):
+        log["evaluations"].append((runs[-1], len(choices)))
+        return evaluate(model, choices)
+
+    def selecting(model, q):
+        if runs[-1] != "lone":  # value iteration selects outside the loop
+            log["selections"].append((runs[-1], len(q)))
+        return greedy_by_state(model, q)
+
+    monkeypatch.setattr(geometry, "_howard", in_run)
+    monkeypatch.setattr(geometry, "_evaluate", evaluating)
+    monkeypatch.setattr(kernels, "greedy_by_state", selecting)
+    return log
+
+
 class TestWorkCounts:
     """Each fact about the optimal policy is computed once per pipeline run."""
 
@@ -305,34 +338,28 @@ class TestWorkCounts:
                 (geometry, "evaluate_policy"),
                 (classic, "evaluate_discounted"),
                 (classic, "optimal_policy"),
-                (kernels, "greedy_by_state"),
-                (kernels, "greedy_sweep_model"),
+                (geometry, "check_policy"),
                 (model, "check_policy"),
             ],
         )
-        stacked = []  # the gamma = 1 uniqueness check's rounds, each on a stack of runs
-        greedy_by_state = kernels.greedy_by_state
-
-        def by_state(model, q):
-            stacked.append(q.ndim == 2)
-            return greedy_by_state(model, q)
-
-        monkeypatch.setattr(kernels, "greedy_by_state", by_state)
+        log = record_loop(monkeypatch)
         report = verify_contraction(m)
         assert report.diagnostics.all_pass
         assert calls["classify_chain"] == 1
         assert calls["primitivity_certificate"] == 1
-        # the search's rounds: each VI step also calls greedy_by_state, through greedy_sweep_model
-        rounds = calls["greedy_by_state"] - calls["greedy_sweep_model"] - sum(stacked)
-        assert rounds == 3
-        # gamma = 1: the four SAPs outside pi* start four restricted runs; two run a second round
-        assert sum(stacked) == (2 if m.is_average_reward else 0)
-        # one evaluation per round of the search, plus one for the normalized model's gap;
-        # the restricted runs solve their stacks themselves
-        assert calls["evaluate_policy"] == rounds + 1
+        # the search's rounds: two improvements, then no change
+        search = [entry for entry in log["selections"] if entry[0] == "search"]
+        assert search == [("search", 1)] * 3
+        # gamma = 1: the four SAPs outside pi* start four restricted runs in one stack,
+        # and two of them run a second round
+        certificate = [entry for entry in log["selections"] if entry[0] == "certificate"]
+        assert certificate == ([("certificate", 4), ("certificate", 2)] if m.is_average_reward else [])
+        # exactly one evaluation per round, plus one for the normalized model's gap
+        assert log["evaluations"] == log["selections"] + [("lone", 1)]
+        assert calls["evaluate_policy"] == 1
         # the normalized rewards are the search's last advantages; the oracles are not called
         assert calls["evaluate_discounted"] == calls["optimal_policy"] == 0
-        # one check per evaluation, plus one for pi*'s kernel
+        # one check per evaluate_policy call, plus one for pi*'s kernel
         assert calls["check_policy"] == calls["evaluate_policy"] + 1
 
     def test_raw_run_only_when_read(self, monkeypatch):
@@ -354,14 +381,13 @@ class TestWorkCounts:
 
     def test_howard_evaluates_once_per_iteration(self, monkeypatch):
         m = random_instance(3, n=8, gamma=0.95, saps_per_state=3)
-        calls = count_calls(
-            monkeypatch,
-            [(geometry, "evaluate_policy"), (kernels, "greedy_by_state"), (classic, "evaluate_discounted")],
-        )
+        calls = count_calls(monkeypatch, [(geometry, "evaluate_policy"), (classic, "evaluate_discounted")])
+        log = record_loop(monkeypatch)
         geometry.optimal_policy(m)
-        assert calls["greedy_by_state"] == 3  # two improvements, then no change
-        assert calls["evaluate_policy"] == calls["greedy_by_state"]
-        assert calls["evaluate_discounted"] == 0
+        assert log["selections"] == [("search", 1)] * 3  # two improvements, then no change
+        assert log["evaluations"] == log["selections"]
+        # the loop solves through its stacked evaluation, not evaluate_policy or the oracle
+        assert calls["evaluate_policy"] == calls["evaluate_discounted"] == 0
 
 
 class TestProductExpansion:

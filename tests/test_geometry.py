@@ -1,8 +1,10 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from mdpgeom import (
@@ -35,6 +37,7 @@ from mdpgeom import (
 
 from mdpgeom import classic, geometry
 from mdpgeom.classic import classical_advantages
+from mdpgeom.generate import GeneratorSpec, generate_model
 from mdpgeom.model import ENUMERATION_CAP, lowest_index_policy, policy_count
 
 from conftest import count_calls, make_model, random_instance
@@ -461,6 +464,75 @@ class TestAverageOptimum:
         ]
         with pytest.raises(EnumerationTooLargeError):
             optimal_policy(MdpModel(10, saps, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 100),
+    saps=st.integers(1, 4),
+    gamma=st.sampled_from([0.5, 0.95, 1.0]),
+    k=st.sampled_from([1, 2, 7]),
+)
+def test_stack_matches_each_policy(seed, n, saps, gamma, k):
+    # the Howard loop evaluates a (k, n) stack of policies and takes their advantages
+    # at once; each row has the bits of evaluate_policy and advantages of its policy alone
+    m = random_instance(seed % 1000, n=n, gamma=gamma, saps_per_state=saps, sparsity=0.3)
+    rng = np.random.default_rng(seed)
+    saps_by_state = m.sap_states.argsort(kind="stable").reshape(n, saps)
+    choices = saps_by_state[np.arange(n), rng.integers(saps, size=(k, n))]
+    if gamma == 1.0:  # the shifted system is singular for a multichain kernel
+        choices = choices[[classify_chain(policy_kernel(m, Policy(c))).is_unichain for c in choices]]
+        assume(choices.size)
+    v = mdp_constant(m) * geometry._evaluate(m, choices)
+    adv = geometry._advantages(m, v)
+    for row, row_adv, c in zip(v, adv, choices):
+        pv, consts = evaluate_policy(m, Policy(c))
+        assert row.tobytes() == pv.values.tobytes()
+        assert row_adv.tobytes() == advantages(m, pv).tobytes()
+
+
+def search_digest(spec, seeds):
+    """SHA-256 of ``optimal_policy``'s output on the models of ``spec`` at ``seeds``: policy,
+    uniqueness, gain, V*, advantages, policy vector and v_sigma, each as its exact bits."""
+    digest = hashlib.sha256()
+    for seed in seeds:
+        result = optimal_policy(generate_model(dataclasses.replace(spec, seed=seed)).model)
+        for part in (
+            result.policy.choice.astype("<i8").tobytes(),
+            b"unique" if result.unique else b"not unique",
+            (result.gain.hex() if result.gain is not None else "-").encode(),
+            result.values.astype("<f8").tobytes() if result.values is not None else b"-",
+            result.advantages.astype("<f8").tobytes(),
+            result.policy_vector.values.astype("<f8").tobytes(),
+            result.constants.v_sigma.hex().encode(),
+        ):
+            digest.update(len(part).to_bytes(8, "little") + part)
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (
+            GeneratorSpec(n=6, saps_per_state=3, gamma=1.0, sparsity=0.3),
+            "b524a774bcf26a0364fc40fbdae977b763abac27eee6854b9e9a0d2ee37e47d3",
+        ),
+        (
+            GeneratorSpec(n=12, saps_per_state=4, gamma=0.95, sparsity=0.7),
+            "d2b8472cf30a28c553b0eec6c7ef335474012725477f4c9e54b453ae04491ea3",
+        ),
+        (
+            GeneratorSpec(n=30, saps_per_state=4, gamma=0.99, sparsity=0.9),
+            "0cac5068b44cc8438555074657c6276305548d8274dc23a61b9ec5ce677c84c7",
+        ),
+    ],
+    ids=["sweep-avg", "sweep-disc", "pipeline-n30"],
+)
+def test_search_bits_are_pinned(spec, expected):
+    # the benchmark's specs (pipeline-large at n = 30): a change to the search
+    # that moves any bit of its output moves this digest
+    assert search_digest(spec, range(50)) == expected
 
 
 class TestNormalize:
