@@ -31,7 +31,6 @@ from .errors import (
 from .linalg import solve_checked
 from .model import (
     DISCOUNTED,
-    ENUMERATION_CAP,
     MdpModel,
     Policy,
     ValueVector,
@@ -265,7 +264,7 @@ def _optimal_average(model: MdpModel) -> OptimalPolicyResult:
     skipped = 0
     # enumerated policies are valid by construction, so they index the model
     # directly, and their kernels are rows of a validated model
-    for block in _policy_chunks(model, ENUMERATION_CAP):
+    for block in _policy_chunks(model):
         kernels = model.sap_probs[block]
         unichain = _classify(kernels)[0] == 1
         skipped += block.shape[0] - int(np.count_nonzero(unichain))

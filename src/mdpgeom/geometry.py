@@ -287,8 +287,8 @@ def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
     gamma = 1: every iterate must be unichain. The optimum is unique when
     every other policy's gain is more than 1e-9 + 1e-9 * max(1, max|r|)
     below its own, which one stacked run of ``_howard`` checks
-    (``_rivals_below``); ``gain`` has the bits of ``classic``'s gain/bias
-    solve. A multichain iterate, a multichain policy in the check, a failed
+    (``_rivals_below``); ``gain`` is ``classic.evaluate_average``'s, which
+    has enumeration's bits. A multichain iterate, a multichain policy in the check, a failed
     check or a failed gain/bias solve hand the search to
     ``classic.optimal_policy``'s enumeration, which is exact and picks the
     lexicographic-first optimum; ``skipped_multichain`` is its count, and 0
@@ -314,14 +314,13 @@ def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
         margin = 1e-9 * max(1.0, float(np.abs(model.sap_rewards).max()))
         unique = _rivals_below(model, pi, gain(consts) - 1e-9 - margin)
         if unique or policy_count(model) > ENUMERATION_CAP:
-            p, r = model.sap_probs[choices], model.sap_rewards[choices]
             try:
-                gains, _ = classic._gain_bias(p[None], r[None])  # enumeration's bits
+                rho = classic.evaluate_average(model, pi).gain  # enumeration's bits
             except NotUnichainError:
                 pass
             else:
                 return classic.OptimalPolicyResult(
-                    pi, unique, gain=float(gains[0]), advantages=adv, policy_vector=pv, constants=consts
+                    pi, unique, gain=rho, advantages=adv, policy_vector=pv, constants=consts
                 )
     result = classic.optimal_policy(model)
     pv, consts = evaluate_policy(model, result.policy)

@@ -73,9 +73,11 @@ class MdpModel:
     ``sap_probs`` (float64, m x n). ``MdpModel(n, saps, gamma)`` stacks
     ``Sap``s, raising ValidationFailedError on rows of length other than n;
     ``saps`` is a view of ``Sap``s over the arrays, built on first read.
-    Tables that depend only on ``sap_states``, such as the padded SAP tables
-    the greedy sweep reads, are also built on first read, and a model with
-    other rewards (``_with_rewards``) shares them.
+    The SAPs grouped by state (``_by_state``) are also built on first read,
+    once: the greedy sweep's padded tables, policy enumeration,
+    ``policy_count`` and ``lowest_index_policy`` all derive from them, and a
+    model with other rewards (``_with_rewards``) shares them. A state with no
+    SAP makes each of these raise ValidationFailedError naming every such state.
     """
 
     n: int
@@ -147,13 +149,17 @@ class MdpModel:
         return tuple(map(Sap, self.sap_states.tolist(), self.sap_rewards.tolist(), self.sap_probs))
 
     @cached_property
-    def _owner_table(self) -> np.ndarray:
-        """sap_states between two -1 sentinels: entry i + 1 is the state of SAP i."""
-        return _readonly(np.concatenate(([-1], self.sap_states, [-1])), np.int64)
-
-    @cached_property
-    def _state_ids(self) -> np.ndarray:
-        return _readonly(np.arange(self.n), np.int64)
+    def _by_state(self) -> tuple:
+        """The SAPs grouped by state, as read-only int64 ``(counts, order, starts)``:
+        state s has ``counts[s]`` SAPs, ``order[starts[s]:starts[s] + counts[s]]``,
+        ascending. Raises ValidationFailedError naming every state with no SAP."""
+        counts = np.bincount(self.sap_states, minlength=self.n)
+        if counts.min() == 0:
+            uncovered = np.flatnonzero(counts == 0)
+            raise ValidationFailedError([f"state {s}: no SAP attached" for s in uncovered])
+        order = np.argsort(self.sap_states, kind="stable")  # by state, ascending within one
+        starts = np.cumsum(counts) - counts
+        return tuple(_readonly(a, np.int64) for a in (counts, order, starts))
 
     @cached_property
     def _sweep_blocks(self) -> tuple:
@@ -162,10 +168,7 @@ class MdpModel:
         first SAP, from flat position ``row_starts[i]``. A block takes the next SAP
         count only while its table stays within twice its SAPs: equal counts make
         one (n, k) table, and skewed ones at most 2m entries."""
-        counts = np.bincount(self.sap_states, minlength=self.n)
-        if counts.min() == 0:
-            uncovered = np.flatnonzero(counts == 0)
-            raise ValidationFailedError([f"state {s}: no SAP attached" for s in uncovered])
+        counts, order, starts = self._by_state
         widths, held, saps = [], 0, 0  # each block's largest count; the last block's states, SAPs
         for k, mult in zip(*(a.tolist() for a in np.unique(counts, return_counts=True))):
             held, saps = held + mult, saps + mult * k
@@ -174,8 +177,6 @@ class MdpModel:
                 held, saps = mult, mult * k
             else:  # the last block (or the first) widens to k
                 widths[-1:] = [k]
-        order = np.argsort(self.sap_states, kind="stable")  # by state, ascending within one
-        starts = np.cumsum(counts) - counts
         blocks, lo = [], 0
         for k in widths:
             states = np.flatnonzero((counts > lo) & (counts <= k))
@@ -189,7 +190,7 @@ class MdpModel:
     def _with_rewards(self, rewards) -> MdpModel:
         """This model with other rewards, sharing every other array and table."""
         model = MdpModel._from_arrays(self.n, self.gamma, self.sap_states, rewards, self.sap_probs)
-        shared = ("_sweep_blocks", "_owner_table", "_state_ids")  # built from sap_states alone
+        shared = ("_by_state", "_sweep_blocks")  # built from sap_states alone
         vars(model).update((name, getattr(self, name)) for name in shared)
         return model
 
@@ -260,13 +261,13 @@ def check_policy(model: MdpModel, pi: Policy) -> None:
         raise InvalidPolicyError(
             f"policy length {pi.choice.shape[0]} does not match n={model.n}"
         )
-    # SAP index i reads entry i + 1; indices outside [0, m) clip onto a sentinel
-    owners = model._owner_table.take(pi.choice + 1, mode="clip")
-    bad = owners != model._state_ids
+    in_range = (pi.choice >= 0) & (pi.choice < model.m)
+    owners = model.sap_states.take(pi.choice, mode="clip")  # meaningful where in_range
+    bad = ~in_range | (owners != np.arange(model.n))
     s = int(bad.argmax())  # the first offending state, if any
     if bad[s]:
         idx = int(pi.choice[s])
-        if not 0 <= idx < model.m:
+        if not in_range[s]:
             raise InvalidPolicyError(f"state {s}: SAP index {idx} out of range")
         raise InvalidPolicyError(f"state {s}: SAP {idx} is attached to state {owners[s]}")
 
@@ -331,29 +332,26 @@ def span(v) -> float:
     return float(a.max() - a.min())
 
 
-# the most policies that enumeration walks through by default
+# the most policies that enumeration walks through
 ENUMERATION_CAP = 10**6
 
 # byte budget of one chunk of enumerated policies' (k, n, n) kernel stack
 POLICY_CHUNK_BYTES = 2**20
 
 
-def _policy_chunks(model: MdpModel, cap: int) -> Iterator[np.ndarray]:
+def _policy_chunks(model: MdpModel) -> Iterator[np.ndarray]:
     """Every deterministic stationary policy, as int64 (k, n) SAP-index blocks.
 
     Rows come in lexicographic order (``itertools.product`` over each state's
     SAPs, ascending): policy index i is decoded in mixed radix, the last state
     varying fastest. A block holds as many policies as have (k, n, n) float64
-    kernels within POLICY_CHUNK_BYTES, and at least one.
+    kernels within POLICY_CHUNK_BYTES, and at least one. Raises
+    EnumerationTooLargeError above ENUMERATION_CAP policies, before any block.
     """
-    counts = np.bincount(model.sap_states, minlength=model.n)
-    if counts.min() == 0:
-        raise InvalidPolicyError(f"state {int(counts.argmin())}: no SAP attached")
+    counts, order, starts = model._by_state
     total = policy_count(model)
-    if total > cap:
-        raise EnumerationTooLargeError(f"{total} policies exceed the enumeration cap {cap}")
-    order = np.argsort(model.sap_states, kind="stable")  # by state, ascending within one
-    starts = np.cumsum(counts) - counts
+    if total > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(f"{total} policies exceed the enumeration cap {ENUMERATION_CAP}")
     radix = counts.tolist()
     strides = np.array(list(accumulate(radix[:0:-1], mul, initial=1))[::-1], dtype=np.int64)
     k = max(1, POLICY_CHUNK_BYTES // (8 * model.n * model.n))
@@ -362,21 +360,22 @@ def _policy_chunks(model: MdpModel, cap: int) -> Iterator[np.ndarray]:
         yield order[starts + index // strides % counts]
 
 
-def enumerate_policies(model: MdpModel, cap: int = ENUMERATION_CAP) -> Iterator[Policy]:
+def enumerate_policies(model: MdpModel) -> Iterator[Policy]:
     """Yield every deterministic stationary policy exactly once.
 
     Policies come out in lexicographic order of their SAP-index vectors.
-    Raises EnumerationTooLargeError when the policy count exceeds ``cap``.
+    Raises EnumerationTooLargeError above ENUMERATION_CAP policies.
     """
-    for block in _policy_chunks(model, cap):
+    for block in _policy_chunks(model):
         yield from map(Policy, block)
 
 
 def policy_count(model: MdpModel) -> int:
     """Number of deterministic stationary policies."""
-    return math.prod(int(c) for c in np.bincount(model.sap_states, minlength=model.n))
+    return math.prod(model._by_state[0].tolist())
 
 
 def lowest_index_policy(model: MdpModel) -> Policy:
     """The policy choosing the lowest-index SAP at every state."""
-    return Policy(np.unique(model.sap_states, return_index=True)[1])
+    _, order, starts = model._by_state
+    return Policy(order[starts])

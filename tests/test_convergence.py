@@ -337,6 +337,7 @@ class TestWorkCounts:
                 (convergence, "evaluate_policy"),
                 (geometry, "evaluate_policy"),
                 (classic, "evaluate_discounted"),
+                (classic, "evaluate_average"),
                 (classic, "optimal_policy"),
                 (geometry, "check_policy"),
                 (model, "check_policy"),
@@ -357,10 +358,12 @@ class TestWorkCounts:
         # exactly one evaluation per round, plus one for the normalized model's gap
         assert log["evaluations"] == log["selections"] + [("lone", 1)]
         assert calls["evaluate_policy"] == 1
-        # the normalized rewards are the search's last advantages; the oracles are not called
+        # the normalized rewards are the search's last advantages; the oracles are not called,
+        # except that at gamma = 1 pi*'s gain comes from classic.evaluate_average
         assert calls["evaluate_discounted"] == calls["optimal_policy"] == 0
-        # one check per evaluate_policy call, plus one for pi*'s kernel
-        assert calls["check_policy"] == calls["evaluate_policy"] + 1
+        assert calls["evaluate_average"] == m.is_average_reward
+        # one check per evaluate_policy or evaluate_average call, plus one for pi*'s kernel
+        assert calls["check_policy"] == calls["evaluate_policy"] + calls["evaluate_average"] + 1
 
     def test_raw_run_only_when_read(self, monkeypatch):
         m = random_instance(31, n=5, gamma=0.5, saps_per_state=3)

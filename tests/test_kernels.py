@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mdpgeom import kernels, normalize_rewards, optimal_policy
+from mdpgeom import (
+    classic, enumerate_policies, kernels, normalize_rewards, optimal_policy, verify_contraction
+)
 from mdpgeom.errors import ValidationFailedError
-from mdpgeom.model import MdpModel
+from mdpgeom.model import MdpModel, lowest_index_policy, policy_count
 
 from conftest import make_model, random_instance
 
@@ -178,7 +180,7 @@ def test_centering_by_sum_over_size_is_the_mean(v):
 def test_normalized_model_shares_the_structure_tables():
     raw = random_instance(5, n=6, gamma=0.9, saps_per_state=3)
     normalized = normalize_rewards(raw, optimal_policy(raw).policy)
-    for name in ("_sweep_blocks", "_owner_table", "_state_ids"):
+    for name in ("_by_state", "_sweep_blocks"):
         assert getattr(normalized, name) is getattr(raw, name)
     assert normalized.sap_states is raw.sap_states and normalized.sap_probs is raw.sap_probs
     assert normalized.sap_rewards is not raw.sap_rewards
@@ -226,7 +228,25 @@ def test_skewed_layout_splits_into_blocks():
     assert [t.shape for _, _, t in m._sweep_blocks] == [(599, 1), (1, 5000)]
 
 
-def test_sweep_blocks_reject_a_state_without_saps():
-    m = MdpModel._from_arrays(3, 0.9, [0, 2], [0.0, 0.0], np.full((2, 3), 1 / 3))
-    with pytest.raises(ValidationFailedError, match="state 1: no SAP attached"):
-        kernels.greedy_sweep_model(m, 0.9, np.zeros(3))
+# each entry point that reads the per-state SAP layout, as a function of the model
+NO_SAP_ENTRIES = {
+    "optimal_policy": optimal_policy,
+    "verify_contraction": verify_contraction,
+    "classic.optimal_policy": classic.optimal_policy,
+    "enumerate_policies": lambda m: next(enumerate_policies(m)),
+    "policy_count": policy_count,
+    "lowest_index_policy": lowest_index_policy,
+    "greedy_sweep": lambda m: kernels.greedy_sweep_model(m, m.gamma, np.zeros(m.n)),
+}
+
+
+@pytest.mark.parametrize("gamma", [0.9, 1.0])
+@pytest.mark.parametrize("entry", NO_SAP_ENTRIES)
+def test_every_entry_rejects_a_state_without_saps(entry, gamma):
+    # n = 3: state 2 has no SAP; then states 1 and 2 have none
+    for states, uncovered in (([0, 1, 0], [2]), ([0, 0], [1, 2])):
+        rows = np.full((len(states), 3), 1 / 3)
+        m = MdpModel._from_arrays(3, gamma, states, np.arange(len(states), dtype=float), rows)
+        with pytest.raises(ValidationFailedError) as info:
+            NO_SAP_ENTRIES[entry](m)
+        assert info.value.violations == [f"state {s}: no SAP attached" for s in uncovered]

@@ -22,7 +22,7 @@ from mdpgeom import (
     span,
     validate_model,
 )
-from mdpgeom.model import check_policy, lowest_index_policy, policy_count
+from mdpgeom.model import ENUMERATION_CAP, check_policy, lowest_index_policy, policy_count
 
 from conftest import make_model, random_instance
 
@@ -223,11 +223,12 @@ class TestEnumeratePolicies:
             assert policy_count(m) == len(expected)
 
     def test_cap(self):
-        m = make_model(
-            2, 1.0, [(0, 0.0, [0, 1]), (0, 1.0, [1, 0]), (1, 0.0, [1, 0]), (1, 1.0, [0, 1])]
-        )
-        with pytest.raises(EnumerationTooLargeError):
-            list(enumerate_policies(m, cap=3))
+        # n = 10 with 4 SAPs per state: 4**10 = 1,048,576 policies
+        states = np.repeat(np.arange(10), 4)
+        m = MdpModel._from_arrays(10, 1.0, states, np.zeros(40), np.eye(10)[states])
+        assert policy_count(m) == 4**10 > ENUMERATION_CAP
+        with pytest.raises(EnumerationTooLargeError):  # before any block is decoded
+            next(enumerate_policies(m))
 
     def test_lowest_index_policy(self, swap_plus_selfloop):
         assert lowest_index_policy(swap_plus_selfloop).as_tuple() == (0, 1)
