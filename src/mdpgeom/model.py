@@ -152,12 +152,19 @@ class MdpModel:
     def _by_state(self) -> tuple:
         """The SAPs grouped by state, as read-only int64 ``(counts, order, starts)``:
         state s has ``counts[s]`` SAPs, ``order[starts[s]:starts[s] + counts[s]]``,
-        ascending. Raises ValidationFailedError naming every state with no SAP."""
-        counts = np.bincount(self.sap_states, minlength=self.n)
+        ascending. Raises ValidationFailedError naming every SAP whose state is
+        outside [0, n), as validate_model does, or else every state with no SAP."""
+        states, n = self.sap_states, self.n
+        bad = np.flatnonzero((states < 0) | (states >= n))
+        if bad.size:  # bincount would miscount these as uncovered states, or raise
+            raise ValidationFailedError(
+                [f"sap {i}: state {states[i]} outside [0, {n})" for i in bad]
+            )
+        counts = np.bincount(states, minlength=n)
         if counts.min() == 0:
             uncovered = np.flatnonzero(counts == 0)
             raise ValidationFailedError([f"state {s}: no SAP attached" for s in uncovered])
-        order = np.argsort(self.sap_states, kind="stable")  # by state, ascending within one
+        order = np.argsort(states, kind="stable")  # by state, ascending within one
         starts = np.cumsum(counts) - counts
         return tuple(_readonly(a, np.int64) for a in (counts, order, starts))
 

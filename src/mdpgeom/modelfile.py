@@ -15,6 +15,9 @@ two-space indentation, trailing newline. Equal models therefore emit
 byte-identical documents, and parse(emit(m)) reproduces every real exactly.
 The writer produces the bytes of ``json.dumps(doc, indent=2) + "\n"``
 without going through the encoder, whose indented mode is pure Python.
+It formats only the transition entries whose bits are nonzero and writes
+every +0.0 as the constant "0.0", the string repr gives for it, so
+the bytes are unchanged; -0.0, subnormals, NaN and infinities are formatted.
 """
 
 from __future__ import annotations
@@ -41,13 +44,31 @@ def _reals(values: np.ndarray) -> list:
     return cells
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a float with a fractional part is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
+def _row(probs: np.ndarray, zeros: list) -> str:
+    """The entries of one transition row, joined as json's indented writer joins them;
+    ``zeros`` holds n "0.0" cells."""
+    cells = zeros.copy()
+    cols = np.flatnonzero(probs.view(np.int64))  # every entry but +0.0
+    for col, cell in zip(cols.tolist(), _reals(probs[cols])):
+        cells[col] = cell
+    return _ENTRY_SEP.join(cells)
+
+
 def emit_model(model: MdpModel) -> str:
     """The canonical schema-version-1 document of ``model``."""
+    zeros = ["0.0"] * model.n
     saps = ",\n".join(
         "    {\n"
         f'      "state": {state},\n'
         f'      "reward": {reward},\n'
-        f'      "probs": [\n        {_ENTRY_SEP.join(_reals(probs))}\n      ]\n'
+        f'      "probs": [\n        {_row(probs, zeros)}\n      ]\n'
         "    }"
         for state, reward, probs in zip(
             model.sap_states.tolist(), _reals(model.sap_rewards), model.sap_probs
@@ -95,7 +116,7 @@ def parse_model(text: str) -> MdpModel:
         if not isinstance(entry, dict):
             raise ModelFormatError(f"sap {i}: must be an object")
         try:
-            states.append(int(entry["state"]))
+            states.append(_integer(entry["state"], "state"))
             rewards.append(float(entry["reward"]))
             rows.append(entry["probs"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -103,7 +124,8 @@ def parse_model(text: str) -> MdpModel:
         if not isinstance(rows[-1], list):
             raise ModelFormatError(f"sap {i}: probs must be a list")
     try:
-        model = MdpModel._from_arrays(int(doc["n"]), float(doc["gamma"]), states, rewards, rows)
+        n, gamma = _integer(doc["n"], "n"), float(doc["gamma"])
+        model = MdpModel._from_arrays(n, gamma, states, rewards, rows)
     except ValidationFailedError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:

@@ -69,8 +69,11 @@ class TestValidate:
             (0, "probs", [None, 1.0], 2, "sap 0: "),
             (0, "probs", ["0.5", "0.5"], 0, ""),
             (1, "probs", [0.5, 0.25, 0.25], 2, "sap 1: transition row has length 3, expected 2"),
+            # a fractional number is refused, not truncated; sap None sets a top-level key
+            (2, "state", 1.7, 2, "sap 2: state 1.7 is not an integer"),
+            (None, "n", 2.9, 2, "n 2.9 is not an integer"),
         ],
-        ids=["state-1e30", "null-entry", "string-entries", "ragged"],
+        ids=["state-1e30", "null-entry", "string-entries", "ragged", "state-1.7", "n-2.9"],
     )
     def test_awkward_documents(self, tmp_path, capsys, sap, key, value, code, message):
         # outcomes as before the model held arrays
@@ -84,7 +87,7 @@ class TestValidate:
                 {"state": 1, "reward": 0.5, "probs": [0.0, 1.0]},
             ],
         }
-        doc["saps"][sap][key] = value
+        (doc if sap is None else doc["saps"][sap])[key] = value
         path = tmp_path / "awkward.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == code

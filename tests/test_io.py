@@ -8,12 +8,14 @@ from hypothesis import given, strategies as st
 
 from mdpgeom import (
     GeneratorSpec,
+    MdpModel,
     ModelFormatError,
     SplitMix64,
     UnsupportedVersionError,
     ValidationFailedError,
     emit_model,
     generate_model,
+    modelfile,
     parse_model,
     validate_model,
 )
@@ -58,6 +60,22 @@ def awkward_models(draw):
             probs.insert(draw(st.integers(0, n - 1)), 1.0 - math.fsum(probs))
             saps.append((state, draw(rewards), probs))
     return make_model(n, gamma, saps)
+
+
+@st.composite
+def wide_zero_models(draw):
+    """Models of wide rows, mostly +0.0, whose few other entries are awkward reals
+    placed in the first, middle or last column or anywhere; SAP 0's row is all +0.0.
+    Rows need not be stochastic: the writer formats what it is given."""
+    n = draw(st.integers(1, 40))
+    rows = np.zeros((draw(st.integers(1, 3)), n))
+    columns = st.sampled_from([0, n // 2, n - 1]) | st.integers(0, n - 1)
+    entries = st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf, 0.1, 1.0])
+    for row in rows[1:]:
+        for col, value in draw(st.lists(st.tuples(columns, entries), min_size=1, max_size=4)):
+            row[col] = value
+    states = np.arange(len(rows)) % n
+    return MdpModel._from_arrays(n, 0.9, states, np.arange(len(rows), dtype=float), rows)
 
 
 class TestModelDocuments:
@@ -142,8 +160,13 @@ class TestModelDocuments:
                 GeneratorSpec(n=200, saps_per_state=2, gamma=0.99, sparsity=0.5, seed=2**63 + 5),
                 "5c4998c51ea185cb81290a25ac435359dc76c5be22bf3f1aae07378b82539012",
             ),
+            # the layout the writer's zero cells target: n = 600 pipelines at sparsity 0.9
+            (
+                GeneratorSpec(n=300, saps_per_state=2, gamma=0.99, sparsity=0.9, seed=11),
+                "55fd46986d8bf8a7c2d985dc092aa7a623aef4542b21f49704d892073a96ac15",
+            ),
         ],
-        ids=["dense", "sparse-repaired", "n50-4saps", "chunked"],
+        ids=["dense", "sparse-repaired", "n50-4saps", "chunked", "n300-sparse"],
     )
     def test_generated_model_file_is_frozen(self, spec, digest):
         # a spec and seed name a published instance: these files never change
@@ -156,6 +179,31 @@ class TestModelDocuments:
         assert text == json_oracle(model)
         assert parse_model(text) == model
         assert emit_model(parse_model(text)) == text
+
+    @given(wide_zero_models())
+    def test_writer_matches_json_dumps_on_mostly_zero_rows(self, model):
+        assert emit_model(model) == json_oracle(model)
+
+    def test_writer_formats_only_rewards_and_nonzero_entries(self, monkeypatch):
+        # +0.0 is written as a constant; every other transition entry, -0.0
+        # included, and every reward goes through _reals
+        spec = GeneratorSpec(n=40, saps_per_state=3, gamma=0.9, sparsity=0.9, seed=5)
+        base = generate_model(spec).model
+        probs = base.sap_probs.copy()
+        probs[0, [0, 20, 39]] = [-0.0, 5e-324, math.nan]
+        model = MdpModel._from_arrays(40, 0.9, base.sap_states, base.sap_rewards, probs)
+        nonzero = np.count_nonzero(probs.view(np.int64))
+        assert nonzero < probs.size // 2
+        formatted, reals = [], modelfile._reals
+
+        def counted(values):
+            formatted.append(values.size)
+            return reals(values)
+
+        monkeypatch.setattr(modelfile, "_reals", counted)
+        text = emit_model(model)
+        assert text == json_oracle(model)
+        assert sum(formatted) == model.m + nonzero
 
     @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf])
     def test_writer_spells_non_finite_rewards_as_json(self, reward):

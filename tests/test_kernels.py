@@ -7,7 +7,7 @@ from mdpgeom import (
     classic, enumerate_policies, kernels, normalize_rewards, optimal_policy, verify_contraction
 )
 from mdpgeom.errors import ValidationFailedError
-from mdpgeom.model import MdpModel, lowest_index_policy, policy_count
+from mdpgeom.model import MdpModel, lowest_index_policy, policy_count, validate_model
 
 from conftest import make_model, random_instance
 
@@ -243,10 +243,17 @@ NO_SAP_ENTRIES = {
 @pytest.mark.parametrize("gamma", [0.9, 1.0])
 @pytest.mark.parametrize("entry", NO_SAP_ENTRIES)
 def test_every_entry_rejects_a_state_without_saps(entry, gamma):
-    # n = 3: state 2 has no SAP; then states 1 and 2 have none
-    for states, uncovered in (([0, 1, 0], [2]), ([0, 0], [1, 2])):
+    # n = 3: state 2 has no SAP; then states 1 and 2 have none; then a SAP is
+    # attached to a state outside [0, 3), reported as validate_model reports it
+    for states, violations in (
+        ([0, 1, 0], ["state 2: no SAP attached"]),
+        ([0, 0], ["state 1: no SAP attached", "state 2: no SAP attached"]),
+        ([0, 1, 2, 5], ["sap 3: state 5 outside [0, 3)"]),
+        ([-1, 0, 1, 2], ["sap 0: state -1 outside [0, 3)"]),
+    ):
         rows = np.full((len(states), 3), 1 / 3)
         m = MdpModel._from_arrays(3, gamma, states, np.arange(len(states), dtype=float), rows)
         with pytest.raises(ValidationFailedError) as info:
             NO_SAP_ENTRIES[entry](m)
-        assert info.value.violations == [f"state {s}: no SAP attached" for s in uncovered]
+        assert info.value.violations == violations
+        assert set(violations) <= set(validate_model(m))
