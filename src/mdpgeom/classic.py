@@ -7,12 +7,11 @@ one are what the test suite is built on, so nothing here may import from
 mdpgeom.geometry, whose policy iteration is the library's optimum for both
 criteria.
 
-The gamma = 1 enumeration is that search's fallback, for the models where
-it cannot certify its optimum unique, and the oracle the tests compare it
-with. It walks every policy, a chunk at a time: one reachability closure
-classifies a chunk's kernels, each unichain kernel gets its own gain/bias
-solve, and one expression checks the chunk's residuals. The result is that
-of a loop over single policies, bit for bit.
+The gamma = 1 enumeration is the oracle the tests compare that search
+with; the search never calls it. It walks every policy, a chunk at a time:
+one reachability closure classifies a chunk's kernels, each unichain kernel
+gets its own gain/bias solve, and one expression checks the chunk's
+residuals. The result is that of a loop over single policies, bit for bit.
 """
 
 from __future__ import annotations
@@ -68,9 +67,9 @@ class OptimalPolicyResult:
     """Optimal policy plus whether the optimum is unique at tolerance 1e-9.
 
     ``values`` carries V* for gamma < 1; ``gain`` the optimal gain at
-    gamma = 1. ``skipped_multichain`` counts enumerated policies that had to
-    be skipped at gamma = 1 because their kernel is not unichain; it is 0
-    when ``geometry.optimal_policy`` certified its optimum with no enumeration.
+    gamma = 1. ``skipped_multichain`` is enumeration's count of the policies
+    it skipped at gamma = 1 because their kernel is not unichain; it is
+    always 0 from ``geometry.optimal_policy``, which enumerates nothing.
     ``geometry.optimal_policy`` also sets ``advantages``, each SAP's against
     the optimum, and the optimum's ``geometry.PolicyVector`` and
     ``geometry.GeometryConstants`` as ``policy_vector`` and ``constants``.

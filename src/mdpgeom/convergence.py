@@ -255,7 +255,7 @@ def verify_contraction(
     try:
         optimal = optimal_policy(model)
     except NotUnichainError:
-        # no unichain policy at gamma = 1: report the failed diagnostics with
+        # a multichain optimum at gamma = 1: report the failed diagnostics with
         # an informational run on the raw model instead of crashing
         diagnostics = AssumptionDiagnostics(unique=False, unichain=False, aperiodic=False)
         run_model, steps = model, trace_steps or chains.wielandt_bound(model.n)

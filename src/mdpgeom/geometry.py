@@ -15,7 +15,7 @@ product of its action vector with (1, v), with no case split on gamma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .errors import (
 )
 from .linalg import solve, solve_checked
 from .model import (
-    AVERAGE_BIAS, DISCOUNTED, ENUMERATION_CAP, MdpModel, Policy, ValueVector,
-    check_finite_rewards, check_policy, lowest_index_policy, policy_count,
+    AVERAGE_BIAS, DISCOUNTED, MdpModel, Policy, ValueVector,
+    check_finite_rewards, check_policy, lowest_index_policy,
 )
 
 RESIDUAL_TOL = 1e-10
@@ -212,64 +212,178 @@ def _gap(adv: np.ndarray, pi_star: Policy) -> float:
     return float(-outside.max())
 
 
-def _howard(
-    model: MdpModel, choices: np.ndarray, masked: np.ndarray | None = None, limit: float | None = None
-):
-    """Howard's loop on the advantages over a (k, n) stack of policies, one round for all.
+def _howard(model: MdpModel, choice: np.ndarray) -> tuple:
+    """Howard's loop on the advantages, from the policy of SAP ids ``choice``.
 
-    Each round evaluates every policy, then a state switches to its best SAP
+    Each round evaluates the policy, then a state switches to its best SAP
     (ties to the lowest index) when that beats its current one by more than
-    1e-12; SAPs that the (k, m) mask ``masked`` marks are never picked. A run
-    ends, and leaves the stack, when no state switches. Once every run has
-    ended, returns (choices, v, advantages) of the runs that ended last: the
-    optimum's, for one row. Returns None as soon as a gamma = 1 iterate is
-    multichain or fails its evaluation, or a gain (the sum of v / C) is not
-    below ``limit``, and after 10,000 rounds.
+    1e-12. Returns (choice, v, advantages, recurrent) of the first round in
+    which no state switches; ``recurrent`` masks the policy's recurrent states
+    at gamma = 1 and is None at gamma < 1. At gamma = 1 ``_unichain`` turns a
+    multichain iterate into a unichain one before it is evaluated, or raises
+    NotUnichainError when the optimum is multichain. Raises NumericalCheckError
+    when a unichain iterate fails its evaluation, and after 10,000 rounds.
     """
     average, c = model.is_average_reward, mdp_constant(model)
+    recurrent = last = None
     for _ in range(10_000):
-        if average and np.any(_classify(model.sap_probs[choices])[0] != 1):
-            return None
+        if average:
+            choice, recurrent = _unichain(model, choice, last)
         try:
-            x = _evaluate(model, choices)
-        except NotUnichainError:  # raised at gamma = 1 only
-            return None
-        if limit is not None and not (x.sum(axis=1) < limit).all():  # written so that NaN fails
-            return None
+            x = _evaluate(model, choice[None])[0]
+        except NotUnichainError as exc:  # raised at gamma = 1 only, for a unichain kernel
+            raise NumericalCheckError(f"policy iteration could not evaluate a unichain policy: {exc}") from exc
         v = c * x
         adv = _advantages(model, v)
-        scores = adv if masked is None else np.where(masked, -np.inf, adv)
-        best, greedy = kernels.greedy_by_state(model, scores)
-        improve = best > adv[np.arange(len(choices))[:, None], choices] + 1e-12
-        going = improve.any(axis=1)
-        if not going.any():
-            return choices, v, adv
-        choices = np.where(improve, greedy, choices)[going]
-        if masked is not None:
-            masked = masked[going]
-    return None
+        best, greedy = kernels.greedy_by_state(model, adv)
+        improve = best > adv[choice] + 1e-12
+        if not improve.any():
+            return choice, v, adv, recurrent
+        last = choice, float(x.sum())  # the policy and its gain, v_sigma / C
+        choice = np.where(improve, greedy, choice)
+    raise NumericalCheckError("policy iteration did not end within 10,000 rounds")
 
 
-def _rivals_below(model: MdpModel, pi: Policy, limit: float) -> bool:
-    """Whether every policy other than ``pi`` has a gain below ``limit`` (gamma = 1).
+def _unichain(model: MdpModel, choice: np.ndarray, last: tuple | None) -> tuple:
+    """(choice, recurrent mask) of a unichain policy at least as good as ``choice`` (gamma = 1).
 
-    Any other policy uses some SAP a outside ``pi``. For each such a, Howard's
-    loop restricted to the policies that use a (the other SAPs at a's state
-    masked), warm-started from ``pi`` with a switched in, ends at the best
-    gain among them: its advantages bound every such policy's gain. The runs
-    go in one stack through ``_howard``, which fails as soon as a gain
-    reaches ``limit`` (a run's gain only rises).
+    A unichain ``choice`` is returned as it is. ``last`` is None for the
+    start, else (policy, gain) of the unichain iterate that ``choice``
+    improves on. Let B be the states that every state can reach along the
+    moves of all SAPs (``_sink``); every unichain policy's closed class lies
+    in B. A closed class of ``choice`` other than ``last``'s contains a
+    switched state, and its stationary law weights advantages that are 0 or
+    above 1e-12, so it earns more than ``last``. If such a class lies
+    outside B, the switches outside B are undone; when none are left, ``last``
+    is optimal on B, whose states no SAP leaves, so no unichain policy earns
+    more than it while that class does: the optimum is multichain and
+    NotUnichainError says so. Otherwise the best closed class in B keeps its
+    SAPs and every other state moves toward it (``_toward``).
     """
-    states = model.sap_states
-    outside = np.ones(model.m, dtype=bool)
-    outside[pi.choice] = False
-    saps = np.flatnonzero(outside)
-    runs = np.arange(saps.size)
-    choices = np.tile(pi.choice, (saps.size, 1))
-    choices[runs, states[saps]] = saps
-    masked = states == states[saps, None]
-    masked[runs, saps] = False
-    return _howard(model, choices, masked, limit) is not None
+    p = model.sap_probs[choice]
+    count, recurrent = _classify(p)
+    if count == 1:
+        return choice, recurrent
+    sink = _sink(model)
+    classes = _closed_classes(p, recurrent)
+    outside = [cls for cls in classes if not (cls & sink).any()]
+    if last is not None and outside:
+        kept = np.where(sink, choice, last[0])
+        if not np.array_equal(kept, last[0]):
+            return _unichain(model, kept, None)  # its new classes contain a switched state in B
+        beyond = max(_class_gain(model, choice, cls) for cls in outside)
+        if not beyond > last[1] + 1e-9 * max(1.0, float(np.abs(model.sap_rewards).max())):
+            raise NumericalCheckError(
+                f"policy iteration at gamma=1 met a multichain policy that earns {beyond!r}, "
+                f"within rounding of the gain {last[1]!r} of the policy it improves on"
+            )
+        raise NotUnichainError(
+            f"the gamma=1 optimum is multichain: a policy earns {beyond:.6g} on a closed class that not "
+            f"every state can reach, and no unichain policy earns more than {last[1]:.6g}"
+        )
+    inside = (cls for cls in classes if (cls & sink).any())
+    best = max(inside, key=lambda cls: _class_gain(model, choice, cls))
+    return _toward(model, choice, best), best
+
+
+def _sink(model: MdpModel) -> np.ndarray:
+    """Mask of the states that every state can reach along the moves of all SAPs: the one closed
+    class of the support graph. When it has several, no policy is unichain: NotUnichainError."""
+    count, sink = _classify(_successors(model).astype(np.float64))
+    if count != 1:
+        raise NotUnichainError(
+            f"the gamma=1 optimum is multichain: no policy is unichain, as the moves of all SAPs "
+            f"leave {count} closed classes"
+        )
+    return sink
+
+
+def _closed_classes(p: np.ndarray, recurrent: np.ndarray) -> list:
+    """Masks of the closed classes of the kernel ``p``, whose recurrent states ``recurrent`` masks."""
+    classes, left = [], recurrent.copy()
+    while left.any():
+        cls = np.arange(left.size) == left.argmax()
+        while not np.array_equal(grown := cls | (p[cls] > 0.0).any(axis=0), cls):
+            cls = grown
+        classes.append(cls)
+        left &= ~cls
+    return classes
+
+
+def _class_gain(model: MdpModel, choice: np.ndarray, cls: np.ndarray) -> float:
+    """Average reward of the policy ``choice`` on its closed class ``cls``: its stationary law mu
+    solves mu (I + E - Q) = 1 for the class's kernel Q, nonsingular as Q is irreducible."""
+    q = model.sap_probs[choice[cls]][:, cls]
+    mu = solve_checked((np.eye(len(q)) + 1.0 - q).T, np.ones(len(q)))
+    return float(mu @ model.sap_rewards[choice[cls]])
+
+
+def _toward(model: MdpModel, choice: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """``choice`` on the states ``target`` masks, which every state must be able to reach;
+    every other state takes its lowest SAP with a successor one step closer to them."""
+    choice, done = choice.copy(), target.copy()
+    while not done.all():
+        step = np.flatnonzero((model.sap_probs[:, done] > 0.0).any(axis=1) & ~done[model.sap_states])
+        states, first = np.unique(model.sap_states[step], return_index=True)
+        choice[states] = step[first]
+        done[states] = True
+    return choice
+
+
+def _successors(model: MdpModel) -> np.ndarray:
+    """(n, n) mask of the moves s -> t that some SAP of state s makes with positive probability."""
+    edges = np.zeros((model.n, model.n), dtype=bool)
+    np.logical_or.at(edges, model.sap_states, model.sap_probs > 0.0)
+    return edges
+
+
+def _reaching(edges: np.ndarray, target: np.ndarray, avoid: np.ndarray) -> np.ndarray:
+    """(k, n) masks of the states that can reach the states ``target`` masks
+    along the moves ``edges`` without entering state ``avoid[i]``, one row per
+    entry of ``avoid``: one breadth-first fixpoint for all rows."""
+    into = edges.T.astype(np.float64)
+    barred = np.arange(len(target)) == avoid[:, None]
+    reach = np.tile(target, (avoid.size, 1))
+    while True:
+        grown = reach | ((reach @ into > 0.0) & ~barred)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
+def _tied(model: MdpModel, pi: Policy, recurrent: np.ndarray) -> bool:
+    """Whether a policy other than ``pi`` has ``pi``'s recurrent states as its
+    only closed class and ``pi``'s SAPs there, which ties ``pi``'s gain exactly.
+
+    Such a policy exists iff some SAP a other than ``pi``'s at a transient
+    state s has a successor that can reach the recurrent states without
+    entering s, every state free to pick any SAP.
+    """
+    transient = np.flatnonzero(~recurrent)
+    if transient.size == 0:
+        return False
+    reach = _reaching(_successors(model), recurrent, transient)
+    others = np.ones(model.m, dtype=bool)
+    others[pi.choice] = False
+    saps = np.flatnonzero(others & ~recurrent[model.sap_states])
+    rows = np.searchsorted(transient, model.sap_states[saps])
+    return bool(((model.sap_probs[saps] > 0.0) & reach[rows]).any())
+
+
+def _first_tied(model: MdpModel, pi: Policy, recurrent: np.ndarray) -> Policy:
+    """The lexicographic-first policy tied with ``pi`` as ``_tied`` defines ties.
+
+    The recurrent states keep ``pi``'s SAPs. Each transient state, in index
+    order, takes its lowest SAP with a successor that can still reach them
+    without entering it, earlier states fixed and later ones free.
+    """
+    choice, edges = pi.choice.copy(), _successors(model)
+    for s in np.flatnonzero(~recurrent):
+        reach = _reaching(edges, recurrent, np.array([s]))[0]
+        saps = model.saps_at(s)
+        choice[s] = saps[((model.sap_probs[saps] > 0.0) & reach).any(axis=1).argmax()]
+        edges[s] = model.sap_probs[choice[s]] > 0.0
+    return Policy(choice)
 
 
 def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
@@ -277,51 +391,53 @@ def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
 
     Howard policy iteration (Puterman 1994, sections 6.4 and 8.6) on the
     advantages, which equal the classical ones at gamma < 1 and r + P h - h - g
-    at gamma = 1: the one-row run of ``_howard`` from the lowest-index policy.
-    The result carries its last round's advantages, policy vector and constants.
-    A search still running after 10,000 rounds hands over to enumeration.
+    at gamma = 1: ``_howard`` from the lowest-index policy. The result carries
+    its last round's advantages, policy vector and constants. A search still
+    running after 10,000 rounds raises NumericalCheckError.
 
     gamma < 1: the optimum is unique when its gap exceeds 1e-9; ``values``
     is V* from the last solve.
 
-    gamma = 1: every iterate must be unichain. The optimum is unique when
-    every other policy's gain is more than 1e-9 + 1e-9 * max(1, max|r|)
-    below its own, which one stacked run of ``_howard`` checks
-    (``_rivals_below``); ``gain`` is ``classic.evaluate_average``'s, which
-    has enumeration's bits. A multichain iterate, a multichain policy in the check, a failed
-    check or a failed gain/bias solve hand the search to
-    ``classic.optimal_policy``'s enumeration, which is exact and picks the
-    lexicographic-first optimum; ``skipped_multichain`` is its count, and 0
-    when no enumeration ran. Above ``ENUMERATION_CAP`` policies a failed
-    check returns Howard's policy with ``unique=False``; the other cases
-    raise EnumerationTooLargeError (multichain policy iteration, Puterman
-    section 9.2, is not implemented).
+    gamma = 1: every iterate is unichain (``_unichain``). When the run ends,
+    no SAP's advantage exceeds its state's own SAP's, which is 0 up to
+    rounding, by more than 1e-12, so (g, h) solve the average-reward
+    optimality equation and pi is gain-optimal against every policy,
+    multichain ones included (Puterman 1994, section 8.4). Where a multichain
+    policy earns more than every unichain one from some start state, the
+    optimum is multichain and NotUnichainError says so (multichain policy
+    iteration, Puterman section 9.2, is not implemented). pi is unique when
+    its gap exceeds 1e-9 and no other policy shares its recurrent class and
+    its SAPs there (``_tied``). Among such ties the result is the
+    lexicographic-first one (``_first_tied``), evaluated once, which is
+    enumeration's choice. ``gain`` is ``classic.evaluate_average``'s.
 
     Raises NonFiniteRewardError, naming the first SAP whose reward is NaN or
     infinite, before any solve.
     """
     check_finite_rewards(model)
-    run = _howard(model, lowest_index_policy(model).choice[None])
-    if run is not None:
-        choices, v, adv = run[0][0], run[1][0], run[2][0]  # its one row
-        pi, (pv, consts) = Policy(choices), _evaluated(model, v)
-        if not model.is_average_reward:
-            values = to_classical_values(pv, consts, model).values
-            return classic.OptimalPolicyResult(
-                pi, _gap(adv, pi) > 1e-9, values, advantages=adv, policy_vector=pv, constants=consts
-            )
-        # the margin covers the rounding that the gain/bias residual bound allows
-        margin = 1e-9 * max(1.0, float(np.abs(model.sap_rewards).max()))
-        unique = _rivals_below(model, pi, gain(consts) - 1e-9 - margin)
-        if unique or policy_count(model) > ENUMERATION_CAP:
-            try:
-                rho = classic.evaluate_average(model, pi).gain  # enumeration's bits
-            except NotUnichainError:
-                pass
-            else:
-                return classic.OptimalPolicyResult(
-                    pi, unique, gain=rho, advantages=adv, policy_vector=pv, constants=consts
-                )
-    result = classic.optimal_policy(model)
-    pv, consts = evaluate_policy(model, result.policy)
-    return replace(result, advantages=advantages(model, pv), policy_vector=pv, constants=consts)
+    choice, v, adv, recurrent = _howard(model, lowest_index_policy(model).choice)
+    pi = Policy(choice)
+    if not model.is_average_reward:
+        pv, consts = _evaluated(model, v)
+        values = to_classical_values(pv, consts, model).values
+        return classic.OptimalPolicyResult(
+            pi, _gap(adv, pi) > 1e-9, values, advantages=adv, policy_vector=pv, constants=consts
+        )
+    tied = _tied(model, pi, recurrent)
+    try:
+        if tied:
+            pi = _first_tied(model, pi, recurrent)
+            v = mdp_constant(model) * _evaluate(model, pi.choice[None])[0]
+            adv = _advantages(model, v)
+        rho = classic.evaluate_average(model, pi).gain
+    except NotUnichainError as exc:  # pi is unichain, so a solve failed numerically
+        raise NumericalCheckError(f"the evaluation of the gamma=1 optimum failed: {exc}") from exc
+    pv, consts = _evaluated(model, v)
+    return classic.OptimalPolicyResult(
+        pi,
+        not tied and _gap(adv, pi) > 1e-9,
+        gain=rho,
+        advantages=adv,
+        policy_vector=pv,
+        constants=consts,
+    )

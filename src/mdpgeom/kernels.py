@@ -8,8 +8,7 @@ and returns the per-state maximum together with the first SAP index
 attaining it (ties go to the lowest SAP index). Callers supply ``scale``
 (gamma for classical updates, gamma/C for updates on the geometric values)
 and apply their own constant shifts, which do not change the argmax.
-``greedy_by_state`` selects the same way from given scores, such as advantages,
-or from a stack of score vectors at once.
+``greedy_by_state`` selects the same way from given scores, such as advantages.
 
 Scores are gathered through the model's ``_sweep_blocks``, tables whose rows
 list one state's SAPs ascending, padded with its first SAP: a row's first
@@ -30,17 +29,7 @@ def greedy_sweep_model(model, scale, v):
 
 
 def greedy_by_state(model, q):
-    """Per-state max of the per-SAP scores ``q``, plus the first SAP id attaining it.
-
-    ``q`` may also be a (k, m) stack of score vectors; the results are then (k, n).
-    """
-    if q.ndim == 2:
-        # a loop of its own: indexing with ``...`` in the 1-D loop doubles the cost of
-        # the sweep that every value-iteration step runs
-        greedy = np.empty((len(q), model.n), dtype=np.int64)
-        for states, row_starts, table in model._sweep_blocks:
-            greedy[:, states] = table.take(q.take(table, axis=1).argmax(axis=2) + row_starts)
-        return q[np.arange(len(q))[:, None], greedy], greedy
+    """Per-state max of the per-SAP scores ``q``, plus the first SAP id attaining it."""
     maxq, greedy = np.empty(model.n), np.empty(model.n, dtype=np.int64)
     for states, row_starts, table in model._sweep_blocks:
         qt = q[table]

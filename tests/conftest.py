@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from mdpgeom import MdpModel, Policy, Sap
+from mdpgeom import MdpModel, Policy, Sap, enumerate_policies
 from mdpgeom.generate import GeneratorSpec, generate_model
 
 # derandomized and without an example database, so every run draws the same
@@ -89,3 +89,31 @@ def count_calls(monkeypatch, bindings):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def gains_by_start(p, r):
+    """Long-run average reward from each start state of the kernel ``p`` with rewards ``r``,
+    multichain or not: each closed class earns its stationary reward, and a transient state
+    the mix of those that its absorption probabilities give."""
+    n = len(r)
+    reach = np.linalg.matrix_power((p > 0.0) | np.eye(n, dtype=bool), n) > 0
+    recurrent = np.all(reach <= reach.T, axis=1)
+    g = np.zeros(n)
+    for state in np.flatnonzero(recurrent):
+        closed = reach[state]  # the class of a recurrent state is what it reaches
+        k = int(closed.sum())
+        a = np.vstack([p[np.ix_(closed, closed)].T - np.eye(k), np.ones(k)])
+        mu = np.linalg.lstsq(a, np.eye(k + 1)[k], rcond=None)[0]
+        g[closed] = mu @ r[closed]
+    t = ~recurrent
+    if t.any():
+        g[t] = np.linalg.solve(np.eye(int(t.sum())) - p[np.ix_(t, t)], p[np.ix_(t, recurrent)] @ g[recurrent])
+    return g
+
+
+def best_start_gain(model):
+    """The highest long-run average reward that any policy earns from any start state (gamma = 1)."""
+    return max(
+        float(gains_by_start(model.sap_probs[pi.choice], model.sap_rewards[pi.choice]).max())
+        for pi in enumerate_policies(model)
+    )

@@ -30,7 +30,7 @@ from mdpgeom.errors import SingularMatrixError
 from mdpgeom.linalg import solve_checked
 from mdpgeom.model import POLICY_CHUNK_BYTES, policy_count
 
-from conftest import make_model, random_instance
+from conftest import best_start_gain, make_model, random_instance
 
 
 def per_kernel_gain(p, r):
@@ -94,20 +94,6 @@ def stacked_search(model):
 def geometric_search(model):
     result = optimal_policy(model)
     return result.policy.choice, result.unique, result.gain, result.skipped_multichain
-
-
-def replay(found):
-    """A stand-in for classic.optimal_policy that returns, or raises, the outcome ``found``."""
-
-    def search(model):
-        if len(found) == 2:
-            raise found[0](found[1])
-        policy, unique, gain, skipped = found
-        return classic.OptimalPolicyResult(
-            Policy(policy), unique, gain=float.fromhex(gain), skipped_multichain=skipped
-        )
-
-    return search
 
 
 # (n, SAPs per state) with at most 256 policies, so that the reference loop stays quick
@@ -350,23 +336,32 @@ class TestOptimalPolicy:
 
 class TestStackedEnumeration:
     """classic.optimal_policy at gamma = 1 against the per-policy reference loop, and
-    mdpgeom.optimal_policy against the same reference."""
+    mdpgeom.optimal_policy against the same reference, except where the optimum is multichain."""
 
     @pytest.mark.parametrize("first", range(0, 2000, 250))
-    def test_matches_per_policy_loop(self, monkeypatch, first):
+    def test_matches_per_policy_loop(self, first):
         kinds = set()
         for seed in range(first, first + 250):
             m = oracle_case(seed)
             expected = outcome(per_policy_optimal_average, m)
             assert outcome(stacked_search, m) == expected, seed
-            with monkeypatch.context() as patch:
-                # the geometric route's enumeration fallback replays the outcome just checked;
-                # its skipped count is 0 unless enumeration ran, so it is not compared
-                patch.setattr(classic, "optimal_policy", replay(expected))
-                assert outcome(geometric_search, m)[:3] == expected[:3], seed
+            found = outcome(geometric_search, m)
+            if found[:3] != expected[:3]:
+                # enumeration ranks unichain policies only: where the optimum is multichain,
+                # the geometric search raises, and enumeration raises for want of a unichain
+                # policy or answers with one that some multichain policy beats
+                assert found[0] is NotUnichainError and "optimum is multichain" in found[1], seed
+                if len(expected) == 2:
+                    assert expected[1] == "no unichain policy to optimize over at gamma = 1", seed
+                else:
+                    scale = max(1.0, float(np.abs(m.sap_rewards).max()))
+                    assert best_start_gain(m) > float.fromhex(expected[2]) + 1e-9 * scale, seed
+                kinds.add("multichain optimum")
+            else:
+                assert len(found) == 2 or found[3] == 0  # the geometric search enumerates nothing
             kinds.add("raises" if len(expected) == 2 else ("unique", expected[1], expected[3] > 0))
-        # every batch meets raising models, ties, and skipped multichain policies
-        assert {"raises", ("unique", False, False), ("unique", True, True)} <= kinds
+        # every batch meets raising models, ties, skipped multichain policies and multichain optima
+        assert {"raises", ("unique", False, False), ("unique", True, True), "multichain optimum"} <= kinds
 
     @pytest.mark.parametrize("twins", [False, True], ids=["generated", "tied-across-chunks"])
     def test_more_policies_than_one_chunk(self, twins):

@@ -309,6 +309,54 @@ class TestBeyondTheEnumerationCap:
         assert doc["diagnostics"] == {"unique": True, "unichain": True, "aperiodic": True}
 
 
+class TestMultichainOptimum:
+    """At gamma = 1 a multichain policy can earn more than every unichain one from some start state."""
+
+    @pytest.fixture
+    def model_file(self, tmp_path, capsys):
+        # policy 1,3,4,6,9 has two closed classes and earns 0.5170 from states 0, 1, 3 and 4;
+        # the best unichain policy, 0,2,4,7,8, earns 0.4155
+        path = str(tmp_path / "multichain.json")
+        argv = ["generate", "--n", "5", "--saps", "2", "--gamma", "1", "--sparsity", "0.7", "--seed", "3"]
+        assert main(argv + ["-o", path]) == 0
+        capsys.readouterr()
+        return path
+
+    def test_solve_exit_2(self, model_file, capsys):
+        assert main(["solve", model_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "optimum is multichain" in captured.err
+
+    def test_converge_reports_failed_diagnostics(self, model_file, capsys):
+        assert main(["converge", model_file]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["diagnostics"] == {"unique": False, "unichain": False, "aperiodic": False}
+
+
+class TestUnichainOptimumBehindAMultichainStart:
+    """The start has two closed classes, and the discounted optimum near gamma = 1 keeps them;
+    the optimum moves state 0 into state 1's class and earns 1 from both states."""
+
+    @pytest.fixture
+    def model_file(self, tmp_path):
+        m = make_model(2, 1.0, [(0, 1.0 - 1e-7, [1, 0]), (0, 0.0, [0, 1]), (1, 1.0, [0, 1])])
+        path = tmp_path / "behind.json"
+        path.write_text(emit_model(m))
+        return str(path)
+
+    def test_solve(self, model_file, capsys):
+        assert main(["solve", model_file]) == 0, capsys.readouterr().err
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["policy"], doc["gain"]) == ([1, 2], 1.0)
+
+    def test_converge(self, model_file, capsys):
+        assert main(["converge", model_file]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        # state 0 is transient, so the kernel is not irreducible and has no positive power
+        assert doc["diagnostics"] == {"unique": True, "unichain": True, "aperiodic": False}
+
+
 class TestGammaNearOne:
     """Discounted values grow like 1/(1 - gamma); the residual checks must scale with them."""
 

@@ -285,20 +285,20 @@ class TestVerifyContraction:
 
 
 def record_loop(monkeypatch):
-    """Log each evaluation and each greedy selection of ``geometry._howard`` as (run, rows).
+    """Log each evaluation and each greedy selection of ``geometry._howard``.
 
-    run is "search" in the one-row optimal-policy search, "certificate" in the
-    masked stack of the gamma = 1 uniqueness check, and "lone" for an
-    evaluation outside the loop; rows is the size of the stack.
+    An evaluation is logged as (run, rows) and a selection as run: run is
+    "search" inside the loop and "lone" for an evaluation outside it; rows is
+    the size of the evaluated stack.
     """
     log = {"evaluations": [], "selections": []}
     runs = ["lone"]
     howard, evaluate, greedy_by_state = geometry._howard, geometry._evaluate, kernels.greedy_by_state
 
-    def in_run(model, choices, masked=None, limit=None):
-        runs.append("search" if masked is None else "certificate")
+    def in_run(model, choice):
+        runs.append("search")
         try:
-            return howard(model, choices, masked, limit)
+            return howard(model, choice)
         finally:
             runs.pop()
 
@@ -308,7 +308,7 @@ def record_loop(monkeypatch):
 
     def selecting(model, q):
         if runs[-1] != "lone":  # value iteration selects outside the loop
-            log["selections"].append((runs[-1], len(q)))
+            log["selections"].append(runs[-1])
         return greedy_by_state(model, q)
 
     monkeypatch.setattr(geometry, "_howard", in_run)
@@ -348,15 +348,10 @@ class TestWorkCounts:
         assert report.diagnostics.all_pass
         assert calls["classify_chain"] == 1
         assert calls["primitivity_certificate"] == 1
-        # the search's rounds: two improvements, then no change
-        search = [entry for entry in log["selections"] if entry[0] == "search"]
-        assert search == [("search", 1)] * 3
-        # gamma = 1: the four SAPs outside pi* start four restricted runs in one stack,
-        # and two of them run a second round
-        certificate = [entry for entry in log["selections"] if entry[0] == "certificate"]
-        assert certificate == ([("certificate", 4), ("certificate", 2)] if m.is_average_reward else [])
-        # exactly one evaluation per round, plus one for the normalized model's gap
-        assert log["evaluations"] == log["selections"] + [("lone", 1)]
+        # the search's rounds: two improvements, then no change; at gamma = 1 no other run
+        assert log["selections"] == ["search"] * 3
+        # exactly one evaluation of one policy per round, plus one for the normalized model's gap
+        assert log["evaluations"] == [("search", 1)] * 3 + [("lone", 1)]
         assert calls["evaluate_policy"] == 1
         # the normalized rewards are the search's last advantages; the oracles are not called,
         # except that at gamma = 1 pi*'s gain comes from classic.evaluate_average
@@ -387,8 +382,8 @@ class TestWorkCounts:
         calls = count_calls(monkeypatch, [(geometry, "evaluate_policy"), (classic, "evaluate_discounted")])
         log = record_loop(monkeypatch)
         geometry.optimal_policy(m)
-        assert log["selections"] == [("search", 1)] * 3  # two improvements, then no change
-        assert log["evaluations"] == log["selections"]
+        assert log["selections"] == ["search"] * 3  # two improvements, then no change
+        assert log["evaluations"] == [("search", 1)] * 3
         # the loop solves through its stacked evaluation, not evaluate_policy or the oracle
         assert calls["evaluate_policy"] == calls["evaluate_discounted"] == 0
 

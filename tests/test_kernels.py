@@ -151,22 +151,6 @@ def test_matches_the_reduceat_formulation_bit_for_bit(case):
     assert np.array_equal(greedy, old_greedy)
 
 
-@settings(max_examples=50, deadline=None)
-@given(random_sweep_cases(), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_stack_matches_each_score_vector(case, k, seed):
-    # a (k, m) stack of scores, some masked to -inf as the uniqueness check does,
-    # selects per row what greedy_by_state selects from that row alone
-    model, scale, v = case
-    rng = np.random.default_rng(seed)
-    q = model.sap_rewards + scale * (model.sap_probs @ v) * rng.integers(-1, 2, size=(k, 1))
-    q[rng.random(q.shape) < 0.3] = -np.inf
-    maxq, greedy = kernels.greedy_by_state(model, q)
-    for row, best, ids in zip(q, maxq, greedy):
-        alone = kernels.greedy_by_state(model, row)
-        assert best.tobytes() == alone[0].tobytes()
-        assert np.array_equal(ids, alone[1])
-
-
 # bounded so that no sum of up to 300 entries overflows
 @given(arrays(np.float64, st.integers(1, 300), elements=st.floats(-1e300, 1e300)))
 def test_centering_by_sum_over_size_is_the_mean(v):
