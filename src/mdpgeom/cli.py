@@ -2,7 +2,15 @@
 
 Subcommands: validate, solve, analyze, normalize, converge, generate,
 sweep. Exit codes: 0 ok, 1 internal error, 2 input error, 3 assumption
-violated under --strict. Sweep trials run one after another.
+violated under --strict.
+
+A sweep verifies its trials a chunk at a time (``convergence._verify_contractions``).
+Each trial's model is generated and its optimal policy, diagnostics, step
+count and gap are settled in trial order, so a failing trial stops the sweep
+with the same error as when trials ran one after another. Then one lockstep
+value iteration runs every trial of the chunk, and each trial's constants
+and bound verdicts follow. A chunk holds the trials whose stacked rows fit
+``convergence.VI_STACK_BYTES``.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .chains import (
     primitivity_certificate,
     unichain_by_invertibility,
 )
-from .convergence import verify_contraction
+from .convergence import _verify_contractions, verify_contraction
 from .errors import (
     AssumptionViolatedError,
     InvalidPolicyError,
@@ -229,19 +237,22 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _sweep_trial(spec: GeneratorSpec, base_seed: int, trial: int) -> SweepRow:
-    seed = base_seed + trial
-    trial_spec = dataclasses.replace(spec, seed=seed)
-    model = generate_model(trial_spec).model
-    v0 = uniform_vector(SplitMix64(seed ^ V0_SEED_XOR), model.n)
-    report = verify_contraction(model, v0=v0)
+def _sweep_pairs(spec: GeneratorSpec, base_seed: int, trials: int):
+    # each trial's model and v0, built as _verify_contractions draws it
+    for trial in range(trials):
+        seed = base_seed + trial
+        model = generate_model(dataclasses.replace(spec, seed=seed)).model
+        yield model, uniform_vector(SplitMix64(seed ^ V0_SEED_XOR), model.n)
+
+
+def _sweep_row(trial: int, seed: int, report) -> SweepRow:
     diag = report.diagnostics
     consts = report.constants
     return SweepRow(
         trial=trial,
         seed=seed,
-        n=model.n,
-        gamma=model.gamma,
+        n=report.model.n,
+        gamma=report.gamma,
         unique=diag.unique,
         unichain=diag.unichain,
         aperiodic=diag.aperiodic,
@@ -263,7 +274,8 @@ def _sweep_trial(spec: GeneratorSpec, base_seed: int, trial: int) -> SweepRow:
 def _cmd_sweep(args) -> int:
     spec = GeneratorSpec.from_dict(json.loads(Path(args.spec).read_text()))
     trials = args.trials
-    rows = [_sweep_trial(spec, args.seed, t) for t in range(trials)]
+    reports = _verify_contractions(_sweep_pairs(spec, args.seed, trials))
+    rows = [_sweep_row(t, args.seed + t, report) for t, report in enumerate(reports)]
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ and checks the inequality.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,7 +22,7 @@ from . import chains, kernels
 from .chains import PrimitivityCertificate, check_stochastic, classify_chain, primitivity_certificate
 from .errors import AssumptionViolatedError, NotPrimitiveError, NotUnichainError
 from .geometry import _gap, advantages, evaluate_policy, mdp_constant, optimal_policy
-from .model import MdpModel, Policy, policy_kernel, span
+from .model import MdpModel, Policy, policy_kernel
 
 SPAN_FLOOR = 1e-13
 BOUND_SLACK = 1e-9
@@ -60,6 +61,8 @@ class AssumptionDiagnostics:
 class ViRun:
     """Span trace of one advantage-VI run plus the greedy policy at each iterate.
 
+    ``ratios`` holds one float per step, spans[t + 1] / spans[t]; a step runs
+    only from a span of at least SPAN_FLOOR, so no ratio divides by zero.
     ``greedy`` is an int64 array of shape (len(spans), n): row t holds the
     greedy SAP id of each state at iterate t.
     """
@@ -75,6 +78,7 @@ class ViRun:
 class ConvergenceReport:
     """Result of verify_contraction.
 
+    ``per_step_ratios`` are the verified run's ``ViRun.ratios``, floats.
     ``greedy_policies`` is the verified run's int64 array of shape
     (len(span_trace), n): row t holds the greedy SAP ids at iterate t.
     ``unnormalized_span_trace`` is the span trace of the same run on the raw
@@ -122,9 +126,8 @@ def run_vi(model: MdpModel, v0: np.ndarray, steps: int) -> ViRun:
     """Iterate vi_step for ``steps`` steps, recording spans, ratios and greedy picks.
 
     Stops early once the span falls below SPAN_FLOOR; a constant v0
-    terminates immediately with a single-entry trace. The greedy picks go
-    into one preallocated (steps + 1, n) int64 array, and the run returns
-    the rows it filled: one per recorded span, fewer than steps + 1 after
+    terminates immediately with a single-entry trace. The greedy picks form
+    an int64 array of one row per recorded span, fewer than steps + 1 after
     an early stop.
 
     Iterates are re-centered to zero mean after each step. The raw update
@@ -134,31 +137,98 @@ def run_vi(model: MdpModel, v0: np.ndarray, steps: int) -> ViRun:
     moves every advantage at a state by the same amount. Spans, ratios and
     greedy picks are therefore those of the raw trajectory, computed without
     the catastrophic cancellation the growing shift would cause.
+
+    This is the one-row case of ``_run_stack``, the lockstep loop.
     """
-    v = np.asarray(v0, dtype=np.float64).copy()
-    spans = [span(v)]
-    ratios = []
-    greedy = np.empty((max(steps, 0) + 1, model.n), dtype=np.int64)
-    gamma = model.gamma
-    c = mdp_constant(model)
+    return _run_stack([model], [v0], [steps])[0]
+
+
+def _run_stack(models, v0s, budgets) -> list:
+    """run_vi on each model, all in one step loop: one ViRun per model, in order.
+
+    The models share n, gamma and the SAP layout, so C and the scale gamma/C
+    are shared too, and a step is one ``kernels.greedy_sweep_stack`` call and
+    row-wise reductions along the last axis, which round as 1-D ones do. A
+    lone model is not stacked: its arrays stay 1-D, its sweep is
+    ``kernels.greedy_sweep`` and its row sums are scalars, so a lone run
+    makes no more numpy calls per step than a loop of its own.
+
+    Stack row j records step t's span in ``spans[t, j]`` and its greedy
+    picks in ``picks[t, j*n : (j+1)*n]``; the sweep writes the picks of the
+    rows in the stack into ``picks[t]``. A row retires after the sweep of its
+    last iterate, at its step budget or when its span is below SPAN_FLOOR,
+    and its ViRun, which views its records, is built then. Rows are ordered
+    by budget, largest first, so a row at its budget leaves from the end of
+    the stack and the others stay in place; a row stopping at the floor
+    makes the stack copy the rows left, and move their records up, so a
+    retired row whose records are overwritten keeps a copy. ``order[j]`` is
+    the model of stack row j.
+    """
+    first = models[0]
+    n, gamma = first.n, first.gamma
+    c = mdp_constant(first)
     scale = gamma / c
+    k = len(models)
+    if k > 1:
+        order = sorted(range(k), key=budgets.__getitem__, reverse=True)  # stable
+        probs = np.stack([models[i].sap_probs for i in order])
+        rewards = np.stack([models[i].sap_rewards for i in order])[:, :, None]
+        v = np.array([v0s[i] for i in order], dtype=np.float64)
+        tables = all_tables = kernels._stack_tables(first, k)
+        least = np.fmin.reduce  # fmin: a NaN span does not hide another's
+        stacked, sweep = True, kernels.greedy_sweep_stack
+    else:
+        order = [0]
+        probs, rewards = first.sap_probs, first.sap_rewards
+        v = np.array(v0s[0], dtype=np.float64)
+        tables = first._sweep_blocks
+        least = float  # a lone row's span is a scalar
+        stacked, sweep = False, kernels.greedy_sweep
+    budget = [max(budgets[i], 0) for i in order]  # of the stack's rows
+    spans = np.empty((budget[0] + 1, k))
+    picks = np.empty((budget[0] + 1, k * n), dtype=np.int64)
+    runs = [None] * k
+    at = slice(0, k)  # the stack's rows
+    span_t = np.maximum.reduce(v, -1) - np.minimum.reduce(v, -1)
+    spans[0, at] = span_t
+    stop = budget[-1]  # the next step at which a row reaches its budget
     t = 0
-    early_stopped = False
-    while t < steps:
-        prev = spans[-1]
-        if prev < SPAN_FLOOR:
-            early_stopped = True
-            break
-        maxq, greedy[t] = kernels.greedy_sweep_model(model, scale, v)
-        v = c * maxq - gamma * float(v.sum())
-        v -= v.sum() / v.size  # v.mean()'s bits, without its Python-level wrapper
-        new_span = float(v.max() - v.min())
-        ratios.append(new_span / prev if prev > 0.0 else None)
-        spans.append(new_span)
+    while True:
+        maxq = sweep(probs, rewards, scale, v, tables, picks[t])
+        if t == stop or least(span_t) < SPAN_FLOOR:
+            live, done = [], []
+            for j, b in enumerate(budget):
+                (live if b > t and not spans[t, j] < SPAN_FLOOR else done).append(j)
+            for j in done:
+                trace = spans[: t + 1, j].tolist()
+                greedy = picks[: t + 1, j * n : (j + 1) * n]
+                runs[order[j]] = ViRun(
+                    trace,
+                    [new / prev for prev, new in zip(trace, trace[1:])],
+                    greedy.copy() if j < len(live) else greedy,  # its records are overwritten below
+                    final_values=v[j] if stacked else v,
+                    early_stopped=budget[j] > t,
+                )
+            if not live:
+                return runs
+            at = slice(0, len(live))
+            keep = at if live[-1] == len(live) - 1 else live
+            if keep is live:  # a row above the last stopped at the floor: the rest move up
+                spans[: t + 1, at] = spans[: t + 1, live]
+                by_row = picks.reshape(len(picks), -1, n)
+                by_row[: t + 1, at] = by_row[: t + 1, live]
+            probs, rewards, v, maxq = (a[keep] for a in (probs, rewards, v, maxq))
+            budget, order = [budget[j] for j in live], [order[j] for j in live]
+            tables = kernels._first_rows(all_tables, len(live))
+            stop = budget[-1]
+        total = np.add.reduce(v, -1, None, None, stacked)
+        total *= gamma
+        v = maxq * c
+        v -= total
+        v -= np.add.reduce(v, -1, None, None, stacked) / n  # the mean, as v.mean() rounds it
+        span_t = np.maximum.reduce(v, -1) - np.minimum.reduce(v, -1)
         t += 1
-    # greedy policy at the final iterate, so every recorded vector has one
-    _, greedy[t] = kernels.greedy_sweep_model(model, scale, v)
-    return ViRun(spans, ratios, greedy[: t + 1], final_values=v, early_stopped=early_stopped)
+        spans[t, at] = span_t
 
 
 def suboptimality_gap(model: MdpModel, pi_star: Policy) -> float:
@@ -196,16 +266,22 @@ def contraction_constants(
         cert = primitivity_certificate(kernel)
     except NotPrimitiveError as exc:
         raise AssumptionViolatedError("aperiodicity") from exc
-    return _constants(model, cert, suboptimality_gap(model, pi_star), spans)
+    return _constants(model, cert, _checked_gap(model, pi_star), spans)
+
+
+def _checked_gap(model: MdpModel, pi_star: Policy) -> float:
+    """suboptimality_gap, raising AssumptionViolatedError when it is not positive."""
+    delta = suboptimality_gap(model, pi_star)
+    if delta <= 1e-12:
+        raise AssumptionViolatedError("uniqueness")
+    return delta
 
 
 def _constants(
     model: MdpModel, cert: PrimitivityCertificate, delta: float, spans: list
 ) -> ContractionConstants:
     # contraction_constants once pi_star's kernel is known to be unichain
-    # with certificate ``cert`` and ``delta`` is its suboptimality gap
-    if delta <= 1e-12:
-        raise AssumptionViolatedError("uniqueness")
+    # with certificate ``cert`` and ``delta`` is its positive suboptimality gap
     n_steps = cert.exponent
     c = mdp_constant(model)
     input_spans = [s / c for s in spans[:n_steps]]
@@ -230,28 +306,30 @@ def _constants(
     )
 
 
-def verify_contraction(
-    model: MdpModel,
-    v0: np.ndarray | None = None,
-    trace_steps: int | None = None,
-) -> ConvergenceReport:
-    """Full pipeline: optimal policy, diagnostics, normalization, VI run, bound check.
+# byte budget of one lockstep run: its (k, m, n) transition stack and (steps + 1, k * n) greedy picks
+VI_STACK_BYTES = 2**20
 
-    Diagnostic failures produce an informational report with
-    bound_satisfied=None, never an exception. The verified run happens on
-    the reward-normalized model; the raw model's span trace, for
-    comparison, is run when the report's ``unnormalized_span_trace`` is
-    first read. ``v0`` defaults to e_0 (1 at state 0, 0 elsewhere).
-    ``trace_steps`` extends the recorded trace beyond the N steps the bound
-    itself needs.
-    """
+
+@dataclass
+class _Plan:
+    """What verify_contraction settles before its run: all that can raise."""
+
+    model: MdpModel
+    v0: np.ndarray
+    diagnostics: AssumptionDiagnostics
+    pi_star: Policy | None
+    cert: PrimitivityCertificate | None
+    run_model: MdpModel  # normalized against pi_star, or the raw model without one
+    steps: int
+    delta: float | None  # pi_star's suboptimality gap when every diagnostic passes
+
+
+def _plan(model: MdpModel, v0, trace_steps) -> _Plan:
     if v0 is None:
         v0 = np.zeros(model.n)
         v0[0] = 1.0
     v0 = np.asarray(v0, dtype=np.float64)
-    gamma = model.gamma
-
-    pi_star = cert = None
+    pi_star = cert = delta = None
     try:
         optimal = optimal_policy(model)
     except NotUnichainError:
@@ -272,13 +350,17 @@ def verify_contraction(
             pass
         diagnostics = AssumptionDiagnostics(unique, unichain, aperiodic=cert is not None)
         steps = max(cert.exponent if cert else 0, trace_steps or 0) or chains.wielandt_bound(model.n)
+        if diagnostics.all_pass:
+            delta = _checked_gap(run_model, pi_star)
+    return _Plan(model, v0, diagnostics, pi_star, cert, run_model, steps, delta)
 
-    run = run_vi(run_model, v0, steps)
 
+def _report(plan: _Plan, run: ViRun) -> ConvergenceReport:
     constants = bound = sanity = None
     converged_early = False
-    if diagnostics.all_pass:
-        constants = _constants(run_model, cert, suboptimality_gap(run_model, pi_star), run.spans)
+    gamma, cert = plan.model.gamma, plan.cert
+    if plan.diagnostics.all_pass:
+        constants = _constants(plan.run_model, cert, plan.delta, run.spans)
         converged_early = constants.converged_early
         n_steps = constants.exponent
         span_n = run.spans[n_steps] if len(run.spans) > n_steps else run.spans[-1]
@@ -293,9 +375,9 @@ def verify_contraction(
 
     return ConvergenceReport(
         gamma=gamma,
-        v0=tuple(float(x) for x in v0),
-        diagnostics=diagnostics,
-        pi_star=pi_star.as_tuple() if pi_star is not None else None,
+        v0=tuple(float(x) for x in plan.v0),
+        diagnostics=plan.diagnostics,
+        pi_star=plan.pi_star.as_tuple() if plan.pi_star is not None else None,
         exponent=cert.exponent if cert is not None else None,
         span_trace=run.spans,
         per_step_ratios=run.ratios,
@@ -304,8 +386,67 @@ def verify_contraction(
         bound_satisfied=bound,
         sanity_bound_satisfied=sanity,
         converged_early=converged_early,
-        model=model,
-        steps=steps,
+        model=plan.model,
+        steps=plan.steps,
+    )
+
+
+def _reports(plans: list) -> list:
+    # phases two and three: one lockstep run for every plan, then each report
+    runs = _run_stack([p.run_model for p in plans], [p.v0 for p in plans], [p.steps for p in plans])
+    return [_report(plan, run) for plan, run in zip(plans, runs)]
+
+
+def verify_contraction(
+    model: MdpModel,
+    v0: np.ndarray | None = None,
+    trace_steps: int | None = None,
+) -> ConvergenceReport:
+    """Full pipeline: optimal policy, diagnostics, normalization, VI run, bound check.
+
+    Diagnostic failures produce an informational report with
+    bound_satisfied=None, never an exception. The verified run happens on
+    the reward-normalized model; the raw model's span trace, for
+    comparison, is run when the report's ``unnormalized_span_trace`` is
+    first read. ``v0`` defaults to e_0 (1 at state 0, 0 elsewhere).
+    ``trace_steps`` extends the recorded trace beyond the N steps the bound
+    itself needs.
+    """
+    plan = _plan(model, v0, trace_steps)
+    return _report(plan, run_vi(plan.run_model, plan.v0, plan.steps))
+
+
+def _verify_contractions(pairs) -> Iterator[ConvergenceReport]:
+    """verify_contraction(model, v0) for each (model, v0) of ``pairs``, in order.
+
+    Each pair is planned as it is drawn: the optimal policy, diagnostics,
+    step count and gap, so a model that raises does so in pair order, and a
+    lazy ``pairs`` interleaves building and planning. Consecutive plans whose
+    run models share n, gamma and the SAP layout, and whose stacked rows fit
+    VI_STACK_BYTES, form a chunk, and each chunk's value iterations run in
+    lockstep in one ``_run_stack``; the reports equal verify_contraction's.
+    """
+    chunk, longest = [], 0
+    for model, v0 in pairs:
+        plan = _plan(model, v0, None)
+        longest = max(longest, plan.steps)
+        if chunk and not _joins(chunk, plan.run_model, longest):
+            yield from _reports(chunk)
+            chunk, longest = [], plan.steps
+        chunk.append(plan)
+    if chunk:
+        yield from _reports(chunk)
+
+
+def _joins(chunk: list, run_model: MdpModel, longest: int) -> bool:
+    # whether a run on run_model joins the chunk's stack, whose runs then take
+    # up to ``longest`` steps
+    head = chunk[0].run_model
+    return (
+        run_model.n == head.n
+        and run_model.gamma == head.gamma
+        and np.array_equal(run_model.sap_states, head.sap_states)
+        and (len(chunk) + 1) * 8 * head.n * (head.m + longest + 1) <= VI_STACK_BYTES
     )
 
 

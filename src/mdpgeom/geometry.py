@@ -194,8 +194,12 @@ def normalize_rewards(model: MdpModel, pi_star: Policy) -> MdpModel:
     """Replace every SAP's reward by its advantage with respect to ``pi_star``.
 
     The result keeps states, SAP structure, transition rows and gamma.
-    SAPs of ``pi_star`` end up with reward 0; if ``pi_star`` is optimal all
-    other rewards are nonpositive. Advantages of every SAP with respect to
+    SAPs of ``pi_star`` end up with reward 0. All other rewards are
+    nonpositive when ``pi_star`` maximizes every state's advantage: an optimal
+    policy at gamma < 1, and at gamma = 1 one that ``optimal_policy`` reports
+    unique. A tied optimum at gamma = 1 keeps the optimal gain but not the
+    bias on the states where it differs from the others, so some rewards can
+    be positive. Advantages of every SAP with respect to
     every evaluable policy are identical in the original and the normalized
     model, which shares every array but the rewards, and the cached tables,
     with ``model``. Raises NonFiniteRewardError when a reward is NaN or infinite.
@@ -409,7 +413,11 @@ def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
     its gap exceeds 1e-9 and no other policy shares its recurrent class and
     its SAPs there (``_tied``). Among such ties the result is the
     lexicographic-first one (``_first_tied``), evaluated once, which is
-    enumeration's choice. ``gain`` is ``classic.evaluate_average``'s.
+    enumeration's choice. ``gain`` is ``classic.evaluate_average``'s. So the
+    advantages, the rewards ``normalize_rewards`` gives, are nonpositive up to
+    1e-12 when ``unique`` is true; the first tied policy has the optimal gain
+    but not the bias of Howard's pi where the two differ, and its own
+    advantages can be positive.
 
     Raises NonFiniteRewardError, naming the first SAP whose reward is NaN or
     infinite, before any solve.

@@ -441,13 +441,31 @@ class TestSweep:
         assert (d1 / "sweep.json").read_bytes() == (d2 / "sweep.json").read_bytes()
 
     def test_one_vi_run_per_trial(self, tmp_path, monkeypatch):
-        # the raw model's trace reaches neither sweep.csv nor sweep.json, so it is never run
+        # one lockstep run of 3 rows; the raw model's trace reaches neither
+        # sweep.csv nor sweep.json, so it is never run (run_vi is its only route)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n": 4, "saps_per_state": 2, "gamma": 0.9}))
+        stacks = record_stacks(monkeypatch)
         calls = count_calls(monkeypatch, [(convergence, "run_vi")])
         argv = ["sweep", "--spec", str(spec), "--trials", "3", "-o", str(tmp_path / "sw")]
         assert main(argv) == 0
-        assert calls["run_vi"] == 3
+        assert stacks == [3]
+        assert calls["run_vi"] == 0
+
+    def test_trials_over_the_stack_budget_split_into_runs(self, tmp_path, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n": 12, "saps_per_state": 4, "gamma": 0.95, "sparsity": 0.7}))
+        base = ["sweep", "--spec", str(spec), "--trials", "9", "--seed", "2", "-o"]
+        stacks = record_stacks(monkeypatch)
+        assert main(base + [str(tmp_path / "one")]) == 0
+        assert stacks == [9]
+        # three trials' transition rows, and greedy rows for runs of up to 60 steps
+        monkeypatch.setattr(convergence, "VI_STACK_BYTES", 3 * 8 * 12 * (48 + 61))
+        stacks.clear()
+        assert main(base + [str(tmp_path / "split")]) == 0
+        assert len(stacks) > 3 and sum(stacks) == 9 and max(stacks) <= 3
+        for name in ("sweep.csv", "sweep.json"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "split" / name).read_bytes()
 
     @pytest.mark.parametrize("trials", [0, 3])
     def test_one_csv_row_per_trial(self, tmp_path, trials):
@@ -515,6 +533,18 @@ class TestCachedParser:
                 assert (tmp_path / f"in-{k}" / name).read_bytes() == (fresh / name).read_bytes()
 
 
+def record_stacks(monkeypatch):
+    """Record the number of rows of each lockstep value-iteration run."""
+    stacks, run_stack = [], convergence._run_stack
+
+    def recorded(models, v0s, budgets):
+        stacks.append(len(models))
+        return run_stack(models, v0s, budgets)
+
+    monkeypatch.setattr(convergence, "_run_stack", recorded)
+    return stacks
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -556,6 +586,37 @@ class TestGoldenOutputs:
         assert csv_digest == "ad51a1444c796f27817ecb2679b0fef7869b2f9bec3980080af7cf00cc072739"
         json_digest = _sha256((out / "sweep.json").read_bytes())
         assert json_digest == "ff4a921cb22f907a8074e89170b1a9c655d60c43e92fd45509add81605419f9a"
+
+    @pytest.mark.parametrize(
+        "trials, seed, csv_digest, json_digest",
+        [
+            # 15 of 40 trials are excluded; their runs stop at other steps than the certified ones
+            (
+                40,
+                0,
+                "6734e7813862846f76915743b5d842e92e15b4264749f3cdb99106d3fa3417a2",
+                "9bcf3826ff3000886260c9efcffb16d879e762cea4e614325de728415840573d",
+            ),
+            # more trials than one stacked value-iteration run holds
+            (
+                150,
+                7,
+                "566ce6511e3ddc3447b380410bf27475696efbb6c8be118a2cc9540114078dd9",
+                "14b2544e33a5cb9ab3e612a4af2be879ab5f43088bbdbe3d3c0e00112fd8e703",
+            ),
+        ],
+        ids=["40-trials", "several-chunks"],
+    )
+    def test_sweep_disc_digests(self, tmp_path, trials, seed, csv_digest, json_digest):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps({"n": 12, "saps_per_state": 4, "gamma": 0.95, "sparsity": 0.7, "seed": 0})
+        )
+        out = tmp_path / "sw"
+        argv = ["sweep", "--spec", str(path), "--trials", str(trials), "--seed", str(seed)]
+        assert main(argv + ["-o", str(out)]) == 0
+        assert _sha256((out / "sweep.csv").read_bytes()) == csv_digest
+        assert _sha256((out / "sweep.json").read_bytes()) == json_digest
 
     @pytest.mark.parametrize(
         "generate, converge, length, report_digest, trace_digest",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from conftest import count_calls, make_model, random_instance, random_stochastic
 
 
 def stepwise_run(model, v0, steps):
-    """run_vi as a loop over vi_step: (spans, ratios, greedy rows, early_stopped)."""
+    """run_vi as a loop over vi_step: (spans, ratios, greedy rows, early_stopped, final values)."""
     v = np.asarray(v0, dtype=np.float64).copy()
     spans, ratios, greedy = [span(v)], [], []
     early_stopped = False
@@ -40,7 +41,20 @@ def stepwise_run(model, v0, steps):
         ratios.append(span(v) / spans[-1])
         spans.append(span(v))
     greedy.append(vi_step(model, v)[1].choice)
-    return spans, ratios, np.array(greedy), early_stopped
+    return spans, ratios, np.array(greedy), early_stopped, v
+
+
+def assert_run_equals_stepwise(run, model, v0, steps):
+    # bit for bit: spans, ratios, greedy rows, early stop and final values
+    spans, ratios, greedy, early_stopped, final = stepwise_run(model, v0, steps)
+    assert run.spans == spans
+    assert run.ratios == ratios
+    assert all(type(r) is float for r in run.ratios)
+    assert run.greedy.dtype == np.int64
+    assert run.greedy.shape == (len(spans), model.n)
+    np.testing.assert_array_equal(run.greedy, greedy)
+    assert run.early_stopped == early_stopped
+    assert run.final_values.tobytes() == final.tobytes()
 
 
 @st.composite
@@ -55,6 +69,36 @@ def tied_models(draw):
             reward = draw(st.sampled_from([0.0, 0.5, 1.0]))
             saps.append((s, reward, rows[draw(st.integers(0, 2))]))
     return make_model(n, gamma, saps)
+
+
+@st.composite
+def stacked_runs(draw):
+    """Models sharing n, gamma and a SAP layout, with a v0 and a step budget each.
+
+    SAP counts per state may be skewed, which splits the greedy sweep into
+    several blocks. Rows of the identity and the uniform row make ties and
+    runs that reach the span floor; a v0 is random, constant or of span
+    about 1e-12, and a budget may be 0 or negative.
+    """
+    n = draw(st.integers(1, 5))
+    gamma = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    counts = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    states = draw(st.permutations([s for s in range(n) for _ in range(counts[s])]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fixed_rows = [np.eye(n)[0], np.full(n, 1.0 / n), np.eye(n)[n - 1]]
+    models, v0s, budgets = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        saps = []
+        for s in states:
+            pick = rng.integers(4)
+            row = fixed_rows[pick] if pick < 3 else rng.dirichlet(np.ones(n))
+            saps.append((s, [0.0, 0.5, 1.0, rng.random()][rng.integers(4)], row))
+        models.append(make_model(n, gamma, saps))
+        kind = draw(st.sampled_from(["random", "constant", "tiny"]))
+        v0 = {"random": rng.standard_normal(n), "constant": np.full(n, 2.0)}.get(kind)
+        v0s.append(rng.standard_normal(n) * 1e-12 if v0 is None else v0)
+        budgets.append(draw(st.integers(-1, 40)))
+    return models, v0s, budgets
 
 
 class TestViStep:
@@ -113,8 +157,7 @@ class TestRunVi:
         run = run_vi(norm, v0, steps=25)
         assert len(run.ratios) >= 10
         for r in run.ratios:
-            if r is not None:
-                assert r <= m.gamma + 1e-12
+            assert r <= m.gamma + 1e-12
 
     def test_average_spans_strictly_decrease_on_dense_model(self):
         # sparsity 0 gives entrywise-positive SAP rows, hence strict decrease
@@ -135,14 +178,33 @@ class TestRunVi:
     )
     def test_equals_stepwise_vi_step(self, m, v0, steps):
         # bit for bit, including a constant v0 and runs that stop at the span floor
-        spans, ratios, greedy, early_stopped = stepwise_run(m, v0[: m.n], steps)
-        run = run_vi(m, np.array(v0[: m.n]), steps)
-        assert run.spans == spans
-        assert run.ratios == ratios
-        assert run.greedy.dtype == np.int64
-        assert run.greedy.shape == (len(spans), m.n)
-        np.testing.assert_array_equal(run.greedy, greedy)
-        assert run.early_stopped == early_stopped
+        assert_run_equals_stepwise(run_vi(m, np.array(v0[: m.n]), steps), m, v0[: m.n], steps)
+
+    @given(stacked_runs())
+    def test_lockstep_rows_equal_stepwise_vi_step(self, case):
+        models, v0s, budgets = case
+        runs = convergence._run_stack(models, v0s, budgets)
+        assert len(runs) == len(models)
+        for run, model, v0, steps in zip(runs, models, v0s, budgets):
+            assert_run_equals_stepwise(run, model, v0, steps)
+
+    def test_a_row_at_the_floor_leaves_mid_stack(self):
+        # the middle row stops at step 0, the last one at its budget of 2: the
+        # stack is copied, then cut
+        layout = [1, 0, 0, 2, 0, 0, 3, 0, 0]  # state 0's six SAPs make the sweep two blocks
+        rng = np.random.default_rng(5)
+        models = [
+            make_model(4, 0.9, [(s, rng.random(), rng.dirichlet(np.ones(4))) for s in layout])
+            for _ in range(3)
+        ]
+        assert len(models[0]._sweep_blocks) == 2
+        v0s = [np.array([1.0, 0.0, 0.5, 0.0]), np.full(4, 4.0), np.array([0.0, 2.0, 1.0, 3.0])]
+        budgets = [6, 6, 2]
+        runs = convergence._run_stack(models, v0s, budgets)
+        assert [len(run.spans) for run in runs] == [7, 1, 3]
+        assert [run.early_stopped for run in runs] == [False, True, False]
+        for run, model, v0, steps in zip(runs, models, v0s, budgets):
+            assert_run_equals_stepwise(run, model, v0, steps)
 
     def test_trace_lengths_consistent(self):
         m = random_instance(13, n=3, gamma=0.5, saps_per_state=2)
@@ -282,6 +344,43 @@ class TestVerifyContraction:
         assert not report.diagnostics.unichain
         assert report.bound_satisfied is None
         assert report.span_trace
+
+    def test_chunked_reports_equal_one_at_a_time(self, monkeypatch):
+        # the sweep's chunked verification against verify_contraction, field by
+        # field: mixed n, gamma and SAP layouts, v0=None, failing diagnostics,
+        # and a stack budget of a few rows, so like models split into chunks
+        rng = np.random.default_rng(11)
+        skewed = [1, 0, 0, 2, 0, 0, 3, 0, 0]  # state 0's six SAPs: two sweep blocks
+        models = [random_instance(s, n=4, gamma=0.9, saps_per_state=2, sparsity=0.3) for s in range(7)]
+        models += [random_instance(s, n=5, gamma=1.0, saps_per_state=3, sparsity=0.3) for s in range(3)]
+        models += [
+            make_model(4, 0.9, [(s, rng.random(), rng.dirichlet(np.ones(4))) for s in skewed])
+            for _ in range(3)
+        ]
+        models += [
+            make_model(2, 1.0, [(0, 2.0, [0, 1]), (0, 2.0, [0, 1]), (1, 0.0, [1, 0])]),  # not unique
+            make_model(2, 1.0, [(0, 1.0, [1, 0]), (1, 0.0, [0, 1])]),  # no unichain policy
+        ]
+        v0s = [None if i % 3 == 0 else rng.random(m.n) for i, m in enumerate(models)]
+        stacks, run_stack = [], convergence._run_stack
+
+        def recorded(run_models, *args):
+            stacks.append(len(run_models))
+            return run_stack(run_models, *args)
+
+        monkeypatch.setattr(convergence, "_run_stack", recorded)
+        monkeypatch.setattr(convergence, "VI_STACK_BYTES", 3 * 8 * 4 * (8 + 11))
+        reports = list(convergence._verify_contractions(zip(models, v0s)))
+        assert sum(stacks) == len(models) and max(stacks) > 1 and len(stacks) > 5
+        for report, model, v0 in zip(reports, models, v0s):
+            alone = verify_contraction(model, v0)
+            for name in [f.name for f in dataclasses.fields(alone)] + ["unnormalized_span_trace"]:
+                got, want = getattr(report, name), getattr(alone, name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert repr(got) == repr(want), name
 
 
 def record_loop(monkeypatch):

@@ -476,6 +476,32 @@ class TestAverageOptimum:
         # advantages may be positive; a unique result is where Howard's loop ended
         assert result.advantages.max() <= 1e-12 * scale or not result.unique
 
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 5),
+        saps=st.integers(1, 3),
+        sparsity=st.floats(0.0, 0.7),
+    )
+    def test_unique_optimum_leaves_no_positive_normalized_reward(self, seed, n, saps, sparsity):
+        m = random_instance(seed, n=n, gamma=1.0, saps_per_state=saps, sparsity=sparsity)
+        try:
+            result = optimal_policy(m)
+        except NotUnichainError:
+            return  # a multichain optimum
+        assume(result.unique)
+        own = result.advantages[result.policy.choice[m.sap_states]]  # each SAP's state's pi* SAP
+        assert np.all(result.advantages - own <= 1e-12)
+
+    def test_tied_optimum_may_leave_positive_normalized_rewards(self):
+        # 0,3,7,11 ties other optima that share its recurrent class and SAPs there; it keeps
+        # their gain but not their bias on the states where it differs
+        m = random_instance(590126, n=4, gamma=1.0, saps_per_state=3, sparsity=0.58)
+        m = m._with_rewards(m.sap_rewards * 2.0**36)
+        result = optimal_policy(m)
+        assert result.policy.as_tuple() == (0, 3, 7, 11)
+        assert not result.unique
+        assert result.advantages.max() == pytest.approx(1.12e11, rel=1e-3)
+
     @pytest.mark.parametrize("reward_hi", [1e6, 1e12])
     def test_agrees_at_large_rewards(self, reward_hi):
         # the models of generate --reward-hi 1e6 and 1e12; seeds 23 and 41 have tied optima
