@@ -57,6 +57,20 @@ def check_stochastic(p: np.ndarray) -> np.ndarray:
     return p
 
 
+def _stochastic_errors(p: np.ndarray) -> list:
+    """check_stochastic's ValueError, or None, for each kernel of a square (k, n, n) stack."""
+    # written so that NaN, which compares false, fails both tests
+    fine = (p >= 0.0).all(axis=(1, 2)) & (np.abs(p.sum(axis=-1) - 1.0) <= STOCHASTIC_TOL).all(axis=-1)
+    errors = [None] * len(p)
+    if not fine.all():
+        for i in (~fine).nonzero()[0].tolist():
+            try:
+                check_stochastic(p[i])
+            except ValueError as exc:
+                errors[i] = exc
+    return errors
+
+
 def classify_chain(p: np.ndarray) -> ChainClassification:
     """Count closed classes of ``p`` from the reachability of its support digraph.
 
@@ -111,29 +125,59 @@ def primitivity_certificate(p: np.ndarray) -> PrimitivityCertificate:
     kernels multiply float powers, left to right, up to the exponent.
     Raises NotPrimitiveError for a reducible or periodic kernel, and when
     no power within the Wielandt bound n^2 - 2n + 2 is positive in floating
-    point.
+    point. The one-kernel case of ``_certificates``, after a breadth-first
+    search toward state 0.
     """
     p = check_stochastic(p)
-    n = p.shape[0]
+    back = _bfs_levels((p > 0.0).T[None]).min() >= 0
+    cert = _certificates(p[None], np.array([back]))[0]
+    if isinstance(cert, NotPrimitiveError):
+        raise cert
+    return cert
+
+
+def _certificates(p: np.ndarray, back: np.ndarray) -> list:
+    """primitivity_certificate of each kernel of a checked (k, n, n) stack, in lockstep:
+    a PrimitivityCertificate, or the NotPrimitiveError it raises, per kernel.
+
+    ``back[i]`` says whether every state of kernel i reaches state 0, which
+    with one breadth-first search from state 0 decides irreducibility; a
+    caller that knows a kernel's closed classes passes whether it is
+    irreducible. The power loop multiplies the stack of the irreducible
+    aperiodic kernels, one matrix product per row as a lone power's, and a
+    row leaves at its exponent.
+    """
+    k, n = len(p), p.shape[-1]
     support = p > 0.0
     level = _bfs_levels(support)
-    if level.min() < 0 or _bfs_levels(support.T).min() < 0:
-        raise NotPrimitiveError("kernel is not irreducible")
     # the period is the gcd of level[u] + 1 - level[v] over the edges u -> v
-    # (Denardo 1977); every cycle's length is a sum of these terms
-    u, v = np.nonzero(support)
-    period = int(np.gcd.reduce(level[u] + 1 - level[v]))
-    if period != 1:
-        raise NotPrimitiveError(f"kernel has period {period}")
+    # (Denardo 1977); every cycle's length is a sum of these terms. Each
+    # stochastic row has an edge, so every kernel's edges start a segment.
+    row, u, v = np.nonzero(support)
+    period = np.gcd.reduceat(level[row, u] + 1 - level[row, v], np.searchsorted(row, np.arange(k)))
+    irreducible = back & (level.min(axis=1) >= 0)
+    primitive = irreducible & (period == 1)  # until a power says otherwise
+    out = [
+        None if primitive[i]
+        else NotPrimitiveError(f"kernel has period {period[i]}" if irreducible[i] else "kernel is not irreducible")
+        for i in range(k)
+    ]
+    rows = primitive.nonzero()[0]
     bound = wielandt_bound(n)
-    power = p.copy()
+    base = p[rows]
+    power = base.copy()
     for exponent in range(1, bound + 1):
-        if np.all(power > 0.0):
-            return PrimitivityCertificate(exponent=exponent, omega=float(power.min()))
-        power = power @ p
-    raise NotPrimitiveError(
-        f"no entrywise-positive power up to the Wielandt bound {bound}"
-    )
+        positive = (power > 0.0).all(axis=(1, 2))
+        if positive.any():
+            for j in positive.nonzero()[0].tolist():
+                out[rows[j]] = PrimitivityCertificate(exponent=exponent, omega=float(power[j].min()))
+            rows, base, power = rows[~positive], base[~positive], power[~positive]
+        if not rows.size or exponent == bound:
+            break
+        power = power @ base
+    for i in rows.tolist():
+        out[i] = NotPrimitiveError(f"no entrywise-positive power up to the Wielandt bound {bound}")
+    return out
 
 
 def wielandt_bound(n: int) -> int:
@@ -142,14 +186,15 @@ def wielandt_bound(n: int) -> int:
 
 
 def _bfs_levels(adj: np.ndarray) -> np.ndarray:
-    """Breadth-first distance from state 0 in the digraph ``adj``; -1 where unreached."""
-    level = np.full(adj.shape[0], -1, dtype=np.int64)
-    level[0] = 0
+    """Breadth-first distance from state 0 in each digraph of a (k, n, n) stack ``adj``;
+    -1 where unreached."""
+    level = np.full(adj.shape[:2], -1, dtype=np.int64)
+    level[:, 0] = 0
     frontier = level == 0
     d = 0
     while frontier.any():
         d += 1
-        frontier = adj[frontier].any(axis=0) & (level < 0)
+        frontier = (frontier[:, :, None] & adj).any(axis=1) & (level < 0)
         level[frontier] = d
     return level
 

@@ -5,11 +5,13 @@ sweep. Exit codes: 0 ok, 1 internal error, 2 input error, 3 assumption
 violated under --strict.
 
 A sweep verifies its trials a chunk at a time (``convergence._verify_contractions``).
-Each trial's model is generated and its optimal policy, diagnostics, step
-count and gap are settled in trial order, so a failing trial stops the sweep
-with the same error as when trials ran one after another. Then one lockstep
-value iteration runs every trial of the chunk, and each trial's constants
-and bound verdicts follow. A chunk holds the trials whose stacked rows fit
+The chunk's models are generated, and then planned in lockstep: one stacked
+optimal-policy search, chain test, primitivity test and gap check settle
+every trial's optimal policy, diagnostics, step count and gap, each with the
+bits it has alone. The first failing trial stops the sweep with the same
+error as when trials ran one after another. Then one lockstep value
+iteration runs the chunk's trials, and each trial's constants and bound
+verdicts follow. A chunk holds the trials whose stacked rows fit
 ``convergence.VI_STACK_BYTES``.
 """
 

@@ -18,11 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from . import chains, kernels
+from . import chains, geometry, kernels
 from .chains import PrimitivityCertificate, check_stochastic, classify_chain, primitivity_certificate
-from .errors import AssumptionViolatedError, NotPrimitiveError, NotUnichainError
-from .geometry import _gap, advantages, evaluate_policy, mdp_constant, optimal_policy
-from .model import MdpModel, Policy, policy_kernel
+from .errors import (
+    AssumptionViolatedError, NonFiniteRewardError, NotPrimitiveError, NotUnichainError, ValidationFailedError,
+)
+from .geometry import _gap, _raise_first, advantages, evaluate_policy, mdp_constant
+from .model import MdpModel, Policy, check_finite_rewards, lowest_index_policy, policy_kernel
 
 SPAN_FLOOR = 1e-13
 BOUND_SLACK = 1e-9
@@ -270,10 +272,10 @@ def contraction_constants(
 
 
 def _checked_gap(model: MdpModel, pi_star: Policy) -> float:
-    """suboptimality_gap, raising AssumptionViolatedError when it is not positive."""
-    delta = suboptimality_gap(model, pi_star)
-    if delta <= 1e-12:
-        raise AssumptionViolatedError("uniqueness")
+    """suboptimality_gap of a checked ``pi_star``, raising AssumptionViolatedError when it is
+    not positive: the one-row case of ``_checked_gaps``."""
+    (delta,) = _checked_gaps([model], [pi_star], model.sap_probs[pi_star.choice][None])
+    _raise_first([delta])
     return delta
 
 
@@ -306,7 +308,8 @@ def _constants(
     )
 
 
-# byte budget of one lockstep run: its (k, m, n) transition stack and (steps + 1, k * n) greedy picks
+# byte budget of one lockstep run: its (k, m, n) transition stack and (steps + 1, k * n) greedy
+# picks; a chunk of plans keeps its (k, m, n) transition stack within it too
 VI_STACK_BYTES = 2**20
 
 
@@ -325,34 +328,138 @@ class _Plan:
 
 
 def _plan(model: MdpModel, v0, trace_steps) -> _Plan:
-    if v0 is None:
-        v0 = np.zeros(model.n)
-        v0[0] = 1.0
-    v0 = np.asarray(v0, dtype=np.float64)
-    pi_star = cert = delta = None
-    try:
-        optimal = optimal_policy(model)
-    except NotUnichainError:
-        # a multichain optimum at gamma = 1: report the failed diagnostics with
-        # an informational run on the raw model instead of crashing
-        diagnostics = AssumptionDiagnostics(unique=False, unichain=False, aperiodic=False)
-        run_model, steps = model, trace_steps or chains.wielandt_bound(model.n)
-    else:
-        pi_star = optimal.policy
-        kernel = policy_kernel(model, pi_star)
-        unichain = classify_chain(kernel).is_unichain
-        # the normalized rewards are pi_star's advantages, from the search's last solve
-        run_model = model._with_rewards(optimal.advantages)
-        unique = optimal.unique and _gap(run_model.sap_rewards, pi_star) > 1e-9
+    # the one-row case of _plans
+    (plan,) = _plans([(model, v0)], trace_steps)
+    _raise_first([plan])
+    return plan
+
+
+def _plans(pairs: list, trace_steps) -> list:
+    """The _Plan of each (model, v0) of ``pairs``, or the exception its planning raises, in order.
+
+    The models share n, gamma and the SAP layout, and their plans are settled
+    in lockstep, each stage once for the rows still planned: the start
+    vectors and the rewards check; the SAP layout, built once and shared; one
+    Howard search (``geometry._howard``) from the lowest-index policy, and
+    each optimum (``geometry._optimum``); the pi* kernels' stochasticity
+    check and chain structure, one stacked ``chains._classify`` at gamma < 1
+    and the search's recurrent masks at gamma = 1, where every iterate is
+    unichain; one primitivity test (``chains._certificates``); and one
+    stacked evaluation of pi* on the normalized models for the gap of the
+    rows whose diagnostics all pass (``_checked_gaps``). A row leaves at its
+    first error, the one that planning it alone raises, and its bits do not
+    depend on the other rows.
+    """
+    models = [model for model, _ in pairs]
+    out, v0s = [None] * len(pairs), [None] * len(pairs)
+    for i, (model, v0) in enumerate(pairs):
         try:
-            cert = primitivity_certificate(kernel)
-        except NotPrimitiveError:
-            pass
-        diagnostics = AssumptionDiagnostics(unique, unichain, aperiodic=cert is not None)
-        steps = max(cert.exponent if cert else 0, trace_steps or 0) or chains.wielandt_bound(model.n)
+            if v0 is None:
+                v0 = np.zeros(model.n)
+                v0[0] = 1.0
+            v0s[i] = np.asarray(v0, dtype=np.float64)
+            check_finite_rewards(model)
+        except Exception as exc:  # a row's own error, raised in row order by the caller
+            out[i] = exc
+    rows = [i for i, plan in enumerate(out) if plan is None]
+    if not rows:
+        return out
+    try:
+        start = lowest_index_policy(models[rows[0]]).choice
+    except ValidationFailedError as exc:  # a state without SAPs: so in every model of the layout
+        return [exc if plan is None else plan for plan in out]
+    for i in rows[1:]:
+        models[i]._share_layout(models[rows[0]])
+    optima = {}  # row -> (optimal_policy's result, recurrent mask or None)
+    for i, found in zip(rows, geometry._howard([models[i] for i in rows], np.tile(start, (len(rows), 1)))):
+        try:
+            if isinstance(found, Exception):
+                raise found
+            optima[i] = geometry._optimum(models[i], *found), found[3]
+        except NotUnichainError:
+            # a multichain optimum at gamma = 1: report the failed diagnostics with
+            # an informational run on the raw model instead of crashing
+            diagnostics = AssumptionDiagnostics(unique=False, unichain=False, aperiodic=False)
+            steps = trace_steps or chains.wielandt_bound(models[i].n)
+            out[i] = _Plan(models[i], v0s[i], diagnostics, None, None, models[i], steps, None)
+        except Exception as exc:
+            out[i] = exc
+    rows = list(optima)
+    if not rows:
+        return out
+    kernels = geometry._stacked([models[i].sap_probs[optima[i][0].policy.choice] for i in rows])
+    errors = chains._stochastic_errors(kernels)
+    if any(errors):
+        for i, exc in zip(rows, errors):
+            if exc is not None:
+                out[i] = exc
+        kernels = kernels[[exc is None for exc in errors]]
+        rows = [i for i, exc in zip(rows, errors) if exc is None]
+        if not rows:
+            return out
+    if models[rows[0]].is_average_reward:  # every iterate of the search is unichain, with its mask
+        unichain, recurrent = np.ones(len(rows), dtype=bool), np.array([optima[i][1] for i in rows])
+    else:
+        counts, recurrent = chains._classify(kernels)
+        unichain = counts == 1
+    certs = chains._certificates(kernels, unichain & recurrent.all(axis=-1))
+    passing = []
+    for j, i in enumerate(rows):
+        optimal = optima[i][0]
+        pi_star = optimal.policy
+        # the normalized rewards are pi_star's advantages, from the search's last solve
+        run_model = models[i]._with_rewards(optimal.advantages)
+        unique = optimal.unique and _gap(run_model.sap_rewards, pi_star) > 1e-9
+        cert = certs[j] if isinstance(certs[j], PrimitivityCertificate) else None
+        diagnostics = AssumptionDiagnostics(unique, bool(unichain[j]), aperiodic=cert is not None)
+        steps = max(cert.exponent if cert else 0, trace_steps or 0) or chains.wielandt_bound(run_model.n)
+        out[i] = _Plan(models[i], v0s[i], diagnostics, pi_star, cert, run_model, steps, None)
         if diagnostics.all_pass:
-            delta = _checked_gap(run_model, pi_star)
-    return _Plan(model, v0, diagnostics, pi_star, cert, run_model, steps, delta)
+            passing.append(j)
+    if passing:
+        passed = [out[rows[j]] for j in passing]
+        deltas = _checked_gaps(
+            [plan.run_model for plan in passed],
+            [plan.pi_star for plan in passed],
+            kernels if len(passing) == len(rows) else kernels[passing],
+        )
+        for j, delta in zip(passing, deltas):
+            if isinstance(delta, Exception):
+                out[rows[j]] = delta
+            else:
+                out[rows[j]].delta = delta
+    return out
+
+
+def _checked_gaps(models: list, policies: list, kernels: np.ndarray) -> list:
+    """_checked_gap(model, pi) of each model and its policy ``pi``, or the exception it raises,
+    from one stacked evaluation of the policies' (k, n, n) ``kernels``.
+
+    The models share n, gamma and the SAP layout. Each policy is checked
+    valid, so evaluate_policy's policy check cannot fail; its rewards check
+    runs on the rows whose policy rewards are not all finite, which are then
+    solved from zeros.
+    """
+    head = models[0]
+    probs = geometry._stacked([model.sap_probs for model in models])
+    rewards = geometry._stacked([model.sap_rewards for model in models])
+    own = rewards[np.arange(len(models))[:, None], np.array([pi.choice for pi in policies])]
+    out = [None] * len(models)
+    finite = np.isfinite(own)
+    if not finite.all():
+        for j in (~finite.all(axis=-1)).nonzero()[0].tolist():
+            try:
+                check_finite_rewards(models[j], policies[j])
+            except NonFiniteRewardError as exc:
+                out[j] = exc
+                own[j] = 0.0
+    x, errors = geometry._solve(head, kernels, own)
+    adv = geometry._stack_advantages(head, probs, rewards, mdp_constant(head) * x)
+    for j, pi in enumerate(policies):
+        if out[j] is None:
+            delta = _gap(adv[j], pi)
+            out[j] = errors[j] or (AssumptionViolatedError("uniqueness") if delta <= 1e-12 else delta)
+    return out
 
 
 def _report(plan: _Plan, run: ViRun) -> ConvergenceReport:
@@ -419,16 +526,16 @@ def verify_contraction(
 def _verify_contractions(pairs) -> Iterator[ConvergenceReport]:
     """verify_contraction(model, v0) for each (model, v0) of ``pairs``, in order.
 
-    Each pair is planned as it is drawn: the optimal policy, diagnostics,
-    step count and gap, so a model that raises does so in pair order, and a
-    lazy ``pairs`` interleaves building and planning. Consecutive plans whose
-    run models share n, gamma and the SAP layout, and whose stacked rows fit
-    VI_STACK_BYTES, form a chunk, and each chunk's value iterations run in
-    lockstep in one ``_run_stack``; the reports equal verify_contraction's.
+    Pairs are drawn and planned a chunk at a time (``_planned``): the optimal
+    policy, diagnostics, step count and gap of every trial of a chunk are
+    settled in lockstep, and the first error in pair order stops the run, as
+    when each pair is planned alone. Consecutive plans whose run models share
+    n, gamma and the SAP layout, and whose stacked rows fit VI_STACK_BYTES,
+    then form a run, and each run's value iterations go in lockstep in one
+    ``_run_stack``; the reports equal verify_contraction's.
     """
     chunk, longest = [], 0
-    for model, v0 in pairs:
-        plan = _plan(model, v0, None)
+    for plan in _planned(pairs):
         longest = max(longest, plan.steps)
         if chunk and not _joins(chunk, plan.run_model, longest):
             yield from _reports(chunk)
@@ -438,15 +545,52 @@ def _verify_contractions(pairs) -> Iterator[ConvergenceReport]:
         yield from _reports(chunk)
 
 
+def _planned(pairs) -> Iterator[_Plan]:
+    """_plan(model, v0, None) of each (model, v0) of ``pairs``, in order, a chunk at a time.
+
+    A chunk is a run of consecutive pairs whose models share n, gamma and the
+    SAP layout, as many as have (k, m, n) transition rows within
+    VI_STACK_BYTES, and at least one; ``_plans`` settles it. The first
+    error in pair order is raised, also when drawing a later pair of the
+    chunk raises: the pairs drawn before it are planned first.
+    """
+    chunk, pairs = [], iter(pairs)
+    while True:
+        try:
+            pair, failure = next(pairs, None), None
+        except Exception as exc:  # raised once the pairs drawn before it are planned
+            pair, failure = None, exc
+        if chunk and (pair is None or not _plans_with(chunk, pair[0])):
+            plans = _plans(chunk, None)
+            _raise_first(plans)
+            yield from plans
+            chunk = []
+        if failure is not None:
+            raise failure
+        if pair is None:
+            return
+        chunk.append(pair)
+
+
+def _plans_with(chunk: list, model: MdpModel) -> bool:
+    # whether model joins the chunk of (model, v0) pairs that _plans settles together
+    head = chunk[0][0]
+    return _alike(model, head) and (len(chunk) + 1) * 8 * head.m * head.n <= VI_STACK_BYTES
+
+
 def _joins(chunk: list, run_model: MdpModel, longest: int) -> bool:
     # whether a run on run_model joins the chunk's stack, whose runs then take
     # up to ``longest`` steps
     head = chunk[0].run_model
+    return _alike(run_model, head) and (len(chunk) + 1) * 8 * head.n * (head.m + longest + 1) <= VI_STACK_BYTES
+
+
+def _alike(model: MdpModel, other: MdpModel) -> bool:
+    # whether two models share n, gamma and the SAP layout
     return (
-        run_model.n == head.n
-        and run_model.gamma == head.gamma
-        and np.array_equal(run_model.sap_states, head.sap_states)
-        and (len(chunk) + 1) * 8 * head.n * (head.m + longest + 1) <= VI_STACK_BYTES
+        model.n == other.n
+        and model.gamma == other.gamma
+        and np.array_equal(model.sap_states, other.sap_states)
     )
 
 

@@ -92,7 +92,16 @@ def evaluate_policy(model: MdpModel, pi: Policy) -> tuple:
 
 
 def _evaluate(model: MdpModel, choices: np.ndarray) -> np.ndarray:
-    """x = v / C of each policy in a (k, n) stack of SAP choices, one shifted solve per row.
+    """x = v / C of each policy in a (k, n) stack of SAP choices of ``model``; raises the
+    first row's error of ``_solve``."""
+    x, errors = _solve(model, model.sap_probs[choices], model.sap_rewards[choices])
+    _raise_first(errors)
+    return x
+
+
+def _solve(model: MdpModel, kernels: np.ndarray, rewards: np.ndarray) -> tuple:
+    """(x, errors): x = v / C for each policy of a stack of models shaped like ``model``,
+    given its (k, n, n) kernel and (k, n) rewards, one shifted solve per row.
 
     At gamma < 1, A = B + gamma*E with B = I - gamma*P is nonsingular, so no
     pivot test runs: the eigenvalues of gamma*P lie inside the unit disc, so
@@ -101,28 +110,53 @@ def _evaluate(model: MdpModel, choices: np.ndarray) -> np.ndarray:
     a singular system means a multichain kernel: NotUnichainError. Each row's
     residual must be at most RESIDUAL_TOL * (|A||x| + |R|), the backward-error
     bound of ``classic.evaluate_discounted``, or NotUnichainError (gamma = 1)
-    or NumericalCheckError is raised. A row's bits do not depend on the
+    or NumericalCheckError is its error. ``errors[i]`` is None or the error of
+    row i, whose x is then 0. A row's bits and its error do not depend on the
     other rows.
     """
     n, gamma = model.n, model.gamma
     shift = np.full((n, n), gamma)  # I + gamma*E, as 1.0 + gamma on the diagonal
     shift.flat[:: n + 1] = 1.0 + gamma
-    a = shift - gamma * model.sap_probs[choices]
-    r = model.sap_rewards[choices]
+    a = shift - gamma * kernels
     linear = solve_checked if model.is_average_reward else solve
-    x = np.empty(r.shape)
-    try:
-        for i in range(x.shape[0]):
-            x[i] = linear(a[i], r[i])
-    except SingularMatrixError as exc:
-        raise NotUnichainError("policy evaluation at gamma=1 needs a unichain kernel") from exc
+    x = np.zeros(rewards.shape)
+    errors = [None] * len(x)
+    for i in range(len(x)):
+        try:
+            x[i] = linear(a[i], rewards[i])
+        except SingularMatrixError as exc:
+            errors[i] = _caused(NotUnichainError("policy evaluation at gamma=1 needs a unichain kernel"), exc)
+        except Exception as exc:  # the row's own error, raised in row order by the caller
+            errors[i] = exc
     # one matrix-vector product per row: a 2-D product of stacked rows rounds differently
-    residual = np.abs((a @ x[..., None])[..., 0] - r)
-    bound = RESIDUAL_TOL * ((np.abs(a) @ np.abs(x)[..., None])[..., 0] + np.abs(r))
-    if not (residual <= bound).all():  # written so that a NaN residual fails
+    residual = np.abs((a @ x[..., None])[..., 0] - rewards)
+    bound = RESIDUAL_TOL * ((np.abs(a) @ np.abs(x)[..., None])[..., 0] + np.abs(rewards))
+    within = residual <= bound
+    if not within.all():  # written so that a NaN residual fails
         error = NotUnichainError if model.is_average_reward else NumericalCheckError
-        raise error(f"evaluation residual {residual.max():.3e} exceeds its backward-error bound")
-    return x
+        for i in (~within.all(axis=-1)).nonzero()[0].tolist():
+            if errors[i] is None:
+                errors[i] = error(f"evaluation residual {residual[i].max():.3e} exceeds its backward-error bound")
+            x[i] = 0.0
+    return x, errors
+
+
+def _caused(error: Exception, cause: Exception) -> Exception:
+    """``error`` with ``cause`` as its cause, as ``raise error from cause`` sets it."""
+    error.__cause__ = cause
+    return error
+
+
+def _raise_first(results) -> None:
+    """Raise the first exception in ``results``, if any."""
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """The arrays stacked along a new first axis; a lone array is viewed, not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _evaluated(model: MdpModel, v: np.ndarray) -> tuple:
@@ -148,10 +182,16 @@ def advantages(model: MdpModel, pv: PolicyVector) -> np.ndarray:
 
 def _advantages(model: MdpModel, v: np.ndarray) -> np.ndarray:
     """Advantages of every SAP against the values ``v`` of one policy (n,) or a stack (k, n)."""
+    return _stack_advantages(model, model.sap_probs, model.sap_rewards, v)
+
+
+def _stack_advantages(model: MdpModel, probs, rewards, v: np.ndarray) -> np.ndarray:
+    """_advantages with the transition rows ``probs`` and rewards ``rewards`` of a model
+    shaped like ``model``, or of a (k, m, n), (k, m) stack of them, one row per row of ``v``."""
     vt = v / mdp_constant(model)
     # one matrix-vector product per row, as for a lone policy
-    base = (model.sap_probs @ vt[..., None])[..., 0] - vt.sum(axis=-1, keepdims=True)
-    return model.sap_rewards + model.gamma * base - vt.take(model.sap_states, axis=-1)
+    base = (probs @ vt[..., None])[..., 0] - vt.sum(axis=-1, keepdims=True)
+    return rewards + model.gamma * base - vt.take(model.sap_states, axis=-1)
 
 
 def to_classical_values(
@@ -216,36 +256,91 @@ def _gap(adv: np.ndarray, pi_star: Policy) -> float:
     return float(-outside.max())
 
 
-def _howard(model: MdpModel, choice: np.ndarray) -> tuple:
-    """Howard's loop on the advantages, from the policy of SAP ids ``choice``.
+def _howard(models, choice: np.ndarray) -> list:
+    """Howard's loop on the advantages of each of ``models``, from the policies of the
+    (k, n) SAP ids ``choice``, one row per model, all rows in lockstep.
 
-    Each round evaluates the policy, then a state switches to its best SAP
-    (ties to the lowest index) when that beats its current one by more than
-    1e-12. Returns (choice, v, advantages, recurrent) of the first round in
-    which no state switches; ``recurrent`` masks the policy's recurrent states
-    at gamma = 1 and is None at gamma < 1. At gamma = 1 ``_unichain`` turns a
-    multichain iterate into a unichain one before it is evaluated, or raises
-    NotUnichainError when the optimum is multichain. Raises NumericalCheckError
-    when a unichain iterate fails its evaluation, and after 10,000 rounds.
+    The models share n, gamma and the SAP layout. Each round evaluates every
+    row's policy (``_solve``, one solve per row), then a state switches to its
+    best SAP (ties to the lowest index) when that beats its current one by more
+    than 1e-12. A row retires in its first round in which no state switches,
+    with (choice, v, advantages, recurrent) of that round; ``recurrent`` masks
+    the policy's recurrent states at gamma = 1 and is None at gamma < 1. At
+    gamma = 1 ``_unichain`` turns a multichain iterate into a unichain one
+    before it is evaluated, or raises NotUnichainError when the optimum is
+    multichain. A row also retires with the exception its search raises:
+    that one, NumericalCheckError when a unichain iterate fails its
+    evaluation, and NumericalCheckError after 10,000 rounds. Returns one
+    result or exception per model, in order; a row's bits do not depend on
+    the others.
+
+    Advantages come from one matrix-vector product per row of the stacked
+    transition rows, and selection from one ``kernels._select``
+    through the stack's tables (``kernels._stack_tables``). Kernels, rewards
+    and current advantages are gathered at the flat positions j*m + a of the
+    stack row j's SAPs a. A lone model is not copied: its stack views its
+    arrays, its tables are its ``_sweep_blocks``, and its positions are its
+    SAP ids. ``order[j]`` is the model of stack row j; the rows left after a
+    round move up.
     """
-    average, c = model.is_average_reward, mdp_constant(model)
-    recurrent = last = None
+    head, k = models[0], len(models)
+    average, c = head.is_average_reward, mdp_constant(head)
+    probs, rewards = _stacked([m.sap_probs for m in models]), _stacked([m.sap_rewards for m in models])
+    flat_probs, flat_rewards = probs.reshape(-1, head.n), rewards.reshape(-1)  # views, by flat position
+    if k > 1:
+        tables = all_tables = kernels._stack_tables(head, k)
+        offsets = head.m * np.arange(k)[:, None]  # of each stack row's SAPs in the flat stack
+    else:
+        tables = head._sweep_blocks
+    order, last, recurrent = list(range(k)), [None] * k, [None] * k
+    results, choice = [None] * k, np.array(choice)
     for _ in range(10_000):
+        live = len(order)
+        errors = [None] * live
         if average:
-            choice, recurrent = _unichain(model, choice, last)
-        try:
-            x = _evaluate(model, choice[None])[0]
-        except NotUnichainError as exc:  # raised at gamma = 1 only, for a unichain kernel
-            raise NumericalCheckError(f"policy iteration could not evaluate a unichain policy: {exc}") from exc
+            for j, i in enumerate(order):
+                try:
+                    choice[j], recurrent[j] = _unichain(models[i], choice[j], last[j])
+                except Exception as exc:  # the row's own error, raised in row order by the caller
+                    errors[j] = exc
+        at = choice + offsets if live > 1 else choice
+        x, solved = _solve(head, flat_probs[at], flat_rewards[at])
+        if any(solved):
+            for j, exc in enumerate(solved):
+                if isinstance(exc, NotUnichainError):  # the iterate is unichain, so it failed numerically
+                    exc = _caused(
+                        NumericalCheckError(f"policy iteration could not evaluate a unichain policy: {exc}"), exc
+                    )
+                errors[j] = errors[j] or exc
         v = c * x
-        adv = _advantages(model, v)
-        best, greedy = kernels.greedy_by_state(model, adv)
-        improve = best > adv[choice] + 1e-12
-        if not improve.any():
-            return choice, v, adv, recurrent
-        last = choice, float(x.sum())  # the policy and its gain, v_sigma / C
-        choice = np.where(improve, greedy, choice)
-    raise NumericalCheckError("policy iteration did not end within 10,000 rounds")
+        adv = _stack_advantages(head, probs, rewards, v)
+        greedy = np.empty(v.size, dtype=np.int64)
+        best = kernels._select(adv.reshape(-1), tables, v.size, greedy).reshape(v.shape)
+        improve = best > adv.take(at) + 1e-12
+        switching = improve.any(axis=-1).tolist()
+        retiring = any(errors) or not all(switching)
+        if retiring:
+            keep = []
+            for j, i in enumerate(order):
+                if errors[j] is not None:
+                    results[i] = errors[j]
+                elif not switching[j]:
+                    results[i] = choice[j], v[j], adv[j], recurrent[j]
+                else:
+                    keep.append(j)
+            if not keep:
+                return results
+        if average:
+            last = [(choice[j], float(x[j].sum())) for j in range(live)]  # the policies and gains, v_sigma / C
+        choice = np.where(improve, greedy.reshape(v.shape), choice)
+        if retiring:
+            probs, rewards, choice = probs[keep], rewards[keep], choice[keep]
+            flat_probs, flat_rewards = probs.reshape(-1, head.n), rewards.reshape(-1)
+            order, last, recurrent = ([a[j] for j in keep] for a in (order, last, recurrent))
+            tables, offsets = kernels._first_rows(all_tables, len(keep)), offsets[: len(keep)]
+    for i in order:
+        results[i] = NumericalCheckError("policy iteration did not end within 10,000 rounds")
+    return results
 
 
 def _unichain(model: MdpModel, choice: np.ndarray, last: tuple | None) -> tuple:
@@ -423,7 +518,15 @@ def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
     infinite, before any solve.
     """
     check_finite_rewards(model)
-    choice, v, adv, recurrent = _howard(model, lowest_index_policy(model).choice)
+    found = _howard([model], lowest_index_policy(model).choice[None])[0]
+    if isinstance(found, Exception):
+        raise found
+    return _optimum(model, *found)
+
+
+def _optimum(model: MdpModel, choice, v, adv, recurrent) -> classic.OptimalPolicyResult:
+    """optimal_policy's result from the end of ``_howard``'s run on ``model``: its policy
+    ``choice``, values ``v``, advantages ``adv`` and, at gamma = 1, ``recurrent`` mask."""
     pi = Policy(choice)
     if not model.is_average_reward:
         pv, consts = _evaluated(model, v)

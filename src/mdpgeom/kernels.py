@@ -8,12 +8,13 @@ and returns the per-state maximum together with the first SAP index
 attaining it (ties go to the lowest SAP index). Callers supply ``scale``
 (gamma for classical updates, gamma/C for updates on the geometric values)
 and apply their own constant shifts, which do not change the argmax.
-``greedy_by_state`` selects the same way from given scores, such as advantages.
 ``greedy_sweep`` is that sweep on one model's arrays, writing the SAP ids
 into a given array, and ``greedy_sweep_stack`` runs it row by row on a stack
 of models that share ``n`` and the SAP layout. Advantage value iteration
 (``convergence._run_stack``) makes one call of either per step for all its
 rows; ``greedy_sweep_model`` serves ``vi_step`` and the classical oracles.
+Howard's loop (``geometry._howard``) selects from its stack's advantages
+through ``_select`` the same way.
 
 Scores are gathered through the model's ``_sweep_blocks``, tables whose rows
 list one state's SAPs ascending, padded with its first SAP: a row's first
@@ -34,12 +35,6 @@ def greedy_sweep_model(model, scale, v):
     v = np.asarray(v, dtype=np.float64)
     maxq = greedy_sweep(model.sap_probs, model.sap_rewards, float(scale), v, model._sweep_blocks, greedy)
     return maxq, greedy
-
-
-def greedy_by_state(model, q):
-    """Per-state max of the per-SAP scores ``q``, plus the first SAP id attaining it."""
-    greedy = np.empty(model.n, dtype=np.int64)
-    return _select(q, model._sweep_blocks, model.n, greedy), greedy
 
 
 def greedy_sweep(probs, rewards, scale, v, tables, greedy):

@@ -76,8 +76,9 @@ class MdpModel:
     The SAPs grouped by state (``_by_state``) are also built on first read,
     once: the greedy sweep's padded tables, policy enumeration,
     ``policy_count`` and ``lowest_index_policy`` all derive from them, and a
-    model with other rewards (``_with_rewards``) shares them. A state with no
-    SAP makes each of these raise ValidationFailedError naming every such state.
+    model with other rewards (``_with_rewards``) or the same ``sap_states``
+    (``_share_layout``) shares them. A state with no SAP makes each of these
+    raise ValidationFailedError naming every such state.
     """
 
     n: int
@@ -197,9 +198,13 @@ class MdpModel:
     def _with_rewards(self, rewards) -> MdpModel:
         """This model with other rewards, sharing every other array and table."""
         model = MdpModel._from_arrays(self.n, self.gamma, self.sap_states, rewards, self.sap_probs)
-        shared = ("_by_state", "_sweep_blocks")  # built from sap_states alone
-        vars(model).update((name, getattr(self, name)) for name in shared)
+        model._share_layout(self)
         return model
+
+    def _share_layout(self, other: MdpModel) -> None:
+        """Take ``other``'s ``_by_state`` and ``_sweep_blocks``, built from n and ``sap_states``
+        alone: ``other``'s must equal this model's. Raises as ``other``'s tables do."""
+        vars(self).update((name, getattr(other, name)) for name in ("_by_state", "_sweep_blocks"))
 
     def saps_at(self, state: int) -> np.ndarray:
         """SAP indices attached to ``state``, ascending."""

@@ -14,6 +14,9 @@ from mdpgeom import chains, cli, convergence, geometry, parse_model
 from mdpgeom.cli import main
 
 from conftest import count_calls, make_model
+from mdpgeom.errors import NumericalCheckError
+from mdpgeom.generate import GeneratorSpec, generate_model
+from mdpgeom.model import lowest_index_policy
 from mdpgeom.modelfile import emit_model
 
 
@@ -451,6 +454,41 @@ class TestSweep:
         assert main(argv) == 0
         assert stacks == [3]
         assert calls["run_vi"] == 0
+
+    def test_the_first_failing_trial_stops_the_sweep(self, tmp_path, monkeypatch, capsys):
+        # trial `late` fails in the evaluation for its gap and trial `late` + 4 in the
+        # first round of its search, which the lockstep plan of the chunk reaches first;
+        # the sweep stops with trial `late`'s error, as when each trial is planned alone
+        spec = {"n": 12, "saps_per_state": 4, "gamma": 0.95, "sparsity": 0.7}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        models = [generate_model(GeneratorSpec(seed=s, **spec)).model for s in range(12)]
+        plans = [convergence._plan(m, None, None) for m in models]
+        late = next(t for t in range(2, 8) if plans[t].diagnostics.all_pass)
+        failing = {
+            late: plans[late].run_model.sap_rewards[plans[late].pi_star.choice],
+            late + 4: models[late + 4].sap_rewards[lowest_index_policy(models[late + 4]).choice],
+        }
+        solve = geometry.solve
+
+        def failing_solve(a, b):
+            for trial, rewards in failing.items():
+                if np.array_equal(b, rewards):
+                    raise NumericalCheckError(f"solve failed in trial {trial}")
+            return solve(a, b)
+
+        monkeypatch.setattr(geometry, "solve", failing_solve)
+        chunks, plans_of = [], convergence._plans
+        monkeypatch.setattr(convergence, "_plans", lambda pairs, steps: chunks.append(len(pairs)) or plans_of(pairs, steps))
+        argv = ["sweep", "--spec", str(path), "--trials", "12", "-o", str(tmp_path / "out")]
+        assert main(argv) == 2
+        stacked = capsys.readouterr().err
+        assert chunks == [12]
+        monkeypatch.setattr(convergence, "VI_STACK_BYTES", 0)  # a chunk of one trial each
+        assert main(argv) == 2
+        assert capsys.readouterr().err == stacked == f"error: solve failed in trial {late}\n"
+        assert chunks[1:] == [1] * (late + 1)
+        assert not (tmp_path / "out").exists()
 
     def test_trials_over_the_stack_budget_split_into_runs(self, tmp_path, monkeypatch):
         spec = tmp_path / "spec.json"

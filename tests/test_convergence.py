@@ -21,7 +21,10 @@ from mdpgeom import (
     vi_step,
 )
 
-from mdpgeom import classic, convergence, geometry, kernels, model
+from mdpgeom import chains, classic, convergence, geometry, kernels, model
+from mdpgeom.chains import classify_chain
+from mdpgeom.errors import NonFiniteRewardError, NotUnichainError, ValidationFailedError
+from mdpgeom.model import lowest_index_policy
 
 from conftest import count_calls, make_model, random_instance, random_stochastic
 
@@ -348,7 +351,8 @@ class TestVerifyContraction:
     def test_chunked_reports_equal_one_at_a_time(self, monkeypatch):
         # the sweep's chunked verification against verify_contraction, field by
         # field: mixed n, gamma and SAP layouts, v0=None, failing diagnostics,
-        # and a stack budget of a few rows, so like models split into chunks
+        # and a stack budget of a few rows, so like models split into runs, and
+        # their plans into chunks that are planned in lockstep
         rng = np.random.default_rng(11)
         skewed = [1, 0, 0, 2, 0, 0, 3, 0, 0]  # state 0's six SAPs: two sweep blocks
         models = [random_instance(s, n=4, gamma=0.9, saps_per_state=2, sparsity=0.3) for s in range(7)]
@@ -362,16 +366,13 @@ class TestVerifyContraction:
             make_model(2, 1.0, [(0, 1.0, [1, 0]), (1, 0.0, [0, 1])]),  # no unichain policy
         ]
         v0s = [None if i % 3 == 0 else rng.random(m.n) for i, m in enumerate(models)]
-        stacks, run_stack = [], convergence._run_stack
-
-        def recorded(run_models, *args):
-            stacks.append(len(run_models))
-            return run_stack(run_models, *args)
-
-        monkeypatch.setattr(convergence, "_run_stack", recorded)
+        # the heights of the lockstep runs, and of the chunks planned in lockstep
+        heights = record_heights(monkeypatch, [(convergence, "_run_stack"), (convergence, "_plans")])
         monkeypatch.setattr(convergence, "VI_STACK_BYTES", 3 * 8 * 4 * (8 + 11))
         reports = list(convergence._verify_contractions(zip(models, v0s)))
+        stacks, chunks = heights["_run_stack"], heights["_plans"]
         assert sum(stacks) == len(models) and max(stacks) > 1 and len(stacks) > 5
+        assert sum(chunks) == len(models) and max(chunks) > 3 and len(chunks) > 4
         for report, model, v0 in zip(reports, models, v0s):
             alone = verify_contraction(model, v0)
             for name in [f.name for f in dataclasses.fields(alone)] + ["unnormalized_span_trace"]:
@@ -388,32 +389,48 @@ def record_loop(monkeypatch):
 
     An evaluation is logged as (run, rows) and a selection as run: run is
     "search" inside the loop and "lone" for an evaluation outside it; rows is
-    the size of the evaluated stack.
+    the height of the evaluated stack, one row per model still searching.
     """
     log = {"evaluations": [], "selections": []}
     runs = ["lone"]
-    howard, evaluate, greedy_by_state = geometry._howard, geometry._evaluate, kernels.greedy_by_state
+    howard, solve, select = geometry._howard, geometry._solve, kernels._select
 
-    def in_run(model, choice):
+    def in_run(models, choice):
         runs.append("search")
         try:
-            return howard(model, choice)
+            return howard(models, choice)
         finally:
             runs.pop()
 
-    def evaluating(model, choices):
-        log["evaluations"].append((runs[-1], len(choices)))
-        return evaluate(model, choices)
+    def evaluating(model, kernel_stack, rewards):
+        log["evaluations"].append((runs[-1], len(kernel_stack)))
+        return solve(model, kernel_stack, rewards)
 
-    def selecting(model, q):
+    def selecting(q, tables, size, greedy):
         if runs[-1] != "lone":  # value iteration selects outside the loop
             log["selections"].append(runs[-1])
-        return greedy_by_state(model, q)
+        return select(q, tables, size, greedy)
 
     monkeypatch.setattr(geometry, "_howard", in_run)
-    monkeypatch.setattr(geometry, "_evaluate", evaluating)
-    monkeypatch.setattr(kernels, "greedy_by_state", selecting)
+    monkeypatch.setattr(geometry, "_solve", evaluating)
+    monkeypatch.setattr(kernels, "_select", selecting)
     return log
+
+
+def record_heights(monkeypatch, bindings):
+    """Wrap each (module, name) binding of a function whose first argument is a stack;
+    return a dict of the stack heights it was called with, by name."""
+    heights = {}
+    for module, name in bindings:
+        fn = getattr(module, name)
+        heights[name] = []
+
+        def recorded(stack, *args, _fn=fn, _name=name):
+            heights[_name].append(len(stack))
+            return _fn(stack, *args)
+
+        monkeypatch.setattr(module, name, recorded)
+    return heights
 
 
 class TestWorkCounts:
@@ -442,22 +459,49 @@ class TestWorkCounts:
                 (model, "check_policy"),
             ],
         )
+        # the plan's own chain structure and certificate, not the search's classifications
+        heights = record_heights(monkeypatch, [(chains, "_classify"), (chains, "_certificates")])
         log = record_loop(monkeypatch)
         report = verify_contraction(m)
         assert report.diagnostics.all_pass
-        assert calls["classify_chain"] == 1
-        assert calls["primitivity_certificate"] == 1
+        # one certificate of pi*'s kernel; one classification of it at gamma < 1, none at
+        # gamma = 1, where the search's last round classified it
+        assert heights["_classify"] == ([] if m.is_average_reward else [1])
+        assert heights["_certificates"] == [1]
+        assert calls["classify_chain"] == calls["primitivity_certificate"] == 0
         # the search's rounds: two improvements, then no change; at gamma = 1 no other run
         assert log["selections"] == ["search"] * 3
         # exactly one evaluation of one policy per round, plus one for the normalized model's gap
         assert log["evaluations"] == [("search", 1)] * 3 + [("lone", 1)]
-        assert calls["evaluate_policy"] == 1
+        assert calls["evaluate_policy"] == 0
         # the normalized rewards are the search's last advantages; the oracles are not called,
         # except that at gamma = 1 pi*'s gain comes from classic.evaluate_average
         assert calls["evaluate_discounted"] == calls["optimal_policy"] == 0
         assert calls["evaluate_average"] == m.is_average_reward
-        # one check per evaluate_policy or evaluate_average call, plus one for pi*'s kernel
-        assert calls["check_policy"] == calls["evaluate_policy"] + calls["evaluate_average"] + 1
+        # pi* comes from the search, so only the oracle's gain evaluation checks it
+        assert calls["check_policy"] == calls["evaluate_average"]
+
+    @pytest.mark.parametrize("gamma", [0.5, 1.0])
+    def test_a_chunk_is_planned_in_lockstep(self, monkeypatch, gamma):
+        # per trial, one evaluation per round of its own search, and one classification
+        # (gamma < 1) and one certificate: all of them in one stack for the chunk
+        ms = [random_instance(s, n=5, gamma=gamma, saps_per_state=3, sparsity=0.2) for s in range(8)]
+        log = record_loop(monkeypatch)
+        rounds = []
+        for m in ms:
+            optimal_policy(m)
+            rounds.append(len(log["evaluations"]))
+            log["evaluations"].clear()
+            log["selections"].clear()
+        heights = record_heights(monkeypatch, [(chains, "_classify"), (chains, "_certificates")])
+        reports = list(convergence._verify_contractions((m, None) for m in ms))
+        counted = sum(r.diagnostics.all_pass for r in reports)
+        assert counted > 1 and max(rounds) > min(rounds)
+        searching = [sum(r >= t for r in rounds) for t in range(1, max(rounds) + 1)]
+        assert log["evaluations"] == [("search", k) for k in searching] + [("lone", counted)]
+        assert log["selections"] == ["search"] * max(rounds)
+        assert heights["_classify"] == ([] if gamma == 1.0 else [len(ms)])
+        assert heights["_certificates"] == [len(ms)]
 
     def test_raw_run_only_when_read(self, monkeypatch):
         m = random_instance(31, n=5, gamma=0.5, saps_per_state=3)
@@ -485,6 +529,151 @@ class TestWorkCounts:
         assert log["evaluations"] == [("search", 1)] * 3
         # the loop solves through its stacked evaluation, not evaluate_policy or the oracle
         assert calls["evaluate_policy"] == calls["evaluate_discounted"] == 0
+
+
+def plan_bits(plan):
+    """Every field of a plan as exact bits, or the type and message of the exception planning raised."""
+    if isinstance(plan, Exception):
+        return type(plan), str(plan)
+    cert = plan.cert
+    return (
+        plan.pi_star.as_tuple() if plan.pi_star is not None else None,
+        plan.diagnostics,
+        plan.v0.tobytes(),
+        plan.run_model.sap_rewards.tobytes(),
+        plan.run_model is plan.model,
+        (cert.exponent, cert.omega.hex()) if cert is not None else None,
+        plan.steps,
+        plan.delta.hex() if plan.delta is not None else None,
+    )
+
+
+def search_bits(found):
+    """A search result of geometry._howard as exact bits, or the type and message of its exception."""
+    if isinstance(found, Exception):
+        return type(found), str(found)
+    choice, v, adv, recurrent = found
+    return choice.tobytes(), v.tobytes(), adv.tobytes(), None if recurrent is None else recurrent.tobytes()
+
+
+def lone_plan(model, v0, trace_steps=None):
+    try:
+        return convergence._plan(model, v0, trace_steps)
+    except Exception as exc:
+        return exc
+
+
+def tied_model():
+    # 0,3,7,11 ties other optima that share its recurrent class and its SAPs there
+    m = random_instance(590126, n=4, gamma=1.0, saps_per_state=3, sparsity=0.58)
+    return m._with_rewards(m.sap_rewards * 2.0**36)
+
+
+def skewed_model(seed, gamma, sparsity):
+    # state 0 has six SAPs and the others one each: two sweep blocks
+    rng = np.random.default_rng(seed)
+    states = [1, 0, 0, 2, 0, 0, 3, 0, 0]
+    return make_model(4, gamma, [(s, rng.random(), random_stochastic(rng, 4, sparsity)[0]) for s in states])
+
+
+def plan_kinds(plan):
+    """The kinds of row that a plan is: which diagnostics fail, and how."""
+    if plan.pi_star is None:
+        return {"multichain optimum"}
+    kinds = set() if plan.diagnostics.unique else {"not unique"}
+    if not plan.diagnostics.unichain:
+        kinds.add("reducible")
+    elif not plan.diagnostics.aperiodic:
+        kernel = plan.model.sap_probs[plan.pi_star.choice]
+        kinds.add("transient" if classify_chain(kernel).transient_states else "periodic")
+    return kinds or {"passes"}
+
+
+class TestLockstepPlans:
+    """A chunk's plans, settled in lockstep, equal each trial's plan bit for bit."""
+
+    @staticmethod
+    def chunk(gamma):
+        ms = [random_instance(s, n=4, gamma=gamma, saps_per_state=3, sparsity=0.58 + s % 2 * 0.12) for s in range(60)]
+        if gamma == 1.0:
+            ms.insert(17, tied_model())
+        rng = np.random.default_rng(5)
+        return [(m, None if i % 4 == 0 else rng.uniform(-1.0, 1.0, m.n)) for i, m in enumerate(ms)]
+
+    @pytest.mark.parametrize(
+        "gamma, kinds",
+        [
+            (0.9, {"passes", "periodic", "transient", "reducible"}),
+            (1.0, {"passes", "periodic", "transient", "multichain optimum", "not unique"}),
+        ],
+    )
+    def test_plans_equal_lone_plans(self, gamma, kinds):
+        pairs = self.chunk(gamma)
+        plans = convergence._plans(pairs, None)
+        assert [plan_bits(p) for p in plans] == [plan_bits(lone_plan(m, v0)) for m, v0 in pairs]
+        assert set().union(*map(plan_kinds, plans)) == kinds
+
+    @pytest.mark.parametrize("gamma", [0.9, 1.0])
+    def test_search_equals_lone_search(self, gamma):
+        ms = [m for m, _ in self.chunk(gamma)]
+        start = lowest_index_policy(ms[0]).choice
+        found = geometry._howard(ms, np.tile(start, (len(ms), 1)))
+        assert [search_bits(f) for f in found] == [search_bits(geometry._howard([m], start[None])[0]) for m in ms]
+        # rows retire in different rounds, and at gamma = 1 some with a multichain optimum
+        assert len({f[0].tobytes() for f in found if not isinstance(f, Exception)}) > 10
+        assert any(isinstance(f, NotUnichainError) for f in found) == (gamma == 1.0)
+
+    @given(
+        skewed=st.booleans(),
+        gamma=st.sampled_from([0.9, 1.0]),
+        seeds=st.lists(st.integers(0, 10**6), min_size=2, max_size=7),
+        sparsity=st.sampled_from([0.0, 0.5, 0.7]),
+        tie=st.booleans(),
+        trace_steps=st.sampled_from([None, 30]),
+    )
+    def test_random_chunks_equal_lone_plans(self, skewed, gamma, seeds, sparsity, tie, trace_steps):
+        if skewed:
+            ms = [skewed_model(s, gamma, sparsity) for s in seeds]
+        else:
+            ms = [random_instance(s, n=4, gamma=gamma, saps_per_state=3, sparsity=sparsity) for s in seeds]
+            if tie and gamma == 1.0:
+                ms.insert(1, tied_model())
+        pairs = [(m, None if i % 2 else np.linspace(-1.0, 1.0, m.n)) for i, m in enumerate(ms)]
+        plans = convergence._plans(pairs, trace_steps)
+        assert [plan_bits(p) for p in plans] == [plan_bits(lone_plan(m, v0, trace_steps)) for m, v0 in pairs]
+
+    def test_a_chunk_shares_one_layout(self):
+        ms = [random_instance(s, n=5, gamma=0.9, saps_per_state=3) for s in range(4)]
+        list(convergence._verify_contractions((m, None) for m in ms))
+        for m in ms[1:]:
+            assert m._by_state is ms[0]._by_state
+            assert m._sweep_blocks is ms[0]._sweep_blocks
+
+    def test_a_state_without_saps_fails_as_alone(self):
+        ms = [make_model(3, 0.9, [(0, r, [1, 0, 0]), (2, 0.0, [0, 0, 1])]) for r in (1.0, 2.0)]
+        with pytest.raises(ValidationFailedError) as alone:
+            verify_contraction(ms[0])
+        with pytest.raises(ValidationFailedError) as chunked:
+            list(convergence._verify_contractions((m, None) for m in ms))
+        assert chunked.value.violations == alone.value.violations == ["state 1: no SAP attached"]
+
+    def test_the_first_error_in_pair_order_is_raised(self):
+        ms = [random_instance(s, n=4, gamma=0.9, saps_per_state=3) for s in range(6)]
+        nan = ms[4]._with_rewards(np.where(np.arange(ms[4].m) == 5, np.nan, ms[4].sap_rewards))
+        late = ms[2]._with_rewards(np.where(np.arange(ms[2].m) == 7, np.inf, ms[2].sap_rewards))
+
+        def pairs(models, draw_fails):
+            yield from ((m, None) for m in models)
+            if draw_fails:
+                raise RuntimeError("drawing the next pair failed")
+
+        with pytest.raises(NonFiniteRewardError, match="sap 7"):
+            list(convergence._verify_contractions(pairs([*ms[:2], late, ms[3], nan], False)))
+        # a draw that fails after a failing trial of its chunk comes second
+        with pytest.raises(NonFiniteRewardError, match="sap 5"):
+            list(convergence._verify_contractions(pairs([*ms[:4], nan], True)))
+        with pytest.raises(RuntimeError, match="drawing"):
+            list(convergence._verify_contractions(pairs(ms, True)))
 
 
 class TestProductExpansion:
