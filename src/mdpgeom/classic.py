@@ -8,10 +8,7 @@ mdpgeom.geometry, whose policy iteration is the library's optimum for both
 criteria.
 
 The gamma = 1 enumeration is the oracle the tests compare that search
-with; the search never calls it. It walks every policy, a chunk at a time:
-one reachability closure classifies a chunk's kernels, each unichain kernel
-gets its own gain/bias solve, and one expression checks the chunk's
-residuals. The result is that of a loop over single policies, bit for bit.
+with; the search never calls it.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from .model import (
     enumerate_policies,
     policy_kernel,
     span,
-    _policy_chunks,
 )
 from .chains import _classify
 
@@ -67,9 +63,10 @@ class OptimalPolicyResult:
     """Optimal policy plus whether the optimum is unique at tolerance 1e-9.
 
     ``values`` carries V* for gamma < 1; ``gain`` the optimal gain at
-    gamma = 1. ``skipped_multichain`` is enumeration's count of the policies
-    it skipped at gamma = 1 because their kernel is not unichain; it is
-    always 0 from ``geometry.optimal_policy``, which enumerates nothing.
+    gamma = 1, from one gain/bias solve of the optimum. ``skipped_multichain``
+    is enumeration's count of the policies it skipped at gamma = 1 because
+    their kernel is not unichain; it is always 0 from
+    ``geometry.optimal_policy``, which enumerates nothing.
     ``geometry.optimal_policy`` also sets ``advantages``, each SAP's against
     the optimum, and the optimum's ``geometry.PolicyVector`` and
     ``geometry.GeometryConstants`` as ``policy_vector`` and ``constants``.
@@ -123,49 +120,29 @@ def evaluate_average(model: MdpModel, pi: Policy, anchor_state: int = 0) -> Gain
         raise ValueError(f"anchor state {anchor_state} outside [0, {model.n})")
     p = policy_kernel(model, pi)  # checks pi
     check_finite_rewards(model, pi)
-    gains, biases = _gain_bias(p[None], model.sap_rewards[pi.choice][None], anchor_state)
-    return GainBias(gain=float(gains[0]), bias=biases[0], anchor_state=anchor_state)
+    gain, bias = _gain_bias(p, model.sap_rewards[pi.choice], anchor_state)
+    return GainBias(gain=float(gain), bias=bias, anchor_state=anchor_state)
 
 
 def _gain_bias(p: np.ndarray, r: np.ndarray, anchor_state: int = 0) -> tuple:
-    """(gains (k,), biases (k, n)) of a stack of k kernels (k, n, n) with rewards (k, n).
-
-    evaluate_average's solve, one ``solve_checked`` per kernel, then one
-    residual check for the whole stack. Raises NotUnichainError for the first
-    kernel, in stack order, whose solve is singular or whose residual is out
-    of bounds.
-    """
-    k, n = r.shape
-    a = np.zeros((k, n + 1, n + 1))
-    a[:, :n, :n] = np.eye(n) - p
-    a[:, :n, n] = 1.0
-    a[:, n, anchor_state] = 1.0
-    b = np.zeros((k, n + 1))
-    b[:, :n] = r
-    x = np.empty((k, n + 1))
-    singular, solved = None, k
-    for i in range(k):
-        try:
-            x[i] = solve_checked(a[i], b[i])
-        except SingularMatrixError as exc:
-            singular, solved = exc, i
-            break
-    p, r, h, rho = p[:solved], r[:solved], x[:solved, :n], x[:solved, n]
-    residual = np.abs(_bellman_residuals(p, r, h, rho)).max(axis=1)
+    """(gain, bias) of the kernel ``p`` with rewards ``r``: evaluate_average's solve and
+    its residual check, either of which raises NotUnichainError."""
+    n = r.size
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = np.eye(n) - p
+    a[:n, n] = 1.0
+    a[n, anchor_state] = 1.0
+    try:
+        x = solve_checked(a, np.append(r, 0.0))
+    except SingularMatrixError as exc:
+        raise NotUnichainError("average-reward evaluation needs a unichain kernel") from exc
+    h, rho = x[:n], x[n]
+    residual = np.abs(r + p @ h - h - rho).max()
     # the floor is 1e-9; above it, the bound scales with the rewards and the bias
-    limit = 1e-9 * np.maximum(1.0, np.maximum(np.abs(r).max(axis=1), np.abs(h).max(axis=1)))
-    failed = np.flatnonzero(residual > limit)
-    if failed.size:
-        i = failed[0]
-        raise NotUnichainError(f"gain/bias residual {residual[i]:.3e} exceeds {limit[i]:.3e}")
-    if singular is not None:
-        raise NotUnichainError("average-reward evaluation needs a unichain kernel") from singular
+    limit = 1e-9 * max(1.0, np.abs(r).max(), np.abs(h).max())
+    if residual > limit:
+        raise NotUnichainError(f"gain/bias residual {residual:.3e} exceeds {limit:.3e}")
     return rho, h
-
-
-def _bellman_residuals(p: np.ndarray, r: np.ndarray, h: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """r + p @ h - h - rho for each kernel of a stack, bit for bit the per-kernel product."""
-    return r + (p @ h[..., None])[..., 0] - h - rho[:, None]
 
 
 def value_iteration(
@@ -257,30 +234,27 @@ def _optimal_discounted(model: MdpModel) -> OptimalPolicyResult:
 
 
 def _optimal_average(model: MdpModel) -> OptimalPolicyResult:
-    best_gain = -np.inf
-    best_policy = None
-    near = np.empty(0)  # the gains within 1e-9 of the best so far, which only rises
-    skipped = 0
-    # enumerated policies are valid by construction, so they index the model
-    # directly, and their kernels are rows of a validated model
-    for block in _policy_chunks(model):
-        kernels = model.sap_probs[block]
-        unichain = _classify(kernels)[0] == 1
-        skipped += block.shape[0] - int(np.count_nonzero(unichain))
-        block = block[unichain]
-        gains, _ = _gain_bias(kernels[unichain], model.sap_rewards[block])
-        for i, rho in enumerate(gains.tolist()):
-            if rho > best_gain + 1e-9:
-                best_gain = rho
-                best_policy = block[i]
-        near = np.concatenate((near, gains))
-        near = near[near >= best_gain - 1e-9]
+    best_gain, best_policy, skipped = -np.inf, None, 0
+    near = []  # the gains within 1e-9 of the best so far, which only rises
+    for pi in enumerate_policies(model):
+        # enumerated policies are valid by construction, so they index the model
+        # directly, and their kernels are rows of a validated model
+        kernel = model.sap_probs[pi.choice]
+        if _classify(kernel)[0] != 1:
+            skipped += 1
+            continue
+        rho, _ = _gain_bias(kernel, model.sap_rewards[pi.choice])
+        if rho > best_gain + 1e-9:
+            best_gain, best_policy = rho, pi
+            near = [g for g in near if g >= rho - 1e-9]
+        if rho >= best_gain - 1e-9:
+            near.append(rho)
     if best_policy is None:
         raise NotUnichainError("no unichain policy to optimize over at gamma = 1")
     return OptimalPolicyResult(
-        policy=Policy(best_policy),
-        unique=near.size == 1,
-        gain=best_gain,
+        policy=best_policy,
+        unique=len(near) == 1,
+        gain=float(best_gain),
         skipped_multichain=skipped,
     )
 
@@ -290,13 +264,12 @@ def optimal_policy(model: MdpModel) -> OptimalPolicyResult:
 
     Policies go in lexicographic order. gamma < 1: the first one whose
     classical advantages are at most 1e-9 * max(1, |V|); it is unique when
-    the others' are below -1e-9. gamma = 1: over unichain policies, in
-    chunks of ``POLICY_CHUNK_BYTES`` of kernels; a policy becomes the optimum
-    when its gain exceeds the best before it by more than 1e-9, and the
-    optimum is unique when no other unichain policy's gain is within 1e-9 of
-    it. A gain/bias failure raises for the first failing policy in that
-    order. EnumerationTooLargeError above ``ENUMERATION_CAP`` policies.
-    Raises NonFiniteRewardError, naming the first SAP whose reward is NaN or
+    the others' are below -1e-9. gamma = 1: over unichain policies, one
+    gain/bias solve each; a policy becomes the optimum when its gain exceeds
+    the best before it by more than 1e-9, and the optimum is unique when no
+    other unichain policy's gain is within 1e-9 of it. The first policy whose
+    gain/bias evaluation fails raises. EnumerationTooLargeError above
+    ``ENUMERATION_CAP`` policies. Raises NonFiniteRewardError, naming the first SAP whose reward is NaN or
     infinite, before any solve.
     """
     check_finite_rewards(model)

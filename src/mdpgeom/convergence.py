@@ -370,12 +370,13 @@ def _plans(pairs: list, trace_steps) -> list:
         return [exc if plan is None else plan for plan in out]
     for i in rows[1:]:
         models[i]._share_layout(models[rows[0]])
-    optima = {}  # row -> (optimal_policy's result, recurrent mask or None)
+    optima = {}  # row -> (pi*, unique, pi*'s advantages, recurrent mask or None)
     for i, found in zip(rows, geometry._howard([models[i] for i in rows], np.tile(start, (len(rows), 1)))):
         try:
             if isinstance(found, Exception):
                 raise found
-            optima[i] = geometry._optimum(models[i], *found), found[3]
+            pi_star, unique, _, adv = geometry._optimum(models[i], *found)
+            optima[i] = pi_star, unique, adv, found[3]
         except NotUnichainError:
             # a multichain optimum at gamma = 1: report the failed diagnostics with
             # an informational run on the raw model instead of crashing
@@ -387,7 +388,7 @@ def _plans(pairs: list, trace_steps) -> list:
     rows = list(optima)
     if not rows:
         return out
-    kernels = geometry._stacked([models[i].sap_probs[optima[i][0].policy.choice] for i in rows])
+    kernels = geometry._stacked([models[i].sap_probs[optima[i][0].choice] for i in rows])
     errors = chains._stochastic_errors(kernels)
     if any(errors):
         for i, exc in zip(rows, errors):
@@ -398,18 +399,16 @@ def _plans(pairs: list, trace_steps) -> list:
         if not rows:
             return out
     if models[rows[0]].is_average_reward:  # every iterate of the search is unichain, with its mask
-        unichain, recurrent = np.ones(len(rows), dtype=bool), np.array([optima[i][1] for i in rows])
+        unichain, recurrent = np.ones(len(rows), dtype=bool), np.array([optima[i][3] for i in rows])
     else:
         counts, recurrent = chains._classify(kernels)
         unichain = counts == 1
     certs = chains._certificates(kernels, unichain & recurrent.all(axis=-1))
     passing = []
     for j, i in enumerate(rows):
-        optimal = optima[i][0]
-        pi_star = optimal.policy
+        pi_star, unique, adv, _ = optima[i]
         # the normalized rewards are pi_star's advantages, from the search's last solve
-        run_model = models[i]._with_rewards(optimal.advantages)
-        unique = optimal.unique and _gap(run_model.sap_rewards, pi_star) > 1e-9
+        run_model = models[i]._with_rewards(adv)
         cert = certs[j] if isinstance(certs[j], PrimitivityCertificate) else None
         diagnostics = AssumptionDiagnostics(unique, bool(unichain[j]), aperiodic=cert is not None)
         steps = max(cert.exponent if cert else 0, trace_steps or 0) or chains.wielandt_bound(run_model.n)

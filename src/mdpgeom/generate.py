@@ -18,11 +18,12 @@ are listed in the generation result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .model import MdpModel
+from .modelfile import _integer
 
 PRNG_NAME = "splitmix64"
 
@@ -102,14 +103,44 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
-        return cls(
-            n=int(d["n"]),
-            saps_per_state=int(d["saps_per_state"]),
-            gamma=float(d["gamma"]),
-            reward_range=tuple(d.get("reward_range", (0.0, 1.0))),
-            sparsity=float(d.get("sparsity", 0.0)),
-            seed=int(d.get("seed", 0)),
-        )
+        """The spec a JSON object describes; n, saps_per_state and gamma are required.
+
+        A missing key, or a value that does not convert, raises ValueError
+        naming the key; a fractional n, saps_per_state or seed is refused, not
+        truncated.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"spec must be an object, not {type(d).__name__}")
+        values = {}
+        for f in fields(cls):
+            if f.name not in d:
+                if f.default is MISSING:
+                    raise ValueError(f"spec key {f.name!r} is missing")
+                continue
+            try:
+                values[f.name] = _SPEC_READERS[f.name](d[f.name], f.name)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"spec key {f.name!r}: {exc}") from exc
+        return cls(**values)
+
+
+def _real(value, name: str) -> float:
+    return float(value)
+
+
+def _range(value, name: str) -> tuple:
+    lo, hi = map(float, value)
+    return lo, hi
+
+
+_SPEC_READERS = {
+    "n": _integer,
+    "saps_per_state": _integer,
+    "gamma": _real,
+    "reward_range": _range,
+    "sparsity": _real,
+    "seed": _integer,
+}
 
 
 @dataclass

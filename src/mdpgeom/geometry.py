@@ -521,34 +521,36 @@ def optimal_policy(model: MdpModel) -> classic.OptimalPolicyResult:
     found = _howard([model], lowest_index_policy(model).choice[None])[0]
     if isinstance(found, Exception):
         raise found
-    return _optimum(model, *found)
-
-
-def _optimum(model: MdpModel, choice, v, adv, recurrent) -> classic.OptimalPolicyResult:
-    """optimal_policy's result from the end of ``_howard``'s run on ``model``: its policy
-    ``choice``, values ``v``, advantages ``adv`` and, at gamma = 1, ``recurrent`` mask."""
-    pi = Policy(choice)
+    pi, unique, v, adv = _optimum(model, *found)
+    pv, consts = _evaluated(model, v)
     if not model.is_average_reward:
-        pv, consts = _evaluated(model, v)
         values = to_classical_values(pv, consts, model).values
-        return classic.OptimalPolicyResult(
-            pi, _gap(adv, pi) > 1e-9, values, advantages=adv, policy_vector=pv, constants=consts
-        )
-    tied = _tied(model, pi, recurrent)
+        return classic.OptimalPolicyResult(pi, unique, values, advantages=adv, policy_vector=pv, constants=consts)
     try:
-        if tied:
-            pi = _first_tied(model, pi, recurrent)
-            v = mdp_constant(model) * _evaluate(model, pi.choice[None])[0]
-            adv = _advantages(model, v)
         rho = classic.evaluate_average(model, pi).gain
     except NotUnichainError as exc:  # pi is unichain, so a solve failed numerically
-        raise NumericalCheckError(f"the evaluation of the gamma=1 optimum failed: {exc}") from exc
-    pv, consts = _evaluated(model, v)
-    return classic.OptimalPolicyResult(
-        pi,
-        not tied and _gap(adv, pi) > 1e-9,
-        gain=rho,
-        advantages=adv,
-        policy_vector=pv,
-        constants=consts,
-    )
+        raise _evaluation_failed(exc) from exc
+    return classic.OptimalPolicyResult(pi, unique, gain=rho, advantages=adv, policy_vector=pv, constants=consts)
+
+
+def _optimum(model: MdpModel, choice, v, adv, recurrent) -> tuple:
+    """(pi, unique, v, adv) of the optimum from the end of ``_howard``'s run on ``model``:
+    its policy ``choice``, values ``v``, advantages ``adv`` and, at gamma = 1,
+    ``recurrent`` mask. At gamma = 1 a tied optimum gives way to its first tied
+    policy, evaluated once."""
+    pi = Policy(choice)
+    if not model.is_average_reward:
+        return pi, _gap(adv, pi) > 1e-9, v, adv
+    tied = _tied(model, pi, recurrent)
+    if tied:
+        pi = _first_tied(model, pi, recurrent)
+        try:
+            v = mdp_constant(model) * _evaluate(model, pi.choice[None])[0]
+        except NotUnichainError as exc:  # pi is unichain, so a solve failed numerically
+            raise _evaluation_failed(exc) from exc
+        adv = _advantages(model, v)
+    return pi, not tied and _gap(adv, pi) > 1e-9, v, adv
+
+
+def _evaluation_failed(exc: NotUnichainError) -> NumericalCheckError:
+    return NumericalCheckError(f"the evaluation of the gamma=1 optimum failed: {exc}")

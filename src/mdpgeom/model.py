@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
-from operator import mul
+from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -347,39 +346,19 @@ def span(v) -> float:
 # the most policies that enumeration walks through
 ENUMERATION_CAP = 10**6
 
-# byte budget of one chunk of enumerated policies' (k, n, n) kernel stack
-POLICY_CHUNK_BYTES = 2**20
-
-
-def _policy_chunks(model: MdpModel) -> Iterator[np.ndarray]:
-    """Every deterministic stationary policy, as int64 (k, n) SAP-index blocks.
-
-    Rows come in lexicographic order (``itertools.product`` over each state's
-    SAPs, ascending): policy index i is decoded in mixed radix, the last state
-    varying fastest. A block holds as many policies as have (k, n, n) float64
-    kernels within POLICY_CHUNK_BYTES, and at least one. Raises
-    EnumerationTooLargeError above ENUMERATION_CAP policies, before any block.
-    """
-    counts, order, starts = model._by_state
-    total = policy_count(model)
-    if total > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(f"{total} policies exceed the enumeration cap {ENUMERATION_CAP}")
-    radix = counts.tolist()
-    strides = np.array(list(accumulate(radix[:0:-1], mul, initial=1))[::-1], dtype=np.int64)
-    k = max(1, POLICY_CHUNK_BYTES // (8 * model.n * model.n))
-    for lo in range(0, total, k):
-        index = np.arange(lo, min(lo + k, total), dtype=np.int64)[:, None]
-        yield order[starts + index // strides % counts]
-
 
 def enumerate_policies(model: MdpModel) -> Iterator[Policy]:
     """Yield every deterministic stationary policy exactly once.
 
-    Policies come out in lexicographic order of their SAP-index vectors.
-    Raises EnumerationTooLargeError above ENUMERATION_CAP policies.
+    Policies come out in lexicographic order of their SAP-index vectors
+    (``itertools.product`` over each state's SAPs, ascending). Raises
+    EnumerationTooLargeError above ENUMERATION_CAP policies, on the first draw.
     """
-    for block in _policy_chunks(model):
-        yield from map(Policy, block)
+    total = policy_count(model)
+    if total > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(f"{total} policies exceed the enumeration cap {ENUMERATION_CAP}")
+    _, order, starts = model._by_state
+    yield from map(Policy, product(*(saps.tolist() for saps in np.split(order, starts[1:]))))
 
 
 def policy_count(model: MdpModel) -> int:

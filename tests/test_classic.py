@@ -1,10 +1,10 @@
-import itertools
+import ast
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from mdpgeom import (
     CriterionMismatchError,
@@ -25,56 +25,11 @@ from mdpgeom import (
     value_iteration,
 )
 from mdpgeom import classic
-from mdpgeom.classic import _bellman_residuals, classical_advantages
+from mdpgeom.classic import classical_advantages
 from mdpgeom.errors import SingularMatrixError
-from mdpgeom.linalg import solve_checked
-from mdpgeom.model import POLICY_CHUNK_BYTES, policy_count
+from mdpgeom.model import policy_count
 
 from conftest import best_start_gain, make_model, random_instance
-
-
-def per_kernel_gain(p, r):
-    """The gain of one kernel from its own gain/bias solve and residual check."""
-    n = p.shape[0]
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = np.eye(n) - p
-    a[:n, n] = 1.0
-    a[n, 0] = 1.0
-    b = np.zeros(n + 1)
-    b[:n] = r
-    try:
-        x = solve_checked(a, b)
-    except SingularMatrixError as exc:
-        raise NotUnichainError("average-reward evaluation needs a unichain kernel") from exc
-    h, rho = x[:n], float(x[n])
-    residual = float(np.max(np.abs(r + p @ h - h - rho)))
-    if residual > 1e-9:
-        limit = 1e-9 * max(1.0, float(np.abs(r).max()), float(np.abs(h).max()))
-        if residual > limit:
-            raise NotUnichainError(f"gain/bias residual {residual:.3e} exceeds {limit:.3e}")
-    return rho
-
-
-def per_policy_optimal_average(model):
-    """optimal_policy at gamma = 1 one policy at a time: the enumeration loop that
-    the stacked search replaced, kept as its reference. Returns the outcome as
-    (policy, unique, gain, skipped_multichain)."""
-    best_gain, best_policy, gains, skipped = -np.inf, None, [], 0
-    per_state = [model.saps_at(s).tolist() for s in range(model.n)]
-    for combo in itertools.product(*per_state):
-        choice = np.array(combo, dtype=np.int64)
-        kernel = model.sap_probs[choice]
-        if not classify_chain(kernel).is_unichain:
-            skipped += 1
-            continue
-        rho = per_kernel_gain(kernel, model.sap_rewards[choice])
-        gains.append(rho)
-        if rho > best_gain + 1e-9:
-            best_gain, best_policy = rho, combo
-    if best_policy is None:
-        raise NotUnichainError("no unichain policy to optimize over at gamma = 1")
-    within = sum(1 for g in gains if g >= best_gain - 1e-9)
-    return best_policy, within == 1, best_gain, skipped
 
 
 def outcome(search, model):
@@ -86,7 +41,7 @@ def outcome(search, model):
     return tuple(int(i) for i in policy), unique, gain.hex(), skipped
 
 
-def stacked_search(model):
+def oracle_search(model):
     result = classic.optimal_policy(model)
     return result.policy.choice, result.unique, result.gain, result.skipped_multichain
 
@@ -96,7 +51,7 @@ def geometric_search(model):
     return result.policy.choice, result.unique, result.gain, result.skipped_multichain
 
 
-# (n, SAPs per state) with at most 256 policies, so that the reference loop stays quick
+# (n, SAPs per state) with at most 256 policies, so that the oracle stays quick
 ORACLE_SIZES = [(n, k) for n in range(2, 8) for k in range(2, 6) if k**n <= 256]
 
 
@@ -335,16 +290,15 @@ class TestOptimalPolicy:
 
 
 class TestStackedEnumeration:
-    """classic.optimal_policy at gamma = 1 against the per-policy reference loop, and
-    mdpgeom.optimal_policy against the same reference, except where the optimum is multichain."""
+    """classic.optimal_policy at gamma = 1, the enumeration oracle, against mdpgeom.optimal_policy,
+    which agrees with it except where the optimum is multichain."""
 
     @pytest.mark.parametrize("first", range(0, 2000, 250))
     def test_matches_per_policy_loop(self, first):
         kinds = set()
         for seed in range(first, first + 250):
             m = oracle_case(seed)
-            expected = outcome(per_policy_optimal_average, m)
-            assert outcome(stacked_search, m) == expected, seed
+            expected = outcome(oracle_search, m)
             found = outcome(geometric_search, m)
             if found[:3] != expected[:3]:
                 # enumeration ranks unichain policies only: where the optimum is multichain,
@@ -368,33 +322,28 @@ class TestStackedEnumeration:
         m = random_instance(1, n=7, gamma=1.0, saps_per_state=4, sparsity=0.5)
         if twins:
             # state 0's four SAPs copy its first, so each gain is shared by policies
-            # 4^6 = 4,096 apart in the enumeration, which no chunk holds together
+            # 4^6 = 4,096 apart in the enumeration
             first = m.saps[int(m.saps_at(0)[0])]
             m = MdpModel(m.n, [first if s.state == 0 else s for s in m.saps], m.gamma)
-        assert policy_count(m) == 16_384 > 4**6 > POLICY_CHUNK_BYTES // (8 * 7 * 7)
-        expected = outcome(per_policy_optimal_average, m)
+        assert policy_count(m) == 16_384
+        expected = outcome(oracle_search, m)
         assert len(expected) == 4 and (twins or expected[3] > 0)  # some multichain skipped
         assert expected[1] is not twins  # unique without the copies, tied with them
-        assert outcome(stacked_search, m) == expected
+        assert outcome(geometric_search, m)[:3] == expected[:3]
 
-    @pytest.mark.parametrize("singular_at", [0, 1])
-    def test_first_failure_in_stack_order_raises(self, monkeypatch, singular_at):
-        # one kernel's solve is singular, the other's misses its residual bound:
-        # the error is the one of the earlier kernel, whichever check finds it
-        calls = []
-
+    @pytest.mark.parametrize("failing", [0, 1])  # the solve, or the residual check
+    def test_first_failure_in_stack_order_raises(self, monkeypatch, failing):
+        # a kernel's gain/bias evaluation fails when its solve is singular or
+        # when its solution misses the residual bound
         def solve(a, b):
-            calls.append(a)
-            if len(calls) - 1 == singular_at:
+            if failing == 0:
                 raise SingularMatrixError("pivot ratio below threshold")
             return np.array([0.0, 1.0, 5.0])  # h = (0, 1), rho = 5; the solution is (0, 0), 1
 
         monkeypatch.setattr(classic, "solve_checked", solve)
-        p, r = np.full((2, 2, 2), 0.5), np.ones((2, 2))
-        expected = "needs a unichain kernel" if singular_at == 0 else "residual 4.500e+00 exceeds 1.000e-09"
+        expected = "needs a unichain kernel" if failing == 0 else "residual 4.500e+00 exceeds 1.000e-09"
         with pytest.raises(NotUnichainError, match=re.escape(expected)):
-            classic._gain_bias(p, r)
-        assert len(calls) == singular_at + 1
+            classic._gain_bias(np.full((2, 2), 0.5), np.ones(2))
 
     def test_working_set_bounded_by_chunk(self):
         m = random_instance(2, n=8, gamma=1.0, saps_per_state=4, sparsity=0.3)
@@ -405,39 +354,19 @@ class TestStackedEnumeration:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * POLICY_CHUNK_BYTES <= every_kernel / 4
+        assert peak < 8 * 2**20 <= every_kernel / 4
 
 
-@st.composite
-def residual_stacks(draw):
-    """(p, r, h, rho) for a stack of one to five row-stochastic kernels of one size n <= 40."""
-    n = draw(st.integers(1, 40))
-    k = draw(st.integers(1, 5))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    p = rng.random((k, n, n)) * (rng.random((k, n, n)) < draw(st.floats(0.1, 1.0)))
-    p[:, :, 0] += p.sum(axis=2) == 0.0
-    p /= p.sum(axis=2, keepdims=True)
-    scale = draw(st.sampled_from([1.0, 1e3, 1e6]))
-    r, h = scale * rng.normal(size=(2, k, n))
-    return p, r, h, scale * rng.normal(size=k)
-
-
-class TestStackedResidual:
-    @given(residual_stacks())
-    def test_bit_equal_to_per_kernel(self, stack):
-        p, r, h, rho = stack
-        stacked = _bellman_residuals(p, r, h, rho)
-        for i in range(len(p)):
-            alone = r[i] + p[i] @ h[i] - h[i] - float(rho[i])
-            assert stacked[i].tobytes() == alone.tobytes()
-
-    @pytest.mark.parametrize("n", [64, 100, 600])
-    def test_bit_equal_at_larger_n(self, n):
-        rng = np.random.default_rng(n)
-        p = rng.random((2, n, n))
-        p /= p.sum(axis=2, keepdims=True)
-        r, h = rng.normal(size=(2, 2, n))
-        stacked = _bellman_residuals(p, r, h, np.array([0.5, -2.0]))
-        for i, rho in enumerate([0.5, -2.0]):
-            assert stacked[i].tobytes() == (r[i] + p[i] @ h[i] - h[i] - rho).tobytes()
+def test_oracle_is_independent_of_the_geometric_route():
+    # classic is the oracle the geometric route is checked against, so it may not import it
+    tree = ast.parse(Path(classic.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            if node.module in (None, "mdpgeom"):  # from . import geometry
+                imported.update(alias.name for alias in node.names)
+    assert "kernels" in imported and "chains" in imported  # the walk sees both import forms
+    assert not imported & {"geometry", "convergence", "cli", "reporting"}

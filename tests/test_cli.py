@@ -519,6 +519,34 @@ class TestSweep:
         assert len(rows) == 1 + trials
 
 
+SPEC = {"n": 3, "saps_per_state": 2, "gamma": 0.9}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({}, "spec key 'n' is missing"),
+        ({"n": 3, "gamma": 0.9}, "spec key 'saps_per_state' is missing"),
+        ([], "spec must be an object, not list"),
+        ({**SPEC, "n": None}, "spec key 'n': int() argument"),
+        ({**SPEC, "gamma": "high"}, "spec key 'gamma': could not convert"),
+        ({**SPEC, "reward_range": 5}, "spec key 'reward_range': 'int' object is not iterable"),
+        ({**SPEC, "reward_range": [0, 1, 2]}, "spec key 'reward_range': too many values"),
+        ({**SPEC, "n": 3.5}, "spec key 'n': n 3.5 is not an integer"),
+        ({**SPEC, "saps_per_state": 2.5}, "spec key 'saps_per_state': saps_per_state 2.5 is not an integer"),
+        ({**SPEC, "seed": 1.5}, "spec key 'seed': seed 1.5 is not an integer"),
+    ],
+    ids=["empty", "no-saps", "list", "null-n", "text-gamma", "scalar-range", "long-range", "n", "saps", "seed"],
+)
+def test_malformed_spec_is_an_input_error(tmp_path, capsys, spec, message):
+    # a spec that does not describe a generator is exit 2 naming the key, before any output
+    path, out = tmp_path / "spec.json", tmp_path / "sw"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", "--spec", str(path), "--trials", "2", "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestNegativeCounts:
     """A negative --trials or --steps is an argument error (exit 2), before any work."""
 

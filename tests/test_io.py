@@ -310,6 +310,8 @@ class TestGenerateModel:
             n=3, saps_per_state=2, gamma=1.0, reward_range=(-1.0, 2.0), sparsity=0.25, seed=17
         )
         assert GeneratorSpec.from_dict(spec.to_dict()) == spec
+        # integral floats are read as integers; omitted keys take their defaults
+        assert GeneratorSpec.from_dict({"n": 3.0, "saps_per_state": 2, "gamma": 1}) == GeneratorSpec(3, 2, 1.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
