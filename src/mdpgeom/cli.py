@@ -5,10 +5,12 @@ sweep. Exit codes: 0 ok, 1 internal error, 2 input error, 3 assumption
 violated under --strict.
 
 A sweep verifies its trials a chunk at a time (``convergence._verify_contractions``).
-The chunk's models are generated, and then planned in lockstep: one stacked
-optimal-policy search, chain test, primitivity test and gap check settle
-every trial's optimal policy, diagnostics, step count and gap, each with the
-bits it has alone. The first failing trial stops the sweep with the same
+The chunk's models and start vectors are drawn together, in stacked
+SplitMix64 passes (``generate._generate``) with the bits each trial's seed
+draws alone, and the models share one SAP layout. Then the chunk is planned
+in lockstep: one stacked optimal-policy search, chain test, primitivity test
+and gap check settle every trial's optimal policy, diagnostics, step count
+and gap, each with the bits it has alone. The first failing trial stops the sweep with the same
 error as when trials ran one after another. Then one lockstep value
 iteration runs the chunk's trials, and each trial's constants and bound
 verdicts follow. A chunk holds the trials whose stacked rows fit
@@ -34,7 +36,7 @@ from .chains import (
     primitivity_certificate,
     unichain_by_invertibility,
 )
-from .convergence import _verify_contractions, verify_contraction
+from .convergence import _chunk_size, _verify_contractions, verify_contraction
 from .errors import (
     AssumptionViolatedError,
     InvalidPolicyError,
@@ -43,7 +45,16 @@ from .errors import (
     NotPrimitiveError,
     NotUnichainError,
 )
-from .generate import GeneratorSpec, SplitMix64, generate_model, uniform_vector, PRNG_NAME
+from .generate import (
+    PRNG_NAME,
+    GeneratorSpec,
+    SplitMix64,
+    _generate,
+    _states,
+    _uniform_vectors,
+    generate_model,
+    uniform_vector,
+)
 from .model import MdpModel, Policy, check_policy, policy_kernel
 from .modelfile import emit_model, parse_model
 from .reporting import SweepRow, _json_safe, policy_hash, report_dict, sweep_csv, trace_csv
@@ -240,11 +251,14 @@ def _cmd_generate(args) -> int:
 
 
 def _sweep_pairs(spec: GeneratorSpec, base_seed: int, trials: int):
-    # each trial's model and v0, built as _verify_contractions draws it
-    for trial in range(trials):
-        seed = base_seed + trial
-        model = generate_model(dataclasses.replace(spec, seed=seed)).model
-        yield model, uniform_vector(SplitMix64(seed ^ V0_SEED_XOR), model.n)
+    # each trial's model and v0, drawn a planning chunk of trials at a time, as
+    # _verify_contractions takes them
+    size = _chunk_size(spec.n * spec.saps_per_state, spec.n)
+    for first in range(0, trials, size):
+        states = _states(range(base_seed + first, base_seed + min(first + size, trials)))
+        v0s = _uniform_vectors(states ^ np.uint64(V0_SEED_XOR), spec.n)
+        for (model, _), v0 in zip(_generate(spec, states), v0s):
+            yield model, v0
 
 
 def _sweep_row(trial: int, seed: int, report) -> SweepRow:

@@ -574,7 +574,13 @@ def _planned(pairs) -> Iterator[_Plan]:
 def _plans_with(chunk: list, model: MdpModel) -> bool:
     # whether model joins the chunk of (model, v0) pairs that _plans settles together
     head = chunk[0][0]
-    return _alike(model, head) and (len(chunk) + 1) * 8 * head.m * head.n <= VI_STACK_BYTES
+    return _alike(model, head) and len(chunk) < _chunk_size(head.m, head.n)
+
+
+def _chunk_size(m: int, n: int) -> int:
+    # the pairs of a chunk whose models have m SAPs over n states: as many as
+    # have (k, m, n) transition rows within VI_STACK_BYTES, and at least one
+    return max(1, VI_STACK_BYTES // (8 * m * n))
 
 
 def _joins(chunk: list, run_model: MdpModel, longest: int) -> bool:

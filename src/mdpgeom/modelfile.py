@@ -45,10 +45,18 @@ def _reals(values: np.ndarray) -> list:
 
 
 def _integer(value, name: str) -> int:
-    """``value`` as an int; a float with a fractional part is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{name} {value!r} is not an integer")
+    """``value`` as an int; a float with a fractional part is refused, not truncated,
+    and a JSON boolean is refused, not read as 0 or 1."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} {json.dumps(value)} is not an integer")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a JSON boolean is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} {json.dumps(value)} is not a number")
+    return float(value)
 
 
 def _row(probs: np.ndarray, zeros: list) -> str:
@@ -101,7 +109,7 @@ def parse_model(text: str) -> MdpModel:
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level document must be an object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or isinstance(version, bool):  # true == 1 in Python
         raise UnsupportedVersionError(
             f"unsupported schema_version {version!r}, expected {SCHEMA_VERSION}"
         )
@@ -117,14 +125,14 @@ def parse_model(text: str) -> MdpModel:
             raise ModelFormatError(f"sap {i}: must be an object")
         try:
             states.append(_integer(entry["state"], "state"))
-            rewards.append(float(entry["reward"]))
+            rewards.append(_real(entry["reward"], "reward"))
             rows.append(entry["probs"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"sap {i}: {exc}") from exc
         if not isinstance(rows[-1], list):
             raise ModelFormatError(f"sap {i}: probs must be a list")
     try:
-        n, gamma = _integer(doc["n"], "n"), float(doc["gamma"])
+        n, gamma = _integer(doc["n"], "n"), _real(doc["gamma"], "gamma")
         model = MdpModel._from_arrays(n, gamma, states, rewards, rows)
     except ValidationFailedError:
         raise

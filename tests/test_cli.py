@@ -15,9 +15,10 @@ from mdpgeom.cli import main
 
 from conftest import count_calls, make_model
 from mdpgeom.errors import NumericalCheckError
-from mdpgeom.generate import GeneratorSpec, generate_model
+from mdpgeom.generate import GeneratorSpec, SplitMix64, generate_model, uniform_vector
 from mdpgeom.model import lowest_index_policy
 from mdpgeom.modelfile import emit_model
+from mdpgeom.reporting import sweep_csv
 
 
 def package_env():
@@ -75,8 +76,17 @@ class TestValidate:
             # a fractional number is refused, not truncated; sap None sets a top-level key
             (2, "state", 1.7, 2, "sap 2: state 1.7 is not an integer"),
             (None, "n", 2.9, 2, "n 2.9 is not an integer"),
+            # a JSON boolean is not read as 0 or 1
+            (0, "state", False, 2, "sap 0: state false is not an integer"),
+            (1, "reward", True, 2, "sap 1: reward true is not a number"),
+            (None, "n", True, 2, "n true is not an integer"),
+            (None, "gamma", True, 2, "gamma true is not a number"),
+            (None, "schema_version", True, 2, "unsupported schema_version True"),
         ],
-        ids=["state-1e30", "null-entry", "string-entries", "ragged", "state-1.7", "n-2.9"],
+        ids=[
+            "state-1e30", "null-entry", "string-entries", "ragged", "state-1.7", "n-2.9",
+            "state-false", "reward-true", "n-true", "gamma-true", "version-true",
+        ],
     )
     def test_awkward_documents(self, tmp_path, capsys, sap, key, value, code, message):
         # outcomes as before the model held arrays
@@ -420,6 +430,18 @@ class TestGenerate:
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
+    @pytest.mark.parametrize("lo, hi", [("-inf", "inf"), ("-1e308", "1e308")], ids=["infinite", "overflowing"])
+    def test_reward_range_must_be_finite(self, tmp_path, capsys, lo, hi):
+        # exit 2 naming reward_range, and no model is written
+        argv = ["generate", "--n", "3", "--saps", "2", "--gamma", "0.9", "--seed", "1"]
+        argv += [f"--reward-lo={lo}", f"--reward-hi={hi}"]
+        out = tmp_path / "m.json"
+        assert main(argv + ["-o", str(out)]) == 2
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "reward_range" in captured.err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_byte_identical_reruns(self, tmp_path):
@@ -517,6 +539,24 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().splitlines()
         assert rows[0].startswith("trial,seed,n,gamma,")
         assert len(rows) == 1 + trials
+        assert len(json.loads((out / "sweep.json").read_text())["rows"]) == trials
+
+    @pytest.mark.parametrize("seed", [-3, 2**64 - 1], ids=["negative", "wraps-to-zero"])
+    def test_edge_seeds_match_trial_by_trial(self, tmp_path, seed):
+        # a chunk's models and start vectors are drawn together, with the bits
+        # each trial's seed draws alone; from 2**64 - 1, trial 1's seed wraps to state 0
+        spec = {"n": 12, "saps_per_state": 4, "gamma": 0.95, "sparsity": 0.7}
+        path, out = tmp_path / "spec.json", tmp_path / "sw"
+        path.write_text(json.dumps(spec))
+        argv = ["sweep", "--spec", str(path), "--trials", "5", "--seed", str(seed), "-o", str(out)]
+        assert main(argv) == 0
+        rows = []
+        for trial in range(5):
+            s = seed + trial
+            model = generate_model(GeneratorSpec(seed=s, **spec)).model
+            v0 = uniform_vector(SplitMix64(s ^ cli.V0_SEED_XOR), model.n)
+            rows.append(cli._sweep_row(trial, s, convergence.verify_contraction(model, v0=v0)))
+        assert (out / "sweep.csv").read_text() == sweep_csv(rows)
 
 
 SPEC = {"n": 3, "saps_per_state": 2, "gamma": 0.9}
@@ -535,8 +575,19 @@ SPEC = {"n": 3, "saps_per_state": 2, "gamma": 0.9}
         ({**SPEC, "n": 3.5}, "spec key 'n': n 3.5 is not an integer"),
         ({**SPEC, "saps_per_state": 2.5}, "spec key 'saps_per_state': saps_per_state 2.5 is not an integer"),
         ({**SPEC, "seed": 1.5}, "spec key 'seed': seed 1.5 is not an integer"),
+        # a JSON boolean is not read as 0 or 1
+        ({"n": True, "saps_per_state": 2, "gamma": True}, "spec key 'n': n true is not an integer"),
+        ({**SPEC, "gamma": True}, "spec key 'gamma': gamma true is not a number"),
+        ({**SPEC, "reward_range": [False, 1]}, "spec key 'reward_range': reward_range false is not a number"),
+        ({**SPEC, "seed": False}, "spec key 'seed': seed false is not an integer"),
+        # generation needs a finite reward range of finite width
+        ({**SPEC, "reward_range": [-math.inf, math.inf]}, "reward_range [-inf, inf] must be finite"),
+        ({**SPEC, "reward_range": [-1e308, 1e308]}, "reward_range [-1e+308, 1e+308] must be finite"),
     ],
-    ids=["empty", "no-saps", "list", "null-n", "text-gamma", "scalar-range", "long-range", "n", "saps", "seed"],
+    ids=[
+        "empty", "no-saps", "list", "null-n", "text-gamma", "scalar-range", "long-range", "n", "saps", "seed",
+        "bool-n", "bool-gamma", "bool-range", "bool-seed", "infinite-range", "overflowing-range",
+    ],
 )
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, spec, message):
     # a spec that does not describe a generator is exit 2 naming the key, before any output

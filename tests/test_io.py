@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -19,7 +20,9 @@ from mdpgeom import (
     parse_model,
     validate_model,
 )
+from mdpgeom import generate
 from mdpgeom.convergence import verify_contraction
+from mdpgeom.generate import _generate, _states, _uniform_rows
 from mdpgeom.reporting import fnv1a64, policy_hash, report_dict, trace_csv
 
 from conftest import make_model, random_instance
@@ -259,6 +262,62 @@ class TestSplitMix64:
         assert rng.next_u64() == ref.next_u64()
 
 
+SEEDS = st.one_of(st.integers(-(2**64), -1), st.just(0), st.integers(2**63, 2**64 - 1))
+
+
+class TestStackedDraws:
+    """The models and draws of many seeds, drawn together, are those of each seed alone."""
+
+    @given(seeds=st.lists(SEEDS, min_size=1, max_size=6), k=st.integers(0, 40))
+    def test_rows_follow_the_scalar_stream(self, seeds, k):
+        block = _uniform_rows(_states(seeds), k)
+        assert block.shape == (len(seeds), k)
+        for seed, row in zip(seeds, block):
+            ref = SplitMix64(seed)
+            want = np.array([(ref.next_u64() >> 11) * 2.0**-53 for _ in range(k)])
+            assert row.tobytes() == want.tobytes()
+
+    @given(
+        seeds=st.lists(SEEDS, min_size=1, max_size=6),
+        n=st.integers(1, 5),
+        saps=st.integers(1, 3),
+        sparsity=st.sampled_from([0.0, 0.3, 1.0]),
+        chunk_draws=st.integers(1, 200),
+    )
+    def test_models_equal_generate_model(self, seeds, n, saps, sparsity, chunk_draws):
+        # a small pass size splits the block into several passes: of whole
+        # models, or of SAP chunks of one model when a model holds more draws
+        spec = GeneratorSpec(n=n, saps_per_state=saps, gamma=0.9, sparsity=sparsity, reward_range=(-2.0, 3.0))
+        alone = [generate_model(dataclasses.replace(spec, seed=s)) for s in seeds]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(generate, "_CHUNK_DRAWS", chunk_draws)
+            stacked = _generate(spec, _states(seeds))
+        assert len(stacked) == len(seeds)
+        for (model, repaired), ref in zip(stacked, alone):
+            assert model.sap_probs.tobytes() == ref.model.sap_probs.tobytes()
+            assert model.sap_rewards.tobytes() == ref.model.sap_rewards.tobytes()
+            assert model.sap_states.tobytes() == ref.model.sap_states.tobytes()
+            assert (model.n, model.gamma, repaired) == (n, 0.9, ref.repaired_rows)
+            assert model.sap_states is stacked[0][0].sap_states
+            assert not model.sap_probs.flags.writeable
+
+    @pytest.mark.parametrize(
+        "spec, seeds, passes",
+        [
+            # 1,201 draws per SAP: 54 SAPs a pass, 44 passes and a last one of 24
+            (GeneratorSpec(n=600, saps_per_state=4, gamma=0.99, sparsity=0.9), 1, [(1, 54 * 1201)] * 44 + [(1, 24 * 1201)]),
+            # 1,200 draws per model: 54 whole models a pass
+            (GeneratorSpec(n=12, saps_per_state=4, gamma=0.95, sparsity=0.7), 150, [(54, 1200)] * 2 + [(42, 1200)]),
+        ],
+        ids=["large", "sweep-disc"],
+    )
+    def test_passes(self, monkeypatch, spec, seeds, passes):
+        shapes, rows = [], generate._uniform_rows
+        monkeypatch.setattr(generate, "_uniform_rows", lambda s, k: shapes.append((s.size, k)) or rows(s, k))
+        _generate(spec, _states(range(seeds)))
+        assert shapes == passes
+
+
 class TestGenerateModel:
     def test_same_seed_same_model(self):
         spec = GeneratorSpec(n=5, saps_per_state=3, gamma=0.9, seed=99, sparsity=0.4)
@@ -320,6 +379,13 @@ class TestGenerateModel:
             GeneratorSpec(n=2, saps_per_state=1, gamma=0.5, sparsity=1.5)
         with pytest.raises(ValueError):
             GeneratorSpec(n=2, saps_per_state=1, gamma=0.5, reward_range=(1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "reward_range", [(-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)]
+    )
+    def test_reward_range_and_its_width_must_be_finite(self, reward_range):
+        with pytest.raises(ValueError, match="reward_range"):
+            GeneratorSpec(n=2, saps_per_state=1, gamma=0.5, reward_range=reward_range)
 
 
 class TestPolicyHash:
