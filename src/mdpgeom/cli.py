@@ -4,17 +4,19 @@ Subcommands: validate, solve, analyze, normalize, converge, generate,
 sweep. Exit codes: 0 ok, 1 internal error, 2 input error, 3 assumption
 violated under --strict.
 
-A sweep verifies its trials a chunk at a time (``convergence._verify_contractions``).
-The chunk's models and start vectors are drawn together, in stacked
-SplitMix64 passes (``generate._generate``) with the bits each trial's seed
-draws alone, and the models share one SAP layout. Then the chunk is planned
-in lockstep: one stacked optimal-policy search, chain test, primitivity test
-and gap check settle every trial's optimal policy, diagnostics, step count
-and gap, each with the bits it has alone. The first failing trial stops the sweep with the same
-error as when trials ran one after another. Then one lockstep value
-iteration runs the chunk's trials, and each trial's constants and bound
-verdicts follow. A chunk holds the trials whose stacked rows fit
-``convergence.VI_STACK_BYTES``.
+A sweep draws, plans and iterates its trials a chunk at a time, each chunk
+as one unit (``convergence._verify_chunk``). A chunk holds as many trials as
+have stacked transition rows within ``convergence.VI_STACK_BYTES``. Its
+models and start vectors are drawn together, in stacked SplitMix64 passes
+(``generate._generate``) with the bits each trial's seed draws alone, and
+the models share one SAP layout. Then the chunk is planned in lockstep: one
+stacked optimal-policy search, chain test, primitivity test and gap check
+settle every trial's optimal policy, diagnostics, step count and gap, each
+with the bits it has alone. The first failing trial stops the sweep with
+the same error as when trials ran one after another. Then the chunk's value
+iterations run in lockstep, in consecutive stacks whose rows fit the same
+budget with their greedy picks, and each trial's constants and bound
+verdicts follow.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .chains import (
     primitivity_certificate,
     unichain_by_invertibility,
 )
-from .convergence import _chunk_size, _verify_contractions, verify_contraction
+from .convergence import _chunk_size, _verify_chunk, verify_contraction
 from .errors import (
     AssumptionViolatedError,
     InvalidPolicyError,
@@ -250,17 +252,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _sweep_pairs(spec: GeneratorSpec, base_seed: int, trials: int):
-    # each trial's model and v0, drawn a planning chunk of trials at a time, as
-    # _verify_contractions takes them
-    size = _chunk_size(spec.n * spec.saps_per_state, spec.n)
-    for first in range(0, trials, size):
-        states = _states(range(base_seed + first, base_seed + min(first + size, trials)))
-        v0s = _uniform_vectors(states ^ np.uint64(V0_SEED_XOR), spec.n)
-        for (model, _), v0 in zip(_generate(spec, states), v0s):
-            yield model, v0
-
-
 def _sweep_row(trial: int, seed: int, report) -> SweepRow:
     diag = report.diagnostics
     consts = report.constants
@@ -290,8 +281,12 @@ def _sweep_row(trial: int, seed: int, report) -> SweepRow:
 def _cmd_sweep(args) -> int:
     spec = GeneratorSpec.from_dict(json.loads(Path(args.spec).read_text()))
     trials = args.trials
-    reports = _verify_contractions(_sweep_pairs(spec, args.seed, trials))
-    rows = [_sweep_row(t, args.seed + t, report) for t, report in enumerate(reports)]
+    rows, size = [], _chunk_size(spec.n * spec.saps_per_state, spec.n)
+    for first in range(0, trials, size):  # draw, plan and iterate a chunk of trials
+        states = _states(range(args.seed + first, args.seed + min(first + size, trials)))
+        v0s = _uniform_vectors(states ^ np.uint64(V0_SEED_XOR), spec.n)
+        reports = _verify_chunk([(model, v0) for (model, _), v0 in zip(_generate(spec, states), v0s)])
+        rows += (_sweep_row(t, args.seed + t, report) for t, report in enumerate(reports, first))
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -22,6 +22,7 @@ many seeds together, as many whole models a pass as fit in
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -149,8 +150,9 @@ class GeneratorSpec:
 
 
 def _range(value, name: str) -> tuple:
-    lo, hi = (_real(bound, name) for bound in value)
-    return lo, hi
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{name} {json.dumps(value)} is not a list of two numbers")
+    return tuple(_real(bound, name) for bound in value)
 
 
 _SPEC_READERS = {

@@ -12,7 +12,10 @@ and apply their own constant shifts, which do not change the argmax.
 into a given array, and ``greedy_sweep_stack`` runs it row by row on a stack
 of models that share ``n`` and the SAP layout. Advantage value iteration
 (``convergence._run_stack``) makes one call of either per step for all its
-rows; ``greedy_sweep_model`` serves ``vi_step`` and the classical oracles.
+rows: ``greedy_sweep`` for a lone run (``converge``, a one-trial chunk),
+``greedy_sweep_stack`` for a stack cut from one sweep chunk, whose trials
+were drawn and planned together. ``greedy_sweep_model`` serves ``vi_step``
+and the classical oracles.
 Howard's loop (``geometry._howard``) selects from its stack's advantages
 through ``_select`` the same way.
 

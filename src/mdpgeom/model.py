@@ -9,6 +9,7 @@ immutable value types; operations here are pure functions.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +34,16 @@ def _readonly(a, dtype=np.float64) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
+
+
+def _non_numbers(rows) -> list:
+    """A violation for each transition row with a string or boolean entry, naming its first."""
+    out = []
+    for i, row in enumerate(rows):
+        if {str, bool} & set(map(type, row)):
+            entry = next(x for x in row if type(x) in (str, bool))
+            out.append(f"sap {i}: transition entry {json.dumps(entry)} is not a number")
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +128,9 @@ class MdpModel:
             ]
             if ragged:
                 raise ValidationFailedError(ragged)
+            rows, probs = probs, np.array(probs)  # no dtype: a string entry shows in the array's
+            if probs.dtype.kind in "Ub":
+                raise ValidationFailedError(_non_numbers(rows))
         try:
             states = _readonly(states, np.int64)
         except OverflowError:  # validate_model's message, for states an int64 cannot hold

@@ -27,7 +27,7 @@ import json
 import numpy as np
 
 from .errors import ModelFormatError, UnsupportedVersionError, ValidationFailedError
-from .model import MdpModel, validate_model
+from .model import MdpModel, _non_numbers, validate_model
 
 SCHEMA_VERSION = 1
 
@@ -46,15 +46,16 @@ def _reals(values: np.ndarray) -> list:
 
 def _integer(value, name: str) -> int:
     """``value`` as an int; a float with a fractional part is refused, not truncated,
-    and a JSON boolean is refused, not read as 0 or 1."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    and a JSON boolean or string is refused, not read as 0 or 1 or as the number it spells."""
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{name} {json.dumps(value)} is not an integer")
     return int(value)
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float; a JSON boolean is refused, not read as 0 or 1."""
-    if isinstance(value, bool):
+    """``value`` as a float; a JSON boolean or string is refused, not read as 0 or 1
+    or as the number it spells."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"{name} {json.dumps(value)} is not a number")
     return float(value)
 
@@ -131,6 +132,12 @@ def parse_model(text: str) -> MdpModel:
             raise ModelFormatError(f"sap {i}: {exc}") from exc
         if not isinstance(rows[-1], list):
             raise ModelFormatError(f"sap {i}: probs must be a list")
+    # true is spelled with a u and false with an l, and emit_model writes neither
+    # letter, so the scan for boolean entries runs only on documents that may hold one
+    if "u" in text or "l" in text:
+        violations = _non_numbers(rows)
+        if violations:
+            raise ValidationFailedError(violations)
     try:
         n, gamma = _integer(doc["n"], "n"), _real(doc["gamma"], "gamma")
         model = MdpModel._from_arrays(n, gamma, states, rewards, rows)

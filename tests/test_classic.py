@@ -370,3 +370,16 @@ def test_oracle_is_independent_of_the_geometric_route():
                 imported.update(alias.name for alias in node.names)
     assert "kernels" in imported and "chains" in imported  # the walk sees both import forms
     assert not imported & {"geometry", "convergence", "cli", "reporting"}
+
+
+def test_no_assert_in_the_package():
+    # runtime checks raise typed errors: python -O strips assert statements
+    package = Path(classic.__file__).parent
+    modules = sorted(package.rglob("*.py"))
+    asserting = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(modules) > 10 and asserting == []

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -71,7 +72,8 @@ class TestValidate:
             # an int64 cannot hold this state; it is still an input error, not an OverflowError
             (2, "state", 1e30, 2, "sap 2: state 1000000000000000019884624838656 outside [0, 2)"),
             (0, "probs", [None, 1.0], 2, "sap 0: "),
-            (0, "probs", ["0.5", "0.5"], 0, ""),
+            # a JSON string or boolean is not read as the number it spells or as 0 or 1
+            (0, "probs", ["0.5", "0.5"], 2, 'sap 0: transition entry "0.5" is not a number'),
             (1, "probs", [0.5, 0.25, 0.25], 2, "sap 1: transition row has length 3, expected 2"),
             # a fractional number is refused, not truncated; sap None sets a top-level key
             (2, "state", 1.7, 2, "sap 2: state 1.7 is not an integer"),
@@ -82,10 +84,17 @@ class TestValidate:
             (None, "n", True, 2, "n true is not an integer"),
             (None, "gamma", True, 2, "gamma true is not a number"),
             (None, "schema_version", True, 2, "unsupported schema_version True"),
+            (0, "probs", [True, False], 2, "sap 0: transition entry true is not a number"),
+            (1, "probs", [False, 1.0], 2, "sap 1: transition entry false is not a number"),
+            (None, "n", "2", 2, 'n "2" is not an integer'),
+            (None, "gamma", "0.9", 2, 'gamma "0.9" is not a number'),
+            (0, "state", "0", 2, 'sap 0: state "0" is not an integer'),
+            (1, "reward", "nan", 2, 'sap 1: reward "nan" is not a number'),
         ],
         ids=[
             "state-1e30", "null-entry", "string-entries", "ragged", "state-1.7", "n-2.9",
             "state-false", "reward-true", "n-true", "gamma-true", "version-true",
+            "bool-entries", "bool-entry", "n-string", "gamma-string", "state-string", "reward-string",
         ],
     )
     def test_awkward_documents(self, tmp_path, capsys, sap, key, value, code, message):
@@ -220,9 +229,9 @@ class TestConverge:
 
     def test_two_vi_runs(self, discounted_file, tmp_path, monkeypatch):
         # the verified run on the normalized model, and the raw run for report.json
-        calls = count_calls(monkeypatch, [(convergence, "run_vi")])
+        calls = count_calls(monkeypatch, [(convergence, "_run_stack")])
         assert main(["converge", discounted_file, "-o", str(tmp_path / "run")]) == 0
-        assert calls["run_vi"] == 2
+        assert calls["_run_stack"] == 2
 
     def test_strict_exit_3_on_periodic_kernel(self, swap_file, capsys):
         assert main(["converge", swap_file, "--strict"]) == 3
@@ -485,7 +494,7 @@ class TestSweep:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         models = [generate_model(GeneratorSpec(seed=s, **spec)).model for s in range(12)]
-        plans = [convergence._plan(m, None, None) for m in models]
+        plans = convergence._plans([(m, None) for m in models], None)
         late = next(t for t in range(2, 8) if plans[t].diagnostics.all_pass)
         failing = {
             late: plans[late].run_model.sap_rewards[plans[late].pi_star.choice],
@@ -541,6 +550,22 @@ class TestSweep:
         assert len(rows) == 1 + trials
         assert len(json.loads((out / "sweep.json").read_text())["rows"]) == trials
 
+    def test_gamma_near_one_sweeps_as_gamma_one(self, tmp_path):
+        # the gamma -> 1 link at the CLI: at gamma = 1 - 1e-9 the trials of the sweep-avg
+        # spec get the verdicts they get at gamma = 1, and only ties of gamma = 1 differ
+        # in uniqueness, on trials that gamma = 1 excludes
+        tables = []
+        for gamma in (1 - 1e-9, 1.0):
+            path, out = tmp_path / f"spec-{gamma}.json", tmp_path / f"sw-{gamma}"
+            path.write_text(json.dumps({"n": 6, "saps_per_state": 3, "gamma": gamma, "sparsity": 0.3}))
+            assert main(["sweep", "--spec", str(path), "--trials", "40", "--seed", "0", "-o", str(out)]) == 0
+            tables.append(list(csv.DictReader((out / "sweep.csv").read_text().splitlines())))
+        near, at_one = tables
+        for column in ("excluded", "bound_satisfied", "unichain", "aperiodic", "exponent"):
+            assert [row[column] for row in near] == [row[column] for row in at_one], column
+        ties = [t for t, (a, b) in enumerate(zip(near, at_one)) if a["unique"] != b["unique"]]
+        assert ties and all(at_one[t]["excluded"] == "true" for t in ties)
+
     @pytest.mark.parametrize("seed", [-3, 2**64 - 1], ids=["negative", "wraps-to-zero"])
     def test_edge_seeds_match_trial_by_trial(self, tmp_path, seed):
         # a chunk's models and start vectors are drawn together, with the bits
@@ -569,9 +594,9 @@ SPEC = {"n": 3, "saps_per_state": 2, "gamma": 0.9}
         ({"n": 3, "gamma": 0.9}, "spec key 'saps_per_state' is missing"),
         ([], "spec must be an object, not list"),
         ({**SPEC, "n": None}, "spec key 'n': int() argument"),
-        ({**SPEC, "gamma": "high"}, "spec key 'gamma': could not convert"),
-        ({**SPEC, "reward_range": 5}, "spec key 'reward_range': 'int' object is not iterable"),
-        ({**SPEC, "reward_range": [0, 1, 2]}, "spec key 'reward_range': too many values"),
+        ({**SPEC, "gamma": "high"}, 'spec key \'gamma\': gamma "high" is not a number'),
+        ({**SPEC, "reward_range": 5}, "spec key 'reward_range': reward_range 5 is not a list of two numbers"),
+        ({**SPEC, "reward_range": [0, 1, 2]}, "spec key 'reward_range': reward_range [0, 1, 2] is not a list"),
         ({**SPEC, "n": 3.5}, "spec key 'n': n 3.5 is not an integer"),
         ({**SPEC, "saps_per_state": 2.5}, "spec key 'saps_per_state': saps_per_state 2.5 is not an integer"),
         ({**SPEC, "seed": 1.5}, "spec key 'seed': seed 1.5 is not an integer"),
@@ -580,13 +605,18 @@ SPEC = {"n": 3, "saps_per_state": 2, "gamma": 0.9}
         ({**SPEC, "gamma": True}, "spec key 'gamma': gamma true is not a number"),
         ({**SPEC, "reward_range": [False, 1]}, "spec key 'reward_range': reward_range false is not a number"),
         ({**SPEC, "seed": False}, "spec key 'seed': seed false is not an integer"),
+        # nor is a JSON string read as the number it spells
+        ({**SPEC, "reward_range": "01"}, 'spec key \'reward_range\': reward_range "01" is not a list'),
+        ({**SPEC, "n": "3"}, 'spec key \'n\': n "3" is not an integer'),
+        ({**SPEC, "sparsity": "0.3"}, 'spec key \'sparsity\': sparsity "0.3" is not a number'),
         # generation needs a finite reward range of finite width
         ({**SPEC, "reward_range": [-math.inf, math.inf]}, "reward_range [-inf, inf] must be finite"),
         ({**SPEC, "reward_range": [-1e308, 1e308]}, "reward_range [-1e+308, 1e+308] must be finite"),
     ],
     ids=[
         "empty", "no-saps", "list", "null-n", "text-gamma", "scalar-range", "long-range", "n", "saps", "seed",
-        "bool-n", "bool-gamma", "bool-range", "bool-seed", "infinite-range", "overflowing-range",
+        "bool-n", "bool-gamma", "bool-range", "bool-seed", "text-range", "text-n", "text-sparsity",
+        "infinite-range", "overflowing-range",
     ],
 )
 def test_malformed_spec_is_an_input_error(tmp_path, capsys, spec, message):

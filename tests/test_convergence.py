@@ -350,9 +350,9 @@ class TestVerifyContraction:
 
     def test_chunked_reports_equal_one_at_a_time(self, monkeypatch):
         # the sweep's chunked verification against verify_contraction, field by
-        # field: mixed n, gamma and SAP layouts, v0=None, failing diagnostics,
-        # and a stack budget of a few rows, so like models split into runs, and
-        # their plans into chunks that are planned in lockstep
+        # field: chunks of one n, gamma and SAP layout each, v0=None, failing
+        # diagnostics, and a stack budget of a few rows, so each chunk, planned
+        # in lockstep, splits into several runs
         rng = np.random.default_rng(11)
         skewed = [1, 0, 0, 2, 0, 0, 3, 0, 0]  # state 0's six SAPs: two sweep blocks
         models = [random_instance(s, n=4, gamma=0.9, saps_per_state=2, sparsity=0.3) for s in range(7)]
@@ -366,13 +366,15 @@ class TestVerifyContraction:
             make_model(2, 1.0, [(0, 1.0, [1, 0]), (1, 0.0, [0, 1])]),  # no unichain policy
         ]
         v0s = [None if i % 3 == 0 else rng.random(m.n) for i, m in enumerate(models)]
+        pairs = list(zip(models, v0s))
+        chunks = [pairs[:7], pairs[7:10], pairs[10:13], pairs[13:14], pairs[14:]]
         # the heights of the lockstep runs, and of the chunks planned in lockstep
         heights = record_heights(monkeypatch, [(convergence, "_run_stack"), (convergence, "_plans")])
         monkeypatch.setattr(convergence, "VI_STACK_BYTES", 3 * 8 * 4 * (8 + 11))
-        reports = list(convergence._verify_contractions(zip(models, v0s)))
-        stacks, chunks = heights["_run_stack"], heights["_plans"]
+        reports = [report for chunk in chunks for report in convergence._verify_chunk(chunk)]
+        stacks = heights["_run_stack"]
         assert sum(stacks) == len(models) and max(stacks) > 1 and len(stacks) > 5
-        assert sum(chunks) == len(models) and max(chunks) > 3 and len(chunks) > 4
+        assert heights["_plans"] == [len(chunk) for chunk in chunks]
         for report, model, v0 in zip(reports, models, v0s):
             alone = verify_contraction(model, v0)
             for name in [f.name for f in dataclasses.fields(alone)] + ["unnormalized_span_trace"]:
@@ -493,7 +495,7 @@ class TestWorkCounts:
             log["evaluations"].clear()
             log["selections"].clear()
         heights = record_heights(monkeypatch, [(chains, "_classify"), (chains, "_certificates")])
-        reports = list(convergence._verify_contractions((m, None) for m in ms))
+        reports = convergence._verify_chunk([(m, None) for m in ms])
         counted = sum(r.diagnostics.all_pass for r in reports)
         assert counted > 1 and max(rounds) > min(rounds)
         searching = [sum(r >= t for r in rounds) for t in range(1, max(rounds) + 1)]
@@ -504,20 +506,20 @@ class TestWorkCounts:
 
     def test_raw_run_only_when_read(self, monkeypatch):
         m = random_instance(31, n=5, gamma=0.5, saps_per_state=3)
-        calls = count_calls(monkeypatch, [(convergence, "run_vi")])
+        calls = count_calls(monkeypatch, [(convergence, "_run_stack")])
         report = verify_contraction(m)
-        assert calls["run_vi"] == 1
+        assert calls["_run_stack"] == 1
         raw = report.unnormalized_span_trace
         assert report.unnormalized_span_trace is raw  # computed once
-        assert calls["run_vi"] == 2
+        assert calls["_run_stack"] == 2
         assert raw == run_vi(m, np.array(report.v0), report.steps).spans
 
     def test_no_unichain_policy_runs_once(self, monkeypatch):
         m = make_model(2, 1.0, [(0, 1.0, [1, 0]), (1, 0.0, [0, 1])])
-        calls = count_calls(monkeypatch, [(convergence, "run_vi")])
+        calls = count_calls(monkeypatch, [(convergence, "_run_stack")])
         report = verify_contraction(m)
         assert report.unnormalized_span_trace == report.span_trace
-        assert calls["run_vi"] == 1
+        assert calls["_run_stack"] == 1
 
     def test_howard_evaluates_once_per_iteration(self, monkeypatch):
         m = random_instance(3, n=8, gamma=0.95, saps_per_state=3)
@@ -556,10 +558,7 @@ def search_bits(found):
 
 
 def lone_plan(model, v0, trace_steps=None):
-    try:
-        return convergence._plan(model, v0, trace_steps)
-    except Exception as exc:
-        return exc
+    return convergence._plans([(model, v0)], trace_steps)[0]
 
 
 def tied_model():
@@ -643,7 +642,7 @@ class TestLockstepPlans:
 
     def test_a_chunk_shares_one_layout(self):
         ms = [random_instance(s, n=5, gamma=0.9, saps_per_state=3) for s in range(4)]
-        list(convergence._verify_contractions((m, None) for m in ms))
+        convergence._verify_chunk([(m, None) for m in ms])
         for m in ms[1:]:
             assert m._by_state is ms[0]._by_state
             assert m._sweep_blocks is ms[0]._sweep_blocks
@@ -653,26 +652,17 @@ class TestLockstepPlans:
         with pytest.raises(ValidationFailedError) as alone:
             verify_contraction(ms[0])
         with pytest.raises(ValidationFailedError) as chunked:
-            list(convergence._verify_contractions((m, None) for m in ms))
+            convergence._verify_chunk([(m, None) for m in ms])
         assert chunked.value.violations == alone.value.violations == ["state 1: no SAP attached"]
 
     def test_the_first_error_in_pair_order_is_raised(self):
         ms = [random_instance(s, n=4, gamma=0.9, saps_per_state=3) for s in range(6)]
         nan = ms[4]._with_rewards(np.where(np.arange(ms[4].m) == 5, np.nan, ms[4].sap_rewards))
         late = ms[2]._with_rewards(np.where(np.arange(ms[2].m) == 7, np.inf, ms[2].sap_rewards))
-
-        def pairs(models, draw_fails):
-            yield from ((m, None) for m in models)
-            if draw_fails:
-                raise RuntimeError("drawing the next pair failed")
-
         with pytest.raises(NonFiniteRewardError, match="sap 7"):
-            list(convergence._verify_contractions(pairs([*ms[:2], late, ms[3], nan], False)))
-        # a draw that fails after a failing trial of its chunk comes second
+            convergence._verify_chunk([(m, None) for m in [*ms[:2], late, ms[3], nan]])
         with pytest.raises(NonFiniteRewardError, match="sap 5"):
-            list(convergence._verify_contractions(pairs([*ms[:4], nan], True)))
-        with pytest.raises(RuntimeError, match="drawing"):
-            list(convergence._verify_contractions(pairs(ms, True)))
+            convergence._verify_chunk([(m, None) for m in [*ms[:4], nan]])
 
 
 class TestProductExpansion:
