@@ -58,7 +58,7 @@ from .generate import (
     uniform_vector,
 )
 from .model import MdpModel, Policy, check_policy, policy_kernel
-from .modelfile import emit_model, parse_model
+from .modelfile import emit_model, parse_model, write_model
 from .reporting import SweepRow, _json_safe, policy_hash, report_dict, sweep_csv, trace_csv
 
 V0_SEED_XOR = 0xA5A5A5A5A5A5A5A5
@@ -194,7 +194,7 @@ def _cmd_normalize(args) -> int:
     else:  # the normalized rewards are the search's last advantages
         optimal = geometry.optimal_policy(model)
         pi, normalized = optimal.policy, model._with_rewards(optimal.advantages)
-    Path(args.output).write_text(emit_model(normalized))
+    write_model(normalized, args.output)
     print(f"wrote {args.output} (normalized against policy {list(pi.as_tuple())})")
     return 0
 
@@ -242,13 +242,12 @@ def _cmd_generate(args) -> int:
         seed=args.seed,
     )
     result = generate_model(spec)
-    text = emit_model(result.model)
     if args.output:
-        Path(args.output).write_text(text)
+        write_model(result.model, args.output)
         note = f", {len(result.repaired_rows)} repaired rows" if result.repaired_rows else ""
         print(f"wrote {args.output} ({result.model.n} states{note})")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(emit_model(result.model))
     return 0
 
 

@@ -36,12 +36,16 @@ def _readonly(a, dtype=np.float64) -> np.ndarray:
     return a
 
 
+# the JSON values that are not numbers, though Python reads true and false as 1 and 0
+_NON_NUMBERS = (bool, str, type(None))
+
+
 def _non_numbers(rows) -> list:
-    """A violation for each transition row with a string or boolean entry, naming its first."""
+    """A violation for each transition row with a string, boolean or None entry, naming its first."""
     out = []
     for i, row in enumerate(rows):
-        if {str, bool} & set(map(type, row)):
-            entry = next(x for x in row if type(x) in (str, bool))
+        if set(_NON_NUMBERS) & set(map(type, row)):
+            entry = next(x for x in row if type(x) in _NON_NUMBERS)
             out.append(f"sap {i}: transition entry {json.dumps(entry)} is not a number")
     return out
 

@@ -71,7 +71,8 @@ class TestValidate:
         [
             # an int64 cannot hold this state; it is still an input error, not an OverflowError
             (2, "state", 1e30, 2, "sap 2: state 1000000000000000019884624838656 outside [0, 2)"),
-            (0, "probs", [None, 1.0], 2, "sap 0: "),
+            # nor is a JSON null read as NaN or passed to int() or float()
+            (0, "probs", [None, 1.0], 2, "sap 0: transition entry null is not a number"),
             # a JSON string or boolean is not read as the number it spells or as 0 or 1
             (0, "probs", ["0.5", "0.5"], 2, 'sap 0: transition entry "0.5" is not a number'),
             (1, "probs", [0.5, 0.25, 0.25], 2, "sap 1: transition row has length 3, expected 2"),
@@ -90,11 +91,17 @@ class TestValidate:
             (None, "gamma", "0.9", 2, 'gamma "0.9" is not a number'),
             (0, "state", "0", 2, 'sap 0: state "0" is not an integer'),
             (1, "reward", "nan", 2, 'sap 1: reward "nan" is not a number'),
+            (None, "n", None, 2, "n null is not an integer"),
+            (None, "gamma", None, 2, "gamma null is not a number"),
+            (2, "state", None, 2, "sap 2: state null is not an integer"),
+            (1, "reward", None, 2, "sap 1: reward null is not a number"),
+            (2, "probs", [0.0, None], 2, "sap 2: transition entry null is not a number"),
         ],
         ids=[
             "state-1e30", "null-entry", "string-entries", "ragged", "state-1.7", "n-2.9",
             "state-false", "reward-true", "n-true", "gamma-true", "version-true",
             "bool-entries", "bool-entry", "n-string", "gamma-string", "state-string", "reward-string",
+            "n-null", "gamma-null", "state-null", "reward-null", "null-last-entry",
         ],
     )
     def test_awkward_documents(self, tmp_path, capsys, sap, key, value, code, message):
@@ -593,7 +600,7 @@ SPEC = {"n": 3, "saps_per_state": 2, "gamma": 0.9}
         ({}, "spec key 'n' is missing"),
         ({"n": 3, "gamma": 0.9}, "spec key 'saps_per_state' is missing"),
         ([], "spec must be an object, not list"),
-        ({**SPEC, "n": None}, "spec key 'n': int() argument"),
+        ({**SPEC, "n": None}, "spec key 'n': n null is not an integer"),
         ({**SPEC, "gamma": "high"}, 'spec key \'gamma\': gamma "high" is not a number'),
         ({**SPEC, "reward_range": 5}, "spec key 'reward_range': reward_range 5 is not a list of two numbers"),
         ({**SPEC, "reward_range": [0, 1, 2]}, "spec key 'reward_range': reward_range [0, 1, 2] is not a list"),
@@ -609,6 +616,12 @@ SPEC = {"n": 3, "saps_per_state": 2, "gamma": 0.9}
         ({**SPEC, "reward_range": "01"}, 'spec key \'reward_range\': reward_range "01" is not a list'),
         ({**SPEC, "n": "3"}, 'spec key \'n\': n "3" is not an integer'),
         ({**SPEC, "sparsity": "0.3"}, 'spec key \'sparsity\': sparsity "0.3" is not a number'),
+        # nor a JSON null passed to int() or float()
+        ({**SPEC, "gamma": None}, "spec key 'gamma': gamma null is not a number"),
+        ({**SPEC, "saps_per_state": None}, "spec key 'saps_per_state': saps_per_state null is not an integer"),
+        ({**SPEC, "sparsity": None}, "spec key 'sparsity': sparsity null is not a number"),
+        ({**SPEC, "seed": None}, "spec key 'seed': seed null is not an integer"),
+        ({**SPEC, "reward_range": [0, None]}, "spec key 'reward_range': reward_range null is not a number"),
         # generation needs a finite reward range of finite width
         ({**SPEC, "reward_range": [-math.inf, math.inf]}, "reward_range [-inf, inf] must be finite"),
         ({**SPEC, "reward_range": [-1e308, 1e308]}, "reward_range [-1e+308, 1e+308] must be finite"),
@@ -616,6 +629,7 @@ SPEC = {"n": 3, "saps_per_state": 2, "gamma": 0.9}
     ids=[
         "empty", "no-saps", "list", "null-n", "text-gamma", "scalar-range", "long-range", "n", "saps", "seed",
         "bool-n", "bool-gamma", "bool-range", "bool-seed", "text-range", "text-n", "text-sparsity",
+        "null-gamma", "null-saps", "null-sparsity", "null-seed", "null-range",
         "infinite-range", "overflowing-range",
     ],
 )

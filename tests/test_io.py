@@ -2,10 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdpgeom import (
     GeneratorSpec,
@@ -19,8 +20,9 @@ from mdpgeom import (
     modelfile,
     parse_model,
     validate_model,
+    write_model,
 )
-from mdpgeom import generate
+from mdpgeom import cli, generate
 from mdpgeom.convergence import verify_contraction
 from mdpgeom.generate import _generate, _states, _uniform_rows
 from mdpgeom.reporting import fnv1a64, policy_hash, report_dict, trace_csv
@@ -224,6 +226,135 @@ class TestModelDocuments:
         doc["gamma"] = 1.5
         with pytest.raises(ModelFormatError):
             parse_model(json.dumps(doc))
+
+
+def outcome(text):
+    """parse_model's model, or the type, message and violations of its error."""
+    try:
+        return parse_model(text)
+    except ModelFormatError as exc:
+        return type(exc), str(exc), getattr(exc, "violations", None)
+
+
+def list_based_outcome(text):
+    """The outcome with every transition row handed over as json's list, as json.loads
+    builds it without an object hook: the conversion the row hook replaces."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelfile, "_row_array", lambda obj: obj)
+        return outcome(text)
+
+
+# numbers a row may hold: every double (NaN, infinities, -0.0, subnormals, 1e308 among
+# them), integral reals, and integers an int64, a uint64 or a double cannot hold
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324, 1e-310, 1e308, 0.1 + 0.2, math.nan, math.inf]),
+    st.floats(),
+    st.integers(-2, 2),
+    st.sampled_from([2**53 + 1, 2**63, -(2**63) - 1, 2**64, 10**30, 10**400]),
+    st.integers(-(2**70), 2**70),
+)
+# and what is not a number
+OTHERS = st.one_of(
+    st.text("0.5e", max_size=3), st.booleans(), st.none(), st.lists(NUMBERS, max_size=2)
+)
+
+
+@st.composite
+def documents(draw):
+    """Small model documents whose SAP i is at state i for i < n: stochastic rows of
+    floats, ints or both, rows of any n numbers, and awkward rows."""
+    n = draw(st.integers(1, 3))
+    row = st.one_of(
+        st.permutations([1.0] + [-0.0] * (n - 1)),
+        st.permutations([1] + [0] * (n - 1)),
+        st.permutations([0.5, 0.5, 0][:n] if n > 1 else [1, 0.0][:n]),
+        st.lists(NUMBERS, min_size=n, max_size=n),
+        st.lists(NUMBERS | OTHERS, min_size=n, max_size=n),
+        st.lists(NUMBERS | OTHERS, min_size=n - 1, max_size=n + 1),
+        st.lists(st.lists(NUMBERS, min_size=1, max_size=2), min_size=n, max_size=n),
+    )
+    saps = [
+        {"state": i if i < n else draw(st.integers(0, n - 1)), "reward": draw(st.floats() | NUMBERS), "probs": draw(row)}
+        for i in range(n + draw(st.integers(0, 2)))
+    ]
+    return json.dumps({"schema_version": 1, "n": n, "gamma": 0.9, "saps": saps})
+
+
+class TestRowAtATime:
+    """Rows read as arrays while json reads them, and documents written a SAP at a time,
+    give the bits, bytes and errors of the whole-document route."""
+
+    @settings(max_examples=400)
+    @example(json.dumps({"schema_version": 1, "n": 2, "gamma": 0.9, "saps": [
+        {"state": 0, "reward": 0.0, "probs": [10**400, 0]},
+        {"state": 1, "reward": 0.0, "probs": [0.5, 0.5]},
+    ]}))
+    @given(documents())
+    def test_rows_read_as_arrays_equal_rows_read_as_lists(self, text):
+        got, want = outcome(text), list_based_outcome(text)
+        if isinstance(want, MdpModel):
+            assert isinstance(got, MdpModel)
+            assert (got.n, got.gamma) == (want.n, want.gamma)
+            for name in ("sap_states", "sap_rewards", "sap_probs"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[0.5, 0.5], [10**400, 0], [1, 0], [[0.5], [0.5]], [[0.5], [0.5, 1.0]], ["0.5", 0.5], 0.5],
+    )
+    def test_the_hook_converts_only_flat_float_rows(self, probs):
+        obj = modelfile._row_array({"state": 0, "probs": probs})
+        assert isinstance(obj["probs"], np.ndarray) == (probs == [0.5, 0.5])
+
+    def test_a_deeply_nested_row_is_kept(self):
+        probs = [0.5]
+        for _ in range(100):  # beyond numpy's 64 dimensions
+            probs = [probs]
+        assert modelfile._row_array({"probs": probs})["probs"] is probs
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            make_model(1, 0.5, [(0, 1.0, [1.0])]),
+            make_model(2, 0.9, [(0, math.nan, [0.5, 0.5]), (1, -0.0, [0.0, 1.0])]),
+            generate_model(GeneratorSpec(n=50, saps_per_state=4, gamma=0.95, sparsity=0.3, seed=3)).model,
+        ],
+        ids=["n1", "nan-reward", "n50-4saps"],
+    )
+    def test_write_model_writes_emit_models_bytes(self, tmp_path, model):
+        path = tmp_path / "model.json"
+        write_model(model, path)
+        assert path.read_bytes() == emit_model(model).encode()
+
+
+class TestModelFileMemory:
+    """Model files are read and written holding a transition row of Python objects at a time."""
+
+    ARGS = ["--n", "300", "--saps", "4", "--gamma", "0.99", "--sparsity", "0.9", "--seed", "1"]
+
+    @staticmethod
+    def traced_peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_generate_and_read_peaks(self, tmp_path, capsys):
+        path = str(tmp_path / "model.json")
+        cli._parser()  # built once per process, outside the traced peak
+        written = self.traced_peak(cli.main, ["generate", *self.ARGS, "-o", path])
+        probs = generate_model(GeneratorSpec(300, 4, 0.99, sparsity=0.9, seed=1)).model.sap_probs
+        # the whole document, its pieces and its encoded copy were about 4.8 x the rows
+        assert written < 2 * probs.nbytes + 2**20
+        text = (tmp_path / "model.json").read_text()
+        # a tree of json floats was about 4 x the rows on top of the text
+        assert self.traced_peak(cli._read_model, path) < len(text) + 3 * probs.nbytes
+        assert cli._read_model(path).sap_probs.tobytes() == probs.tobytes()
 
 
 class TestSplitMix64:
