@@ -59,7 +59,7 @@ from .generate import (
 )
 from .model import MdpModel, Policy, check_policy, policy_kernel
 from .modelfile import emit_model, parse_model, write_model
-from .reporting import SweepRow, _json_safe, policy_hash, report_dict, sweep_csv, trace_csv
+from .reporting import SweepRow, _json_safe, _sweep_json, policy_hash, report_dict, sweep_csv, trace_csv
 
 V0_SEED_XOR = 0xA5A5A5A5A5A5A5A5
 
@@ -293,18 +293,15 @@ def _cmd_sweep(args) -> int:
 
     excluded = sum(1 for r in rows if r.excluded)
     failures = sum(1 for r in rows if not r.excluded and r.bound_satisfied is False)
-    summary = {
+    head = {
         "sweep_version": 1,
         "trials": trials,
         "excluded": excluded,
         "exclusion_rate": excluded / trials if trials else 0.0,
         "bound_failures": failures,
-        "rows": rows,
-        "provenance": _provenance(
-            command="sweep", seed=args.seed, spec=spec.to_dict(), trials=trials
-        ),
     }
-    (outdir / "sweep.json").write_text(json.dumps(_json_safe(summary), indent=2) + "\n")
+    provenance = _provenance(command="sweep", seed=args.seed, spec=spec.to_dict(), trials=trials)
+    (outdir / "sweep.json").write_text(_sweep_json(head, rows, provenance))
     print(
         f"wrote {outdir / 'sweep.csv'} and {outdir / 'sweep.json'} "
         f"({trials} trials, {excluded} excluded, {failures} bound failures)"

@@ -5,16 +5,48 @@ makes them dense anyway), so each goes through one partial-pivoting LU,
 LAPACK getrf/getrs on float64. A matrix is singular unless its smallest pivot
 magnitude exceeds REL_PIVOT_TOL times the largest, which zero and NaN pivots
 fail; relative, because entries of size O(n) make absolute cutoffs misfire.
+
+getrf and getrs come from scipy's LAPACK extension module, scipy.linalg._flapack,
+loaded without running scipy.linalg's package init, whose array-API layer
+imports numpy.f2py, numpy.testing and more that this package never calls.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
+
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+import scipy  # scipy's own init only; on Windows it puts its bundled OpenBLAS on the DLL path
 
 from .errors import SingularMatrixError
 
 REL_PIVOT_TOL = 1e-10
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy.linalg._flapack: the module already imported, else loaded from scipy/linalg and registered.
+
+    Registered under its own name, so a later ``import scipy.linalg`` uses the
+    same module object and the same wrappers.
+    """
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_FLAPACK)
+    if spec is None:
+        raise ImportError(f"no LAPACK extension module _flapack in {directory}", name=_FLAPACK)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+_lapack = _load_flapack()
+dgetrf, dgetrs = _lapack.dgetrf, _lapack.dgetrs
 
 
 def _getrf(a) -> tuple:

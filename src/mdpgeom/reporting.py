@@ -14,6 +14,7 @@ recompute it.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -102,6 +103,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_cell(value) -> str:
+    """A ``_fmt`` cell as a JSON value: null for None, a non-finite real as its quoted repr."""
+    if value is None:
+        return "null"
+    if isinstance(value, float) and not math.isfinite(value):
+        return f'"{value!r}"'
+    return _fmt(value)
+
+
 def _csv(names, rows) -> str:
     """CSV text: a header of ``names``, then one line of ``_fmt`` cells per row."""
     return "\n".join([",".join(names), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
@@ -144,7 +154,26 @@ class SweepRow:
     excluded: bool
 
 
+_SWEEP_NAMES = tuple(f.name for f in dataclasses.fields(SweepRow))
+
+
 def sweep_csv(rows: list) -> str:
     """sweep.csv: one line per ``SweepRow``, its fields in order."""
-    names = [f.name for f in dataclasses.fields(SweepRow)]
-    return _csv(names, ([getattr(row, name) for name in names] for row in rows))
+    return _csv(_SWEEP_NAMES, ([getattr(row, name) for name in _SWEEP_NAMES] for row in rows))
+
+
+def _sweep_json(head: dict, rows: list, provenance: dict) -> str:
+    """sweep.json: the bytes of ``json.dumps(_json_safe(doc), indent=2) + "\\n"``.
+
+    ``doc`` is ``head``'s items, then ``"rows"`` and ``"provenance"``. json
+    writes the header and the provenance; each row's fields are ``_json_cell``
+    cells, the spelling ``sweep_csv`` uses.
+    """
+    objects = []
+    for row in rows:
+        cells = (f'      "{name}": {_json_cell(getattr(row, name))}' for name in _SWEEP_NAMES)
+        objects.append("    {\n" + ",\n".join(cells) + "\n    }")
+    listed = "[\n" + ",\n".join(objects) + "\n  ]" if objects else "[]"
+    header = json.dumps(_json_safe(head), indent=2)[: -len("\n}")]
+    nested = json.dumps(_json_safe(provenance), indent=2).replace("\n", "\n  ")
+    return f'{header},\n  "rows": {listed},\n  "provenance": {nested}\n}}\n'

@@ -1,9 +1,13 @@
 """Shared model builders for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import mdpgeom
 from mdpgeom import MdpModel, Policy, Sap, enumerate_policies
 from mdpgeom.generate import GeneratorSpec, generate_model
 
@@ -11,6 +15,12 @@ from mdpgeom.generate import GeneratorSpec, generate_model
 # examples and no local .hypothesis/ state changes the outcome
 settings.register_profile("repeatable", derandomize=True, database=None, deadline=None)
 settings.load_profile("repeatable")
+
+
+def package_env():
+    """This environment with the imported package's directory first on PYTHONPATH."""
+    paths = [str(Path(mdpgeom.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def make_model(n, gamma, saps):

@@ -1,11 +1,10 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,18 +13,12 @@ import mdpgeom
 from mdpgeom import chains, cli, convergence, geometry, parse_model
 from mdpgeom.cli import main
 
-from conftest import count_calls, make_model
+from conftest import count_calls, make_model, package_env
 from mdpgeom.errors import NumericalCheckError
 from mdpgeom.generate import GeneratorSpec, SplitMix64, generate_model, uniform_vector
 from mdpgeom.model import lowest_index_policy
 from mdpgeom.modelfile import emit_model
-from mdpgeom.reporting import sweep_csv
-
-
-def package_env():
-    """This environment with the imported package's directory first on PYTHONPATH."""
-    paths = [str(Path(mdpgeom.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+from mdpgeom.reporting import SweepRow, _json_safe, _sweep_json, sweep_csv
 
 
 @pytest.fixture
@@ -589,6 +582,18 @@ class TestSweep:
             v0 = uniform_vector(SplitMix64(s ^ cli.V0_SEED_XOR), model.n)
             rows.append(cli._sweep_row(trial, s, convergence.verify_contraction(model, v0=v0)))
         assert (out / "sweep.csv").read_text() == sweep_csv(rows)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_sweep_json_rows_match_the_json_encoder(self, count):
+        # rows are written from _fmt cells; the reference is json's indented encoder
+        # over _json_safe, the writer they replace, on every cell spelling a row can hold
+        cells = [None, True, False, 0, -7, 0.0, -0.0, 0.1, 5e-324, 1e300, math.nan, math.inf, -math.inf]
+        names = [f.name for f in dataclasses.fields(SweepRow)]
+        rows = [SweepRow(*(cells[(r + i) % len(cells)] for i in range(len(names)))) for r in range(count)]
+        head = {"sweep_version": 1, "trials": count, "excluded": 0, "exclusion_rate": 0.0, "bound_failures": 0}
+        provenance = cli._provenance(command="sweep", seed=0, spec={"n": 3, "reward_range": [0.0, 1.0]})
+        expected = json.dumps(_json_safe({**head, "rows": rows, "provenance": provenance}), indent=2) + "\n"
+        assert _sweep_json(head, rows, provenance) == expected
 
 
 SPEC = {"n": 3, "saps_per_state": 2, "gamma": 0.9}

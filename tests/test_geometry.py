@@ -618,6 +618,42 @@ def test_stack_matches_each_policy(seed, n, saps, gamma, k):
         assert row_adv.tobytes() == advantages(m, pv).tobytes()
 
 
+# to first order x(1 - eps) - x(1) = eps * A^-1 (E - P) x(1), with A = I + E - P on pi*'s kernel
+# at gamma = 1, so the property's bounds scale with eps * |A^-1| * |x(1)| (max norms). Over 15,000
+# models of its domain, x moved by at most 0.94 and the advantages by at most 1.90 of that scale;
+# K leaves a margin of 2.1 over the larger.
+NEAR_ONE_K = 4.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(3, 6),
+    saps=st.integers(2, 3),
+    sparsity=st.floats(0.0, 0.5),
+    k=st.floats(4.0, 12.0),
+)
+def test_gamma_near_one_matches_gamma_one(seed, n, saps, sparsity, k):
+    # the same rewards and rows at gamma = 1 - eps and at 1, for a unique unichain optimum at 1
+    # whose gap leaves room for a move of order eps: the same policy, and x and the advantages
+    # within K times the first-order scale
+    eps = 10.0**-k
+    m = random_instance(seed, n=n, gamma=1.0, saps_per_state=saps, sparsity=sparsity)
+    try:
+        at_one = optimal_policy(m)
+    except NotUnichainError:
+        assume(False)
+    assume(at_one.unique and geometry._gap(at_one.advantages, at_one.policy) >= 1e3 * eps)
+    near = optimal_policy(MdpModel(n, m.saps, 1.0 - eps))
+    assert np.array_equal(near.policy.choice, at_one.policy.choice)
+    x_one = at_one.policy_vector.values / at_one.constants.C
+    x_near = near.policy_vector.values / near.constants.C
+    a_inv = np.linalg.inv(np.eye(n) + 1.0 - policy_kernel(m, at_one.policy))
+    scale = eps * np.abs(a_inv).sum(axis=1).max() * np.abs(x_one).max()
+    assert np.abs(x_near - x_one).max() <= NEAR_ONE_K * scale
+    assert np.abs(near.advantages - at_one.advantages).max() <= NEAR_ONE_K * scale
+
+
 def search_digest(spec, seeds):
     """SHA-256 of ``optimal_policy``'s output on the models of ``spec`` at ``seeds``: policy,
     uniqueness, gain, V*, advantages, policy vector and v_sigma, each as its exact bits."""
