@@ -58,7 +58,7 @@ from .generate import (
     uniform_vector,
 )
 from .model import MdpModel, Policy, check_policy, policy_kernel
-from .modelfile import emit_model, parse_model, write_model
+from .modelfile import emit_model, read_model, write_model
 from .reporting import SweepRow, _json_safe, _sweep_json, policy_hash, report_dict, sweep_csv, trace_csv
 
 V0_SEED_XOR = 0xA5A5A5A5A5A5A5A5
@@ -78,10 +78,6 @@ class EvaluationResult:
     new_values: list | None = None
     C: float | None = None
     v_sigma: float | None = None
-
-
-def _read_model(path: str) -> MdpModel:
-    return parse_model(Path(path).read_text())
 
 
 def _parse_policy_arg(text: str, model: MdpModel) -> Policy:
@@ -111,7 +107,7 @@ def _provenance(**extra) -> dict:
 
 def _cmd_validate(args) -> int:
     try:
-        model = _read_model(args.file)
+        model = read_model(args.file)
     except ModelFormatError as exc:
         violations = getattr(exc, "violations", None) or [str(exc)]
         for v in violations:
@@ -150,14 +146,14 @@ def _solve_result(model: MdpModel, criterion: str, anchor: int) -> EvaluationRes
 
 
 def _cmd_solve(args) -> int:
-    model = _read_model(args.file)
+    model = read_model(args.file)
     result = _solve_result(model, args.criterion, args.anchor)
     _print_json(dataclasses.asdict(result))
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    model = _read_model(args.file)
+    model = read_model(args.file)
     pi = _parse_policy_arg(args.policy, model)
     p = policy_kernel(model, pi)
     cls = classify_chain(p)
@@ -187,7 +183,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    model = _read_model(args.file)
+    model = read_model(args.file)
     if args.policy is not None:
         pi = _parse_policy_arg(args.policy, model)
         normalized = geometry.normalize_rewards(model, pi)
@@ -200,7 +196,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    model = _read_model(args.file)
+    model = read_model(args.file)
     v0 = None  # verify_contraction starts from e_0 by default
     if args.v0 == "random":
         v0 = uniform_vector(SplitMix64(args.seed ^ V0_SEED_XOR), model.n)

@@ -43,12 +43,16 @@ def policy_hash(choice) -> str:
 def _greedy_policy_hashes(report: ConvergenceReport) -> list:
     """policy_hash of each greedy policy, hashing each distinct policy once.
 
-    Rows are keyed by their "<u8" bytes, the payload policy_hash hashes.
+    Each row is converted on its own to its "<u8" bytes, the payload policy_hash
+    hashes, and only the distinct rows' bytes are kept, as keys.
     """
-    rows = np.asarray(report.greedy_policies, dtype="<u8")
-    keys = [row.tobytes() for row in rows]
-    hashes = {key: policy_hash(row) for key, row in dict(zip(keys, rows)).items()}
-    return [hashes[key] for key in keys]
+    hashes, out = {}, []
+    for row in report.greedy_policies:
+        key = np.asarray(row, dtype="<u8").tobytes()
+        if key not in hashes:
+            hashes[key] = policy_hash(row)
+        out.append(hashes[key])
+    return out
 
 
 def _json_safe(value):

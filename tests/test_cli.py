@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mdpgeom
-from mdpgeom import chains, cli, convergence, geometry, parse_model
+from mdpgeom import chains, cli, convergence, geometry, modelfile, parse_model
 from mdpgeom.cli import main
 
 from conftest import count_calls, make_model, package_env
@@ -135,6 +135,21 @@ class TestValidate:
         p.write_text("{not json")
         assert main(["validate", str(p)]) == 2
         assert "line" in capsys.readouterr().err
+
+    def test_undecodable_byte_in_a_later_chunk(self, tmp_path, capsys):
+        # the file is read a chunk at a time, but the message and its byte position
+        # are those of decoding the whole file
+        path = tmp_path / "model.json"
+        spec = GeneratorSpec(n=400, saps_per_state=4, gamma=0.9, sparsity=0.9, seed=1)
+        mdpgeom.write_model(generate_model(spec).model, path)
+        data = bytearray(path.read_bytes())
+        assert len(data) > 5_000_000 > 4 * modelfile._CHUNK
+        data[5_000_000] = 0xFF
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 5000000: invalid start byte\n"
+        )
 
 
 class TestSolve:

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,13 +22,14 @@ from mdpgeom import (
     generate_model,
     modelfile,
     parse_model,
+    read_model,
     validate_model,
     write_model,
 )
 from mdpgeom import cli, generate
 from mdpgeom.convergence import verify_contraction
 from mdpgeom.generate import _generate, _states, _uniform_rows
-from mdpgeom.reporting import fnv1a64, policy_hash, report_dict, trace_csv
+from mdpgeom.reporting import _greedy_policy_hashes, fnv1a64, policy_hash, report_dict, trace_csv
 
 from conftest import make_model, random_instance
 
@@ -351,10 +355,143 @@ class TestModelFileMemory:
         probs = generate_model(GeneratorSpec(300, 4, 0.99, sparsity=0.9, seed=1)).model.sap_probs
         # the whole document, its pieces and its encoded copy were about 4.8 x the rows
         assert written < 2 * probs.nbytes + 2**20
-        text = (tmp_path / "model.json").read_text()
-        # a tree of json floats was about 4 x the rows on top of the text
-        assert self.traced_peak(cli._read_model, path) < len(text) + 3 * probs.nbytes
-        assert cli._read_model(path).sap_probs.tobytes() == probs.tobytes()
+        # the whole text and its bytes were about 5.3 x the rows on top of them; the
+        # file is now read a chunk at a time, and the rows are held and then stacked
+        assert self.traced_peak(read_model, path) < 2 * probs.nbytes + 2**20
+        assert read_model(path).sap_probs.tobytes() == probs.tobytes()
+
+
+def summary(read):
+    """``read()``'s model as the bits of its fields, or the type, message and violations of its error."""
+    try:
+        model = read()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "violations", None)
+    arrays = (model.sap_states, model.sap_rewards, model.sap_probs)
+    return model.n, model.gamma, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def unwalked(*args):
+    raise ValueError
+
+
+def whole_text_summary(text):
+    """The summary of json reading the whole ``text``, with the walker out of the way."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modelfile, "_walk", unwalked)
+        return summary(lambda: parse_model(text))
+
+
+CHUNKS = (1, 2, 3, 7, 64, None)  # None: the module's own, which holds these documents whole
+
+
+def agree_with_the_whole_text_route(data: bytes):
+    """Assert that read_model on a file of ``data`` at every chunk size, and parse_model
+    on the file's text, give the model bits or the error of reading the text whole."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_bytes(data)
+        text = path.read_text()
+        want = whole_text_summary(text)
+        assert summary(lambda: parse_model(text)) == want
+        for chunk in CHUNKS:
+            with pytest.MonkeyPatch.context() as mp:
+                if chunk:
+                    mp.setattr(modelfile, "_CHUNK", chunk)
+                assert summary(lambda: read_model(path)) == want, chunk
+
+
+# entries for rows: objects nested in a row, one of them with a row of its own
+NESTED = st.sampled_from([{"probs": [0.5, 0.5]}, {"state": 0}, {}])
+# characters to insert: json's structure, the letters of true, false and null, any other
+INSERTS = st.sampled_from(list('{}[],:" 0.5e-tfnul\n\r\t\ufeff')) | st.characters(
+    blacklist_categories=("Cs",)
+)
+
+
+@st.composite
+def walk_documents(draw):
+    """documents() in the layouts a walker must take apart, as the bytes of a file:
+    keys in any order (saps before n), a repeated key, a version that is a list or an
+    object, an extra key with non-ASCII text, objects nested in rows, indentation or
+    none, escaped or raw non-ASCII, one character inserted or deleted, text after the
+    document, LF, CRLF or lone CR line endings, a BOM."""
+    doc = json.loads(draw(documents()))
+    for sap in doc["saps"]:
+        if draw(st.integers(0, 3)) == 0:
+            sap["probs"].insert(draw(st.integers(0, len(sap["probs"]))), draw(NESTED))
+    # a version json reads as a list or an object, whose repr the error shows
+    if draw(st.booleans()):
+        doc["schema_version"] = draw(st.sampled_from([1.0, 2, "1", [1], {"probs": [1.0]}]))
+    if draw(st.booleans()):
+        doc["note"] = draw(st.sampled_from(["naïve €", "ñ", "\u2028"]) | st.text(max_size=4))
+    doc = {key: doc[key] for key in draw(st.permutations(list(doc)))}
+    text = json.dumps(
+        doc, indent=draw(st.sampled_from([None, 0, 2])), ensure_ascii=draw(st.booleans())
+    )
+    repeated = draw(st.sampled_from([None, None, None, "saps", "n", "gamma"]))
+    if repeated:
+        text = f'{text[:-1]}, "{repeated}": {json.dumps(draw(st.sampled_from([doc[repeated], 2, []])))}}}'
+    edit = draw(st.sampled_from(["none", "none", "none", "none", "insert", "delete"]))
+    at = draw(st.integers(0, len(text)))
+    if edit == "insert":
+        text = text[:at] + draw(INSERTS) + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1 :]
+    text += draw(st.sampled_from(["", "", "", "\n", " \n\t", "x", "{}", "]"]))
+    text = text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    bom = b"\xef\xbb\xbf" if draw(st.integers(0, 7)) == 0 else b""
+    return bom + text.encode()
+
+
+class TestChunkedRead:
+    """read_model reads a file a chunk at a time, and parse_model walks its string the
+    same way; both give the model bits, or the error, of json reading the text whole."""
+
+    @settings(max_examples=300)
+    @example(json.dumps({"schema_version": {"probs": [1.0]}, "n": 1, "gamma": 0.5, "saps": []}).encode())
+    @example(emit_model(make_model(1, 0.5, [(0, 1.0, [1.0])])).encode() + b"]")
+    @example(emit_model(make_model(1, 0.5, [(0, 1.0, [1.0])]))[:-2].encode() + b', "saps": 1}')
+    @example(emit_model(make_model(1, 0.5, [(0, 1.0, [1.0])]))[:-2].encode() + b", 2: 3}")
+    @given(walk_documents())
+    def test_read_and_parse_agree_with_the_whole_text_route(self, data):
+        agree_with_the_whole_text_route(data)
+
+    @settings(max_examples=50)
+    @given(awkward_models(), st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_valid_models_read_alike(self, model, ending):
+        agree_with_the_whole_text_route(emit_model(model).replace("\n", ending).encode())
+
+    def test_every_prefix_of_a_document(self):
+        model = make_model(2, 0.9, [(0, 1.5, [0.25, 0.75]), (1, -0.0, [1.0, 0.0]), (1, 2.0, [0.0, 1.0])])
+        text = emit_model(model)
+        for end in range(len(text) + 1):
+            agree_with_the_whole_text_route(text[:end].encode())
+
+    def test_canonical_files_are_walked_at_every_chunk_size(self, tmp_path, monkeypatch):
+        model = generate_model(GeneratorSpec(n=20, saps_per_state=3, gamma=0.9, sparsity=0.5, seed=4)).model
+        path = tmp_path / "model.json"
+        write_model(model, path)
+        monkeypatch.setattr(modelfile, "_load", unwalked)  # no fallback to reading the text whole
+        for chunk in (1, 2, 3, 7, 64, modelfile._CHUNK):
+            monkeypatch.setattr(modelfile, "_CHUNK", chunk)
+            assert summary(lambda: read_model(path)) == summary(lambda: model)
+        assert summary(lambda: parse_model(emit_model(model))) == summary(lambda: model)
+
+    def test_reads_keep_to_chunks(self, tmp_path, monkeypatch):
+        # a canonical SAP is far shorter than a chunk, so no read asks for more than one
+        path = tmp_path / "model.json"
+        model = generate_model(GeneratorSpec(n=300, saps_per_state=2, gamma=0.9, sparsity=0.9, seed=5)).model
+        write_model(model, path)
+        sizes, read = [], modelfile._walk
+
+        def walk(read_chunk, *args):
+            return read(lambda size: sizes.append(size) or read_chunk(size), *args)
+
+        monkeypatch.setattr(modelfile, "_walk", walk)
+        assert read_model(path).sap_probs.tobytes() == model.sap_probs.tobytes()
+        assert set(sizes) == {modelfile._CHUNK}
+        assert len(sizes) == -(-path.stat().st_size // modelfile._CHUNK) + 1
 
 
 class TestSplitMix64:
@@ -535,6 +672,26 @@ class TestPolicyHash:
         # frozen so external tools can check their reimplementation
         assert policy_hash((1, 3, 4, 6)) == "7d1d9036ac5ca785"
         assert policy_hash(np.array([1, 3, 4, 6])) == "7d1d9036ac5ca785"
+
+    def test_greedy_hashes_hash_each_row(self):
+        rows = np.array([[0, 5, 2**40], [3, 1, 4], [0, 0, 0]])
+        picks = rows[[0, 1, 0, 2, 2, 1, 0]]
+        report = SimpleNamespace(greedy_policies=picks)
+        assert _greedy_policy_hashes(report) == [policy_hash(row) for row in picks]
+        assert _greedy_policy_hashes(SimpleNamespace(greedy_policies=picks[:0])) == []
+
+    def test_greedy_hashes_hold_only_distinct_rows(self):
+        # 1,001 steps at n = 600 with three policies: a copy of the picks in "<u8"
+        # and a key per row were about twice the picks
+        picks = np.arange(3 * 600).reshape(3, 600)[np.arange(1001) % 3]
+        tracemalloc.start()
+        try:
+            hashes = _greedy_policy_hashes(SimpleNamespace(greedy_policies=picks))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < picks.nbytes / 20
+        assert len(set(hashes)) == 3
 
     def test_report_and_trace_hash_every_step(self):
         model = random_instance(6, n=5, gamma=0.9, saps_per_state=3)
