@@ -94,12 +94,13 @@ def _classify(p: np.ndarray) -> tuple:
     # reflexive-transitive closure of each support by repeated squaring, at most
     # ceil(log2 n) + 1 products. Products of 0/1 matrices stay <= n, so float64
     # is exact; supports only grow, so an unchanged count over the whole stack
-    # is the fixed point of every kernel in it.
+    # is the fixed point of every kernel in it. Each square is signed in place.
     r = np.sign(p)
     np.einsum("...ii->...i", r)[...] = 1.0  # a writeable view of each diagonal
     size, last = np.count_nonzero(r), -1
     while size != last:
-        r = np.sign(r @ r)
+        r = r @ r
+        np.sign(r, out=r)
         size, last = np.count_nonzero(r), size
     reach = r > 0.0
     # i is recurrent iff every state it reaches reaches it back
@@ -164,8 +165,7 @@ def _certificates(p: np.ndarray, back: np.ndarray) -> list:
     ]
     rows = primitive.nonzero()[0]
     bound = wielandt_bound(n)
-    base = p[rows]
-    power = base.copy()
+    base = power = p if rows.size == k else p[rows]  # no power is written in place
     for exponent in range(1, bound + 1):
         positive = (power > 0.0).all(axis=(1, 2))
         if positive.any():

@@ -65,12 +65,13 @@ class ViRun:
     ``ratios`` holds one float per step, spans[t + 1] / spans[t]; a step runs
     only from a span of at least SPAN_FLOOR, so no ratio divides by zero.
     ``greedy`` is an int64 array of shape (len(spans), n): row t holds the
-    greedy SAP id of each state at iterate t.
+    greedy SAP id of each state at iterate t. It is None for a run that
+    records its spans only.
     """
 
     spans: list
     ratios: list
-    greedy: np.ndarray
+    greedy: np.ndarray | None
     final_values: np.ndarray
     early_stopped: bool
 
@@ -84,8 +85,9 @@ class ConvergenceReport:
     (len(span_trace), n): row t holds the greedy SAP ids at iterate t.
     ``unnormalized_span_trace`` is the span trace of the same run on the raw
     ``model``. It is computed on its first access, so a caller that never
-    reads it (a sweep trial) never runs it. Without an optimal policy the
-    verified run already is the raw run, and its trace is reused.
+    reads it (a sweep trial) never runs it, and it records spans only, no
+    greedy picks. Without an optimal policy the verified run already is the
+    raw run, and its trace is reused.
     """
 
     gamma: float
@@ -108,7 +110,7 @@ class ConvergenceReport:
     def unnormalized_span_trace(self) -> list:
         if self.pi_star is None:
             return list(self.span_trace)
-        return run_vi(self.model, np.array(self.v0), self.steps).spans
+        return _run_stack([self.model], [np.array(self.v0)], [self.steps], False)[0].spans
 
 
 def vi_step(model: MdpModel, v: np.ndarray) -> tuple:
@@ -144,8 +146,9 @@ def run_vi(model: MdpModel, v0: np.ndarray, steps: int) -> ViRun:
     return _run_stack([model], [v0], [steps])[0]
 
 
-def _run_stack(models, v0s, budgets) -> list:
+def _run_stack(models, v0s, budgets, greedy=True) -> list:
     """run_vi on each model, all in one step loop: one ViRun per model, in order.
+    With ``greedy`` false the runs record spans only, and their ``greedy`` is None.
 
     The models share n, gamma and the SAP layout, so C and the scale gamma/C
     are shared too, and a step is one ``kernels.greedy_sweep_stack`` call and
@@ -159,14 +162,15 @@ def _run_stack(models, v0s, budgets) -> list:
 
     Stack row j records step t's span in ``spans[t, j]`` and its greedy
     picks in ``picks[t, j*n : (j+1)*n]``; the sweep writes the picks of the
-    rows in the stack into ``picks[t]``. A row retires after the sweep of its
-    last iterate, at its step budget or when its span is below SPAN_FLOOR,
-    and its ViRun, which views its records, is built then. Rows are ordered
-    by budget, largest first, so a row at its budget leaves from the end of
-    the stack and the others stay in place; a row stopping at the floor
-    makes the stack copy the rows left, and move their records up, so a
-    retired row whose records are overwritten keeps a copy. ``order[j]`` is
-    the model of stack row j.
+    rows in the stack into ``picks[t]``, or into the one row of ``picks``
+    that a run without ``greedy`` reuses at every step. A row retires after
+    the sweep of its last iterate, at its step budget or when its span is
+    below SPAN_FLOOR, and its ViRun, which views its records, is built
+    then. Rows are ordered by budget, largest first, so a row at its budget
+    leaves from the end of the stack and the others stay in place; a row
+    stopping at the floor makes the stack copy the rows left, and move their
+    records up, so a retired row whose records are overwritten keeps a copy.
+    ``order[j]`` is the model of stack row j.
     """
     first = models[0]
     n, gamma = first.n, first.gamma
@@ -190,7 +194,7 @@ def _run_stack(models, v0s, budgets) -> list:
         stacked, sweep = False, kernels.greedy_sweep
     budget = [max(budgets[i], 0) for i in order]  # of the stack's rows
     spans = np.empty((budget[0] + 1, k))
-    picks = np.empty((budget[0] + 1, k * n), dtype=np.int64)
+    picks = np.empty((budget[0] + 1 if greedy else 1, k * n), dtype=np.int64)
     runs = [None] * k
     at = slice(0, k)  # the stack's rows
     span_t = np.maximum.reduce(v, -1) - np.minimum.reduce(v, -1)
@@ -198,18 +202,18 @@ def _run_stack(models, v0s, budgets) -> list:
     stop = budget[-1]  # the next step at which a row reaches its budget
     t = 0
     while True:
-        maxq = sweep(probs, rewards, scale, v, tables, picks[t])
+        maxq = sweep(probs, rewards, scale, v, tables, picks[t if greedy else 0])
         if t == stop or least(span_t) < SPAN_FLOOR:
             live, done = [], []
             for j, b in enumerate(budget):
                 (live if b > t and not spans[t, j] < SPAN_FLOOR else done).append(j)
             for j in done:
                 trace = spans[: t + 1, j].tolist()
-                greedy = picks[: t + 1, j * n : (j + 1) * n]
+                rows = picks[: t + 1, j * n : (j + 1) * n] if greedy else None
                 runs[order[j]] = ViRun(
                     trace,
                     [new / prev for prev, new in zip(trace, trace[1:])],
-                    greedy.copy() if j < len(live) else greedy,  # its records are overwritten below
+                    rows.copy() if greedy and j < len(live) else rows,  # its records are overwritten below
                     final_values=v[j] if stacked else v,
                     early_stopped=budget[j] > t,
                 )
@@ -429,7 +433,7 @@ def _plans(pairs: list, trace_steps) -> list:
 
 def _checked_gaps(models: list, policies: list, kernels: np.ndarray) -> list:
     """_checked_gap(model, pi) of each model and its policy ``pi``, or the exception it raises,
-    from one stacked evaluation of the policies' (k, n, n) ``kernels``.
+    from one stacked evaluation of the policies' (k, n, n) ``kernels``, which it consumes.
 
     The models share n, gamma and the SAP layout. Each policy is checked
     valid, so evaluate_policy's policy check cannot fail; its rewards check

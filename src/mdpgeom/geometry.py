@@ -113,11 +113,19 @@ def _solve(model: MdpModel, kernels: np.ndarray, rewards: np.ndarray) -> tuple:
     or NumericalCheckError is its error. ``errors[i]`` is None or the error of
     row i, whose x is then 0. A row's bits and its error do not depend on the
     other rows.
+
+    ``kernels`` is consumed: A = (I + gamma*E) - gamma*P is built in it, with
+    the rounding of that difference on every entry, gamma - gamma*p off the
+    diagonal and (1 + gamma) - gamma*p on it, and then |A| replaces A. So a
+    caller passes a fresh stack, such as rows gathered by fancy indexing.
     """
-    n, gamma = model.n, model.gamma
-    shift = np.full((n, n), gamma)  # I + gamma*E, as 1.0 + gamma on the diagonal
-    shift.flat[:: n + 1] = 1.0 + gamma
-    a = shift - gamma * kernels
+    gamma = model.gamma
+    a = kernels
+    a *= gamma
+    diagonal = np.einsum("...ii->...i", a)  # a writeable view of each diagonal
+    shifted = (1.0 + gamma) - diagonal
+    np.subtract(gamma, a, out=a)
+    diagonal[...] = shifted
     linear = solve_checked if model.is_average_reward else solve
     x = np.zeros(rewards.shape)
     errors = [None] * len(x)
@@ -130,7 +138,8 @@ def _solve(model: MdpModel, kernels: np.ndarray, rewards: np.ndarray) -> tuple:
             errors[i] = exc
     # one matrix-vector product per row: a 2-D product of stacked rows rounds differently
     residual = np.abs((a @ x[..., None])[..., 0] - rewards)
-    bound = RESIDUAL_TOL * ((np.abs(a) @ np.abs(x)[..., None])[..., 0] + np.abs(rewards))
+    np.abs(a, out=a)
+    bound = RESIDUAL_TOL * ((a @ np.abs(x)[..., None])[..., 0] + np.abs(rewards))
     within = residual <= bound
     if not within.all():  # written so that a NaN residual fails
         error = NotUnichainError if model.is_average_reward else NumericalCheckError

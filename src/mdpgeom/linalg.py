@@ -50,12 +50,12 @@ dgetrf, dgetrs = _lapack.dgetrf, _lapack.dgetrs
 
 
 def _getrf(a) -> tuple:
-    """(lu, piv, |diag(U)|) of a square matrix; getrf prints, not raises, on an empty one."""
+    """(lu, piv) of a square matrix; getrf prints, not raises, on an empty one."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
     lu, piv, _ = dgetrf(a)
-    return lu, piv, np.abs(lu.diagonal())
+    return lu, piv
 
 
 def _singular(mags: np.ndarray) -> bool:
@@ -65,7 +65,7 @@ def _singular(mags: np.ndarray) -> bool:
 
 def pivot_magnitudes(a: np.ndarray) -> np.ndarray:
     """Absolute values of the U diagonal from a partial-pivoting LU."""
-    return _getrf(a)[2]
+    return np.abs(_getrf(a)[0].diagonal())
 
 
 def is_invertible(a: np.ndarray) -> bool:
@@ -74,13 +74,14 @@ def is_invertible(a: np.ndarray) -> bool:
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b with no pivot test, for systems nonsingular by construction."""
-    lu, piv, _ = _getrf(a)
+    lu, piv = _getrf(a)
     return dgetrs(lu, piv, np.asarray(b, dtype=np.float64))[0]
 
 
 def solve_checked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b, raising SingularMatrixError at the pivot threshold."""
-    lu, piv, mags = _getrf(a)
+    lu, piv = _getrf(a)
+    mags = np.abs(lu.diagonal())
     if _singular(mags):
         raise SingularMatrixError(
             f"pivot ratio {mags.min():.3e} / {mags.max():.3e} below relative threshold {REL_PIVOT_TOL:g}"

@@ -28,14 +28,19 @@ encoding and newline translation, and holds only the text from the element
 being read on; ``parse_model`` walks its string the same way. A SAP whose
 text has no u and no l, so no true, false or null, is read through an object
 hook that turns its transition row into a float64 array at once, so one row
-of Python floats is alive at a time. A row that is not a 1-D float64 array
-keeps its list and meets the checks that every row of a document read
-without the hook meets, with the same messages. Where the walk fails (text
-that is not json, bytes the codec cannot decode, a structure it does not
-walk), the document is read whole and json reads it, so every message,
-line, column and byte position is json's or the codec's. A file's read
-peaks at its rows, their stacked copy and about a megabyte: 24.4 MB traced
-for the 11.5 MB of rows of an n = 600, 4-SAP file, 48.2 MB with the text held.
+of Python floats is alive at a time. A row whose entries other than +0.0
+take fewer bytes as int32 columns and values is held as those
+(``_Nonzeros``). When every row is such an array or ``_Nonzeros`` of n
+entries, they are written into one zeroed (m, n) matrix, each let go as it
+is written (``_matrix``). A row that is not a 1-D float64 array keeps its
+list, and the rows of its document meet the checks that every row of a
+document read without the hook meets, with the same messages. Where the
+walk fails (text that is not json, bytes the codec cannot decode, a
+structure it does not walk), the document is read whole and json reads it,
+so every message, line, column and byte position is json's or the codec's.
+A file's read peaks at the matrix, the rows as read and about a megabyte:
+14.5 MB traced for the 11.5 MB of rows of an n = 600, 4-SAP file at
+sparsity 0.9, and 23.5 MB for dense rows of that size.
 """
 
 from __future__ import annotations
@@ -131,10 +136,26 @@ def write_model(model: MdpModel, path) -> None:
         f.writelines(_pieces(model))
 
 
+class _Nonzeros:
+    """A transition row of ``size`` entries held as those that are not +0.0:
+    their int32 columns ``cols`` and their values ``vals``."""
+
+    __slots__ = ("size", "cols", "vals")
+
+    def __init__(self, row: np.ndarray, cols: np.ndarray):
+        self.size, self.cols, self.vals = row.size, cols.astype(np.int32), row[cols]
+
+    def dense(self) -> np.ndarray:
+        row = np.zeros(self.size)
+        row[self.cols] = self.vals
+        return row
+
+
 def _row_array(obj: dict) -> dict:
     """json's object hook: ``obj`` with its ``probs`` list replaced by the list's array
-    when that is 1-D float64. Any other list is kept for parse_model's checks, and
-    a list numpy cannot convert (ragged, too deep) is kept too: the hook never raises."""
+    when that is 1-D float64, held as its ``_Nonzeros`` when they take fewer bytes.
+    Any other list is kept for parse_model's checks, and a list numpy cannot convert
+    (ragged, too deep) is kept too: the hook never raises."""
     row = obj.get("probs")
     if type(row) is list:
         try:
@@ -142,7 +163,9 @@ def _row_array(obj: dict) -> dict:
         except (ValueError, TypeError, OverflowError):
             return obj
         if array.dtype == np.float64 and array.ndim == 1:
-            obj["probs"] = array
+            # every entry but +0.0, picked by its bits, so -0.0 is kept
+            cols = np.flatnonzero(array.view(np.int64))
+            obj["probs"] = _Nonzeros(array, cols) if 12 * cols.size < array.nbytes else array
     return obj
 
 
@@ -299,20 +322,37 @@ def _model(doc, scan: bool) -> MdpModel:
             rows.append(entry["probs"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"sap {i}: {exc}") from exc
-        if not isinstance(rows[-1], (list, np.ndarray)):
+        if not isinstance(rows[-1], (list, np.ndarray, _Nonzeros)):
             raise ModelFormatError(f"sap {i}: probs must be a list")
-    if scan:
-        violations = _non_numbers(rows)
+    raw_saps.clear()  # ``rows`` holds the only reference to each row
+    if scan:  # an array or a row of nonzeros holds floats only
+        violations = _non_numbers(row if type(row) is list else () for row in rows)
         if violations:
             raise ValidationFailedError(violations)
     try:
         n, gamma = _integer(doc["n"], "n"), _real(doc["gamma"], "gamma")
-        model = MdpModel._from_arrays(n, gamma, states, rewards, rows)
+        model = MdpModel._from_arrays(n, gamma, states, rewards, _matrix(rows, n))
     except ValidationFailedError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(str(exc)) from exc
     return model
+
+
+def _matrix(rows: list, n: int):
+    """The (m, n) matrix of ``rows`` when each is an array or a ``_Nonzeros`` of n entries,
+    filled a row at a time as ``rows`` lets go of each; otherwise ``rows``, with every
+    ``_Nonzeros`` made dense, for ``MdpModel._from_arrays`` to check and stack."""
+    if not all(type(row) is not list and row.size == n for row in rows):
+        return [row.dense() if type(row) is _Nonzeros else row for row in rows]
+    matrix = np.zeros((len(rows), n))
+    for i, row in enumerate(rows):
+        if type(row) is _Nonzeros:
+            matrix[i, row.cols] = row.vals
+        else:
+            matrix[i] = row
+        rows[i] = None
+    return matrix
 
 
 def _read(walk, whole) -> MdpModel:

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,26 @@ class TestConverge:
         calls = count_calls(monkeypatch, [(convergence, "_run_stack")])
         assert main(["converge", discounted_file, "-o", str(tmp_path / "run")]) == 0
         assert calls["_run_stack"] == 2
+
+    def test_one_copy_of_the_rows(self, tmp_path, capsys):
+        # the read, the plans and both value iterations of a whole converge, traced: one copy
+        # of the transition rows, the verified run's greedy picks and 1.5 MiB (5.7 MiB in all
+        # here). Rows held dense and stacked on reading, the search's temporaries and the raw
+        # run's unread picks took it to 7.6 MiB.
+        path, steps = str(tmp_path / "model.json"), 1000
+        args = ["--n", "300", "--saps", "4", "--gamma", "0.99", "--sparsity", "0.9", "--seed", "1"]
+        assert main(["generate", *args, "-o", path]) == 0
+        probs = generate_model(GeneratorSpec(300, 4, 0.99, sparsity=0.9, seed=1)).model.sap_probs
+        picks = 8 * 300 * (steps + 1)
+        argv = ["converge", path, "--steps", str(steps), "-o", str(tmp_path / "run")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < probs.nbytes + picks + 2**20 + 2**19
+        assert len((tmp_path / "run" / "trace.csv").read_text().splitlines()) == steps + 2
 
     def test_strict_exit_3_on_periodic_kernel(self, swap_file, capsys):
         assert main(["converge", swap_file, "--strict"]) == 3
@@ -491,7 +512,7 @@ class TestSweep:
 
     def test_one_vi_run_per_trial(self, tmp_path, monkeypatch):
         # one lockstep run of 3 rows; the raw model's trace reaches neither
-        # sweep.csv nor sweep.json, so it is never run (run_vi is its only route)
+        # sweep.csv nor sweep.json, so it is never run (it would be a second run)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n": 4, "saps_per_state": 2, "gamma": 0.9}))
         stacks = record_stacks(monkeypatch)

@@ -33,11 +33,14 @@ from mdpgeom import (
     policy_rewards,
     stationary_distribution,
     to_classical_values,
+    verify_contraction,
 )
 
 from mdpgeom import classic, geometry
 from mdpgeom.classic import classical_advantages
+from mdpgeom.errors import SingularMatrixError
 from mdpgeom.generate import GeneratorSpec, generate_model
+from mdpgeom.linalg import solve, solve_checked
 from mdpgeom.model import ENUMERATION_CAP, lowest_index_policy, policy_count
 
 from conftest import best_start_gain, count_calls, make_model, random_instance
@@ -616,6 +619,75 @@ def test_stack_matches_each_policy(seed, n, saps, gamma, k):
         pv, consts = evaluate_policy(m, Policy(c))
         assert row.tobytes() == pv.values.tobytes()
         assert row_adv.tobytes() == advantages(m, pv).tobytes()
+
+
+def difference_solve(model, kernels, rewards):
+    """geometry._solve with A = I + gamma*E - gamma*P built as the difference of two matrices,
+    shift - gamma*kernels, leaving ``kernels`` as they are: (x, errors) as (type, message)."""
+    n, gamma = model.n, model.gamma
+    shift = np.full((n, n), gamma)
+    shift.flat[:: n + 1] = 1.0 + gamma
+    a = shift - gamma * kernels
+    linear = solve_checked if model.is_average_reward else solve
+    x = np.zeros(rewards.shape)
+    errors = [None] * len(x)
+    for i in range(len(x)):
+        try:
+            x[i] = linear(a[i], rewards[i])
+        except SingularMatrixError:
+            errors[i] = NotUnichainError, "policy evaluation at gamma=1 needs a unichain kernel"
+    residual = np.abs((a @ x[..., None])[..., 0] - rewards)
+    bound = geometry.RESIDUAL_TOL * ((np.abs(a) @ np.abs(x)[..., None])[..., 0] + np.abs(rewards))
+    for i in (~(residual <= bound).all(axis=-1)).nonzero()[0].tolist():
+        error = NotUnichainError if model.is_average_reward else NumericalCheckError
+        message = f"evaluation residual {residual[i].max():.3e} exceeds its backward-error bound"
+        errors[i] = errors[i] or (error, message)
+        x[i] = 0.0
+    return x, errors
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    saps=st.integers(1, 3),
+    gamma=st.sampled_from([1.0, 0.95]) | st.floats(0.01, 1.0),
+    k=st.sampled_from([1, 2, 5]),
+    sparsity=st.sampled_from([0.0, 0.5, 0.9]),
+    special=st.sampled_from([-0.0, 5e-324, 2.5e-310, 0.0]),
+)
+def test_solve_builds_the_difference_in_place(seed, n, saps, gamma, k, sparsity, special):
+    # the shifted system built in the gathered kernels has the bits and errors of shift - gamma*P,
+    # also on rows holding -0.0 or subnormal entries
+    m = random_instance(seed % 1000, n=n, gamma=gamma, saps_per_state=saps, sparsity=sparsity)
+    rng = np.random.default_rng(seed)
+    saps_by_state = m.sap_states.argsort(kind="stable").reshape(n, saps)
+    choices = saps_by_state[np.arange(n), rng.integers(saps, size=(k, n))]
+    kernels = m.sap_probs[choices]
+    kernels[rng.random(kernels.shape) < 0.3] = special  # rows that are not stochastic are solved too
+    rewards = m.sap_rewards[choices]
+    want_x, want_errors = difference_solve(m, kernels, rewards)
+    x, errors = geometry._solve(m, kernels, rewards)
+    assert x.tobytes() == want_x.tobytes()
+    assert [error and (type(error), str(error)) for error in errors] == want_errors
+
+
+@pytest.mark.parametrize("gamma", [0.9, 1.0])
+def test_solves_leave_the_model_arrays_as_they_were(gamma):
+    # every caller of the in-place build gathers a fresh stack: the model's and the
+    # normalized model's arrays stay read-only, with their bits
+    m = random_instance(4, n=7, gamma=gamma, saps_per_state=3, sparsity=0.5)
+    arrays = (m.sap_states, m.sap_rewards, m.sap_probs)
+    bits = [a.tobytes() for a in arrays]
+    result = optimal_policy(m)
+    evaluate_policy(m, result.policy)
+    normalized = normalize_rewards(m, result.policy)
+    report = verify_contraction(m)
+    report.unnormalized_span_trace
+    for model in (m, normalized, report.model):
+        assert all(not a.flags.writeable for a in (model.sap_states, model.sap_rewards, model.sap_probs))
+    assert [a.tobytes() for a in arrays] == bits
+    assert normalized.sap_probs.tobytes() == bits[2]
 
 
 # to first order x(1 - eps) - x(1) = eps * A^-1 (E - P) x(1), with A = I + E - P on pi*'s kernel

@@ -284,6 +284,17 @@ def documents(draw):
     return json.dumps({"schema_version": 1, "n": n, "gamma": 0.9, "saps": saps})
 
 
+def sparse_document(last):
+    """A 16-state document of rows held as their nonzeros (-0.0 and a subnormal among them)
+    and, last, the row ``last``."""
+    rows = [[0.0] * 16 for _ in range(15)]
+    for i, row in enumerate(rows):
+        row[i], row[i + 1] = -0.0, 1.0
+    rows[3][7] = 5e-324
+    saps = [{"state": i, "reward": 0.0, "probs": row} for i, row in enumerate(rows + [last])]
+    return json.dumps({"schema_version": 1, "n": 16, "gamma": 0.9, "saps": saps})
+
+
 class TestRowAtATime:
     """Rows read as arrays while json reads them, and documents written a SAP at a time,
     give the bits, bytes and errors of the whole-document route."""
@@ -293,6 +304,12 @@ class TestRowAtATime:
         {"state": 0, "reward": 0.0, "probs": [10**400, 0]},
         {"state": 1, "reward": 0.0, "probs": [0.5, 0.5]},
     ]}))
+    # rows held as nonzeros, then a last one that is one of them, dense, ragged, ints or a string
+    @example(sparse_document([0.0] * 15 + [1.0]))
+    @example(sparse_document([0.5] * 2 + [0.0] * 14))
+    @example(sparse_document([0.0] * 14 + [1.0]))
+    @example(sparse_document([0] * 15 + [1]))
+    @example(sparse_document([0.0] * 15 + ["1"]))
     @given(documents())
     def test_rows_read_as_arrays_equal_rows_read_as_lists(self, text):
         got, want = outcome(text), list_based_outcome(text)
@@ -312,6 +329,17 @@ class TestRowAtATime:
     def test_the_hook_converts_only_flat_float_rows(self, probs):
         obj = modelfile._row_array({"state": 0, "probs": probs})
         assert isinstance(obj["probs"], np.ndarray) == (probs == [0.5, 0.5])
+
+    def test_a_sparse_row_is_held_as_its_nonzeros(self):
+        # every entry but +0.0 is kept, by its bits: -0.0, NaN and subnormals among them
+        probs = [0.0] * 16
+        probs[1:6] = [-0.0, math.nan, 5e-324, 1e-310, 0.25]
+        row = modelfile._row_array({"probs": probs})["probs"]
+        assert isinstance(row, modelfile._Nonzeros) and row.size == 16
+        assert row.cols.dtype == np.int32 and row.cols.tolist() == [1, 2, 3, 4, 5]
+        assert row.dense().tobytes() == np.array(probs).tobytes()
+        # a row whose nonzeros would take more bytes than it does stays an array
+        assert isinstance(modelfile._row_array({"probs": [0.125] * 16})["probs"], np.ndarray)
 
     def test_a_deeply_nested_row_is_kept(self):
         probs = [0.5]
@@ -355,8 +383,18 @@ class TestModelFileMemory:
         probs = generate_model(GeneratorSpec(300, 4, 0.99, sparsity=0.9, seed=1)).model.sap_probs
         # the whole document, its pieces and its encoded copy were about 4.8 x the rows
         assert written < 2 * probs.nbytes + 2**20
-        # the whole text and its bytes were about 5.3 x the rows on top of them; the
-        # file is now read a chunk at a time, and the rows are held and then stacked
+        # the whole text and its bytes were about 5.3 x the rows on top of them, and the
+        # rows held dense and then stacked 2.2 x; the file is read a chunk at a time, each
+        # sparse row held as its nonzeros and written into the one matrix (1.3 x)
+        assert self.traced_peak(read_model, path) < 1.25 * probs.nbytes + 2**20
+        assert read_model(path).sap_probs.tobytes() == probs.tobytes()
+
+    def test_dense_rows_read_peak(self, tmp_path, capsys):
+        # dense rows are held as arrays and then written into the matrix, as they were stacked
+        path = str(tmp_path / "model.json")
+        args = ["--n", "300", "--saps", "4", "--gamma", "0.99", "--sparsity", "0.0", "--seed", "1"]
+        assert cli.main(["generate", *args, "-o", path]) == 0
+        probs = generate_model(GeneratorSpec(300, 4, 0.99, sparsity=0.0, seed=1)).model.sap_probs
         assert self.traced_peak(read_model, path) < 2 * probs.nbytes + 2**20
         assert read_model(path).sap_probs.tobytes() == probs.tobytes()
 
