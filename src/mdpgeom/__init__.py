@@ -21,20 +21,15 @@ from .chains import (
 from .classic import (
     GainBias,
     OptimalPolicyResult,
-    SolveTrace,
     evaluate_average,
     evaluate_discounted,
-    relative_value_iteration,
     value_iteration,
 )
 from .convergence import (
     AssumptionDiagnostics,
     ContractionConstants,
     ConvergenceReport,
-    contraction_constants,
-    product_expansion_check,
     run_vi,
-    suboptimality_gap,
     verify_contraction,
     vi_step,
 )
@@ -76,7 +71,6 @@ from .model import (
     ValueVector,
     enumerate_policies,
     policy_kernel,
-    policy_rewards,
     span,
     validate_model,
 )
@@ -110,7 +104,6 @@ __all__ = [
     "PrimitivityCertificate",
     "Sap",
     "SingularMatrixError",
-    "SolveTrace",
     "SplitMix64",
     "UnsupportedVersionError",
     "ValidationFailedError",
@@ -120,7 +113,6 @@ __all__ = [
     "advantages",
     "bias",
     "classify_chain",
-    "contraction_constants",
     "emit_model",
     "enumerate_policies",
     "evaluate_average",
@@ -133,15 +125,11 @@ __all__ = [
     "optimal_policy",
     "parse_model",
     "policy_kernel",
-    "policy_rewards",
     "primitivity_certificate",
-    "product_expansion_check",
     "read_model",
-    "relative_value_iteration",
     "run_vi",
     "span",
     "stationary_distribution",
-    "suboptimality_gap",
     "to_classical_values",
     "unichain_by_invertibility",
     "validate_model",

@@ -1,11 +1,12 @@
 """Classical dynamic-programming solvers, kept independent of the geometry module.
 
-These are the oracle routes: discounted evaluation and value iteration,
-average-reward gain/bias evaluation, relative value iteration, and optimal
+These are the oracle routes: discounted evaluation, average-reward gain/bias
+evaluation, one classical value iteration for both criteria, and optimal
 policies by enumeration. Cross-checks between this module and the geometric
 one are what the test suite is built on, so nothing here may import from
 mdpgeom.geometry, whose policy iteration is the library's optimum for both
-criteria.
+criteria, nor from mdpgeom.kernels, whose greedy sweep the advantage value
+iteration runs: value iteration here takes its per-state maxima itself.
 
 The gamma = 1 enumeration is the oracle the tests compare that search
 with; the search never calls it.
@@ -13,11 +14,10 @@ with; the search never calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import (
     CriterionMismatchError,
     NotUnichainError,
@@ -49,13 +49,16 @@ class GainBias:
     anchor_state: int = 0
 
 
-@dataclass
-class SolveTrace:
-    """Iterates and Bellman-residual spans of an iterative solve."""
+@dataclass(frozen=True)
+class ValueIterationRun:
+    """value_iteration's greedy policy at its last iterate u_T, its last readout (T u)(anchor)
+    (0.0 before any step), its iterates u_0 .. u_T and its Bellman-residual spans."""
 
-    iterates: list = field(default_factory=list)
-    residual_spans: list = field(default_factory=list)
-    converged: bool = False
+    policy: Policy
+    gain: float
+    iterates: list
+    residual_spans: list
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -148,67 +151,43 @@ def _gain_bias(p: np.ndarray, r: np.ndarray, anchor_state: int = 0) -> tuple:
 def value_iteration(
     model: MdpModel,
     v0: np.ndarray | None = None,
-    max_iters: int = 100_000,
-    epsilon: float = 1e-10,
-) -> tuple:
-    """Discounted value iteration; returns (greedy policy, SolveTrace).
-
-    Stops when span(V_{t+1} - V_t) <= epsilon * (1 - gamma) / gamma, the
-    classical certificate for an epsilon-accurate value; ties in the
-    maximization go to the lowest SAP index. Hitting max_iters is a clean
-    stop with converged=False.
-    """
-    if model.is_average_reward:
-        raise CriterionMismatchError("value iteration here is the gamma < 1 variant")
-    gamma = model.gamma
-    v = np.zeros(model.n) if v0 is None else np.asarray(v0, dtype=np.float64).copy()
-    trace = SolveTrace(iterates=[v.copy()])
-    threshold = epsilon * (1.0 - gamma) / gamma
-    for _ in range(max_iters):
-        maxq, _ = kernels.greedy_sweep_model(model, gamma, v)
-        diff_span = span(maxq - v)
-        trace.iterates.append(maxq.copy())
-        trace.residual_spans.append(diff_span)
-        v = maxq
-        if diff_span <= threshold:
-            trace.converged = True
-            break
-    _, greedy_ids = kernels.greedy_sweep_model(model, gamma, v)
-    return Policy(greedy_ids), trace
-
-
-def relative_value_iteration(
-    model: MdpModel,
-    v0: np.ndarray | None = None,
     anchor_state: int = 0,
     max_iters: int = 100_000,
-    epsilon: float = 1e-9,
-) -> tuple:
-    """Classical RVI at gamma = 1; returns (policy, GainBias, SolveTrace).
+    tol: float = 1e-10,
+) -> ValueIterationRun:
+    """Classical value iteration at any gamma, recentred at ``anchor_state``.
 
-    Each step applies the undiscounted Bellman max-operator and subtracts
-    the anchor component; the gain estimate is the anchor component right
-    before subtraction. Stops when the span of the Bellman residual drops
-    to epsilon. Periodic optimal kernels may oscillate forever; that is
-    reported as converged=False with the partial trace, not an exception.
+    Each step applies the Bellman max-operator, (T u)(s) the largest
+    r(a) + gamma * p(a) @ u over the SAPs a of s, ties to the lowest SAP
+    index, reads g = (T u)(anchor) and sets u = T u - g; the shift moves no
+    span and no greedy pick. At gamma = 1 this is relative value iteration:
+    g estimates the optimal gain and u the bias zero at the anchor. At
+    gamma < 1, u tends to V* - V*(anchor) and g to (1 - gamma) * V*(anchor).
+    Stops once span(T u - u) <= ``tol`` or, with converged=False, after
+    ``max_iters`` steps, as a periodic optimal kernel at gamma = 1 may make
+    it oscillate forever.
     """
-    if not model.is_average_reward:
-        raise CriterionMismatchError("relative value iteration needs gamma = 1")
+    if not 0 <= anchor_state < model.n:
+        raise ValueError(f"anchor state {anchor_state} outside [0, {model.n})")
     u = np.zeros(model.n) if v0 is None else np.asarray(v0, dtype=np.float64).copy()
-    trace = SolveTrace(iterates=[u.copy()])
-    gain_estimate = 0.0
+    iterates, residual_spans, gain, converged = [u], [], 0.0, False
     for _ in range(max_iters):
-        tu, _ = kernels.greedy_sweep_model(model, 1.0, u)
-        residual_span = span(tu - u)
-        gain_estimate = float(tu[anchor_state])
-        u = tu - tu[anchor_state]
-        trace.iterates.append(u.copy())
-        trace.residual_spans.append(residual_span)
-        if residual_span <= epsilon:
-            trace.converged = True
+        q, greedy = _bellman(model, u)
+        tu = q[greedy]
+        residual_spans.append(span(tu - u))
+        gain = float(tu[anchor_state])
+        u = tu - gain
+        iterates.append(u)
+        if residual_spans[-1] <= tol:
+            converged = True
             break
-    _, greedy_ids = kernels.greedy_sweep_model(model, 1.0, u)
-    return Policy(greedy_ids), GainBias(gain=gain_estimate, bias=u, anchor_state=anchor_state), trace
+    return ValueIterationRun(Policy(_bellman(model, u)[1]), gain, iterates, residual_spans, converged)
+
+
+def _bellman(model: MdpModel, u: np.ndarray) -> tuple:
+    """(q, greedy): every SAP's r + gamma * p @ u, and per state the first SAP of its maximum."""
+    q = model.sap_rewards + model.gamma * (model.sap_probs @ u)
+    return q, np.array([saps[q[saps].argmax()] for saps in map(model.saps_at, range(model.n))])
 
 
 def classical_advantages(model: MdpModel, values: np.ndarray) -> np.ndarray:

@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except AssumptionViolatedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (MdpError, ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (MdpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -18,12 +18,10 @@ from functools import cached_property
 import numpy as np
 
 from . import chains, geometry, kernels
-from .chains import PrimitivityCertificate, check_stochastic, classify_chain, primitivity_certificate
-from .errors import (
-    AssumptionViolatedError, NonFiniteRewardError, NotPrimitiveError, NotUnichainError, ValidationFailedError,
-)
-from .geometry import _gap, _raise_first, advantages, evaluate_policy, mdp_constant
-from .model import MdpModel, Policy, check_finite_rewards, lowest_index_policy, policy_kernel
+from .chains import PrimitivityCertificate, classify_chain  # noqa: F401, mdpbench/test_bench.py reads it here
+from .errors import AssumptionViolatedError, NonFiniteRewardError, NotUnichainError, ValidationFailedError
+from .geometry import _gap, _raise_first, mdp_constant
+from .model import MdpModel, Policy, check_finite_rewards, lowest_index_policy
 
 SPAN_FLOOR = 1e-13
 BOUND_SLACK = 1e-9
@@ -239,57 +237,18 @@ def _run_stack(models, v0s, budgets, greedy=True) -> list:
         spans[t, at] = span_t
 
 
-def suboptimality_gap(model: MdpModel, pi_star: Policy) -> float:
-    """Negated maximum advantage of SAPs outside ``pi_star``; inf if none exist."""
-    pv, _ = evaluate_policy(model, pi_star)
-    return _gap(advantages(model, pv), pi_star)
-
-
-def contraction_constants(
-    model: MdpModel, pi_star: Policy, spans: list
-) -> ContractionConstants:
-    """Constants (delta, omega, N, phi, tau) for a realized span trace.
-
-    ``spans`` are spans of the raw iterates v_t (the C scaling cancels where
-    it should). phi multiplies omega by one factor per step over the N step
-    inputs v_0 .. v_{N-1}, each factor min(1, delta / (gamma * span)). The
-    factor is a lower bound on a per-state interpolation coefficient that
-    lives in [0, 1]: once delta exceeds gamma times the current span, no
-    suboptimal SAP can be greedy anywhere, the step follows the optimal
-    kernel exactly, and the factor is 1. Without the cap the product claims
-    more contraction than the iteration guarantees and the bound is
-    empirically false.
-
-    When the trace went below the span floor before supplying N inputs, phi
-    and tau are reported as None and the run is marked converged early.
-
-    Raises AssumptionViolatedError naming the failed diagnostic when the
-    kernel of ``pi_star`` is not unichain, has no entrywise-positive power,
-    or the suboptimality gap is not positive.
-    """
-    kernel = policy_kernel(model, pi_star)
-    if not classify_chain(kernel).is_unichain:
-        raise AssumptionViolatedError("unichain")
-    try:
-        cert = primitivity_certificate(kernel)
-    except NotPrimitiveError as exc:
-        raise AssumptionViolatedError("aperiodicity") from exc
-    return _constants(model, cert, _checked_gap(model, pi_star), spans)
-
-
-def _checked_gap(model: MdpModel, pi_star: Policy) -> float:
-    """suboptimality_gap of a checked ``pi_star``, raising AssumptionViolatedError when it is
-    not positive: the one-row case of ``_checked_gaps``."""
-    (delta,) = _checked_gaps([model], [pi_star], model.sap_probs[pi_star.choice][None])
-    _raise_first([delta])
-    return delta
-
-
 def _constants(
     model: MdpModel, cert: PrimitivityCertificate, delta: float, spans: list
 ) -> ContractionConstants:
-    # contraction_constants once pi_star's kernel is known to be unichain
-    # with certificate ``cert`` and ``delta`` is its positive suboptimality gap
+    """Constants (delta, omega, N, phi, tau) of the raw span trace ``spans``, for a pi_star whose
+    kernel is unichain with certificate ``cert`` and whose suboptimality gap ``delta`` is positive.
+
+    phi is omega times one factor min(1, delta / (gamma * span)) per step input v_0 .. v_{N-1},
+    a lower bound on a per-state interpolation coefficient in [0, 1]. Once delta > gamma * span
+    no suboptimal SAP can be greedy and the factor is 1; uncapped, the bound is empirically false.
+    phi and tau are None, and the run converged early, when the trace fell below the span floor
+    before supplying N inputs.
+    """
     n_steps = cert.exponent
     c = mdp_constant(model)
     input_spans = [s / c for s in spans[:n_steps]]
@@ -432,8 +391,10 @@ def _plans(pairs: list, trace_steps) -> list:
 
 
 def _checked_gaps(models: list, policies: list, kernels: np.ndarray) -> list:
-    """_checked_gap(model, pi) of each model and its policy ``pi``, or the exception it raises,
-    from one stacked evaluation of the policies' (k, n, n) ``kernels``, which it consumes.
+    """The suboptimality gap of each model's policy ``pi`` (the negated largest advantage of a
+    SAP outside ``pi``; inf when there is none), or the exception it raises, from one stacked
+    evaluation of the policies' (k, n, n) ``kernels``, which it consumes. A gap that is not
+    positive raises AssumptionViolatedError("uniqueness").
 
     The models share n, gamma and the SAP layout. Each policy is checked
     valid, so evaluate_policy's policy check cannot fail; its rewards check
@@ -548,24 +509,3 @@ def _chunk_size(m: int, n: int) -> int:
     # the pairs of a chunk whose models have m SAPs over n states: as many as
     # have (k, m, n) transition rows within VI_STACK_BYTES, and at least one
     return max(1, VI_STACK_BYTES // (8 * m * n))
-
-
-def product_expansion_check(matrices, tol: float = 1e-10) -> bool:
-    """Check that prod(P_t - E) - prod(P_t) has identical rows.
-
-    E is the all-ones matrix; inputs must be row-stochastic and of one size.
-    """
-    mats = [check_stochastic(p) for p in matrices]
-    if not mats:
-        raise ValueError("need at least one matrix")
-    n = mats[0].shape[0]
-    if any(m.shape != (n, n) for m in mats):
-        raise ValueError("matrices must share one dimension")
-    e = np.ones((n, n))
-    shifted = mats[0] - e
-    plain = mats[0].copy()
-    for m in mats[1:]:
-        shifted = shifted @ (m - e)
-        plain = plain @ m
-    e_prime = shifted - plain
-    return bool(np.max(np.abs(e_prime - e_prime[0])) <= tol)

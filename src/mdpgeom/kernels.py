@@ -15,9 +15,8 @@ of models that share ``n`` and the SAP layout. Advantage value iteration
 rows: ``greedy_sweep`` for a lone run (``converge``, a one-trial chunk),
 ``greedy_sweep_stack`` for a stack cut from one sweep chunk, whose trials
 were drawn and planned together. ``greedy_sweep_model`` serves ``vi_step``
-and the classical oracles.
-Howard's loop (``geometry._howard``) selects from its stack's advantages
-through ``_select`` the same way.
+alone; ``classic`` takes its maxima itself, so its oracle shares no sweep.
+Howard's loop (``geometry._howard``) selects through ``_select`` too.
 
 Scores are gathered through the model's ``_sweep_blocks``, tables whose rows
 list one state's SAPs ascending, padded with its first SAP: a row's first

@@ -347,12 +347,6 @@ def policy_kernel(model: MdpModel, pi: Policy) -> np.ndarray:
     return model.sap_probs[pi.choice]
 
 
-def policy_rewards(model: MdpModel, pi: Policy) -> np.ndarray:
-    """Reward vector of ``pi``: entry i is the reward of the SAP chosen at i."""
-    check_policy(model, pi)
-    return model.sap_rewards[pi.choice]
-
-
 def span(v) -> float:
     """Span seminorm: max entry minus min entry. Zero iff the vector is constant."""
     a = np.asarray(v, dtype=np.float64)

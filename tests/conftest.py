@@ -9,6 +9,7 @@ from hypothesis import settings
 
 import mdpgeom
 from mdpgeom import MdpModel, Policy, Sap, enumerate_policies
+from mdpgeom.chains import check_stochastic
 from mdpgeom.generate import GeneratorSpec, generate_model
 
 # derandomized and without an example database, so every run draws the same
@@ -81,6 +82,27 @@ def random_stochastic(rng, n, sparsity=0.0):
             if not w[i].any():
                 w[i, rng.integers(n)] = 1.0
     return w / w.sum(axis=1, keepdims=True)
+
+
+def product_expansion_check(matrices, tol=1e-10):
+    """Check the paper's product identity: prod(P_t - E) - prod(P_t) has identical rows.
+
+    E is the all-ones matrix; inputs must be row-stochastic and of one size.
+    """
+    mats = [check_stochastic(p) for p in matrices]
+    if not mats:
+        raise ValueError("need at least one matrix")
+    n = mats[0].shape[0]
+    if any(m.shape != (n, n) for m in mats):
+        raise ValueError("matrices must share one dimension")
+    e = np.ones((n, n))
+    shifted = mats[0] - e
+    plain = mats[0].copy()
+    for m in mats[1:]:
+        shifted = shifted @ (m - e)
+        plain = plain @ m
+    e_prime = shifted - plain
+    return bool(np.max(np.abs(e_prime - e_prime[0])) <= tol)
 
 
 def count_calls(monkeypatch, bindings):

@@ -24,8 +24,6 @@ from mdpgeom import (
     normalize_rewards,
     optimal_policy,
     policy_kernel,
-    policy_rewards,
-    product_expansion_check,
     stationary_distribution,
     unichain_by_invertibility,
     verify_contraction,
@@ -33,7 +31,7 @@ from mdpgeom import (
 from mdpgeom.cli import main as cli_main
 from mdpgeom.model import policy_count
 
-from conftest import random_instance, random_stochastic
+from conftest import product_expansion_check, random_instance, random_stochastic
 
 
 def _emit(cid, ok, detail=""):
@@ -149,7 +147,7 @@ def test_criterion_3_gain_equals_stationary_reward():
                     continue
                 _, consts = evaluate_policy(m, pi)
                 mu = stationary_distribution(p)
-                expected = float(mu @ policy_rewards(m, pi))
+                expected = float(mu @ m.sap_rewards[pi.choice])
                 assert abs(gain(consts) - expected) <= 1e-9
                 checked += 1
         c.detail = f"{checked} unichain policies"

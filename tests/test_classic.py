@@ -18,8 +18,6 @@ from mdpgeom import (
     evaluate_discounted,
     optimal_policy,
     policy_kernel,
-    policy_rewards,
-    relative_value_iteration,
     span,
     stationary_distribution,
     value_iteration,
@@ -93,7 +91,7 @@ class TestEvaluateDiscounted:
             m = random_instance(seed, n=5, gamma=0.85, saps_per_state=2)
             pi = next(iter(enumerate_policies(m)))
             v = evaluate_discounted(m, pi).values
-            p, r = policy_kernel(m, pi), policy_rewards(m, pi)
+            p, r = policy_kernel(m, pi), m.sap_rewards[pi.choice]
             np.testing.assert_allclose(v, r + m.gamma * (p @ v), atol=1e-9)
 
 
@@ -137,11 +135,11 @@ class TestEvaluateAverage:
                 continue
             gb = evaluate_average(m, pi)
             mu = stationary_distribution(p)
-            assert gb.gain == pytest.approx(float(mu @ policy_rewards(m, pi)), abs=1e-9)
+            assert gb.gain == pytest.approx(float(mu @ m.sap_rewards[pi.choice]), abs=1e-9)
             # Bellman: T h = h + rho 1
             h = gb.bias
             np.testing.assert_allclose(
-                policy_rewards(m, pi) + p @ h, h + gb.gain, atol=1e-9
+                m.sap_rewards[pi.choice] + p @ h, h + gb.gain, atol=1e-9
             )
             count += 1
         assert count >= 8
@@ -162,23 +160,26 @@ class TestValueIteration:
     def test_fixed_point_start(self):
         m = random_instance(1, n=4, gamma=0.8, saps_per_state=2)
         star = optimal_policy(m)
-        pi, trace = value_iteration(m, v0=star.values)
-        assert trace.converged
-        assert len(trace.residual_spans) == 1
-        assert trace.residual_spans[0] <= 1e-12
-        assert pi == star.policy
+        run = value_iteration(m, v0=star.values - star.values[0])
+        assert run.converged
+        assert len(run.residual_spans) == 1
+        assert run.residual_spans[0] <= 1e-12
+        assert run.policy == star.policy
+        # the readout at gamma < 1 is (1 - gamma) V*(anchor)
+        assert run.gain == pytest.approx((1 - m.gamma) * star.values[0], abs=1e-12)
 
     def test_single_sap_matches_evaluation(self):
         m = make_model(2, 0.5, [(0, 2.0, [0, 1]), (1, 0.0, [1, 0])])
-        pi, trace = value_iteration(m, epsilon=1e-12)
-        assert trace.converged
+        run = value_iteration(m, tol=1e-12)
+        assert run.converged
         v_exact = evaluate_discounted(m, Policy([0, 1])).values
-        np.testing.assert_allclose(trace.iterates[-1], v_exact, atol=1e-10)
+        v_vi = run.iterates[-1] + run.gain / (1 - m.gamma)
+        np.testing.assert_allclose(v_vi, v_exact, atol=1e-10)
 
     def test_matches_enumeration_argmax(self):
         for seed in range(5):
             m = random_instance(seed + 40, n=2, gamma=0.9, saps_per_state=2)
-            pi, _ = value_iteration(m, epsilon=1e-12)
+            pi = value_iteration(m, tol=1e-12).policy
             best = max(
                 enumerate_policies(m),
                 key=lambda p: tuple(evaluate_discounted(m, p).values),
@@ -189,46 +190,60 @@ class TestValueIteration:
 
     def test_difference_span_contracts(self):
         m = random_instance(5, n=5, gamma=0.9, saps_per_state=3)
-        _, trace = value_iteration(m, v0=np.linspace(0, 1, 5), max_iters=60, epsilon=0.0)
-        diffs = [
-            trace.iterates[t + 1] - trace.iterates[t]
-            for t in range(len(trace.iterates) - 1)
-        ]
-        for t in range(len(diffs) - 1):
-            assert span(diffs[t + 1]) <= m.gamma * span(diffs[t]) + 1e-12
+        run = value_iteration(m, v0=np.linspace(0, 1, 5), max_iters=60, tol=0.0)
+        spans = run.residual_spans
+        assert len(spans) == 60 and not run.converged
+        for t in range(len(spans) - 1):
+            assert spans[t + 1] <= m.gamma * spans[t] + 1e-12
+        # recentring moves no residual span: the same iteration without it
+        v = np.linspace(0, 1, 5)
+        for t in range(60):
+            q = m.sap_rewards + m.gamma * (m.sap_probs @ v)
+            tv = np.array([q[m.saps_at(s)].max() for s in range(5)])
+            assert span(tv - v) == pytest.approx(spans[t], rel=1e-9, abs=1e-14)
+            v = tv
 
 
 class TestRelativeValueIteration:
+    """value_iteration at gamma = 1, whose readout is the gain and whose iterate is the bias."""
+
     def test_gain_matches_average_oracle(self):
         # aperiodic single-SAP chain: kernel [[0.5, 0.5], [1, 0]], r = (2, 0)
         m = make_model(2, 1.0, [(0, 2.0, [0.5, 0.5]), (1, 0.0, [1, 0])])
-        pi, gb, trace = relative_value_iteration(m, epsilon=1e-10)
-        assert trace.converged
+        run = value_iteration(m, tol=1e-10)
+        assert run.converged
         exact = evaluate_average(m, Policy([0, 1]))
-        assert gb.gain == pytest.approx(exact.gain, abs=1e-8)
-        np.testing.assert_allclose(gb.bias, exact.bias, atol=1e-7)
+        assert run.gain == pytest.approx(exact.gain, abs=1e-8)
+        np.testing.assert_allclose(run.iterates[-1], exact.bias, atol=1e-7)
 
     def test_constant_rewards_one_step(self):
         m = make_model(2, 1.0, [(0, 3.0, [0, 1]), (1, 3.0, [1, 0])])
-        _, gb, trace = relative_value_iteration(m)
-        assert trace.converged
-        assert len(trace.residual_spans) == 1
-        assert gb.gain == pytest.approx(3.0, abs=1e-12)
+        run = value_iteration(m)
+        assert run.converged
+        assert len(run.residual_spans) == 1
+        assert run.gain == pytest.approx(3.0, abs=1e-12)
 
     def test_periodic_kernel_reports_no_convergence(self, swap_model):
         # period-2 kernel: the residual span oscillates, which is the known
         # limitation that motivates the aperiodicity diagnostic
-        _, _, trace = relative_value_iteration(swap_model, max_iters=300)
-        assert not trace.converged
-        assert len(trace.iterates) == 301
+        run = value_iteration(swap_model, max_iters=300)
+        assert not run.converged
+        assert len(run.iterates) == 301
 
     def test_residual_spans_nonincreasing_tail(self):
         m = random_instance(9, n=4, gamma=1.0, saps_per_state=2)
-        _, _, trace = relative_value_iteration(m, epsilon=1e-11)
-        assert trace.converged
-        tail = trace.residual_spans[len(trace.residual_spans) // 2 :]
+        run = value_iteration(m, anchor_state=3, tol=1e-11)
+        assert run.converged
+        assert all(u[3] == 0.0 for u in run.iterates[1:])
+        tail = run.residual_spans[len(run.residual_spans) // 2 :]
         for a, b in zip(tail, tail[1:]):
             assert b <= a + 1e-12
+        assert run.gain == pytest.approx(optimal_policy(m).gain, abs=1e-9)
+
+    @pytest.mark.parametrize("anchor", [2, -1])
+    def test_anchor_outside_states_rejected(self, swap_model, anchor):
+        with pytest.raises(ValueError, match=rf"anchor state {anchor} outside \[0, 2\)"):
+            value_iteration(swap_model, anchor_state=anchor)
 
 
 class TestOptimalPolicy:
@@ -357,19 +372,26 @@ class TestStackedEnumeration:
         assert peak < 8 * 2**20 <= every_kernel / 4
 
 
-def test_oracle_is_independent_of_the_geometric_route():
-    # classic is the oracle the geometric route is checked against, so it may not import it
-    tree = ast.parse(Path(classic.__file__).read_text())
+def imported_names(source):
+    """Every dotted part of every module and name that ``source`` imports."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported.update(part for alias in node.names for part in alias.name.split("."))
         elif isinstance(node, ast.ImportFrom):
             imported.update((node.module or "").split("."))
             if node.module in (None, "mdpgeom"):  # from . import geometry
                 imported.update(alias.name for alias in node.names)
-    assert "kernels" in imported and "chains" in imported  # the walk sees both import forms
-    assert not imported & {"geometry", "convergence", "cli", "reporting"}
+    return imported
+
+
+def test_oracle_is_independent_of_the_geometric_route():
+    # classic is the oracle the geometric route and the advantage value iteration's
+    # greedy sweep are checked against, so it may import neither
+    imported = imported_names(Path(classic.__file__).read_text())
+    assert {"numpy", "chains"} <= imported  # the walk sees `import numpy` and `from .chains import`
+    assert "kernels" in imported_names("from . import kernels")  # and the form `from . import`
+    assert not imported & {"kernels", "geometry", "convergence", "cli", "reporting"}
 
 
 def test_no_assert_in_the_package():

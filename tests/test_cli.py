@@ -511,16 +511,14 @@ class TestSweep:
         assert (d1 / "sweep.json").read_bytes() == (d2 / "sweep.json").read_bytes()
 
     def test_one_vi_run_per_trial(self, tmp_path, monkeypatch):
-        # one lockstep run of 3 rows; the raw model's trace reaches neither
-        # sweep.csv nor sweep.json, so it is never run (it would be a second run)
+        # one greedy lockstep run of 3 rows; the raw model's trace, a run without
+        # greedy picks, reaches neither sweep.csv nor sweep.json, so it is never run
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n": 4, "saps_per_state": 2, "gamma": 0.9}))
         stacks = record_stacks(monkeypatch)
-        calls = count_calls(monkeypatch, [(convergence, "run_vi")])
         argv = ["sweep", "--spec", str(spec), "--trials", "3", "-o", str(tmp_path / "sw")]
         assert main(argv) == 0
-        assert stacks == [3]
-        assert calls["run_vi"] == 0
+        assert stacks == [(3, True)]
 
     def test_the_first_failing_trial_stops_the_sweep(self, tmp_path, monkeypatch, capsys):
         # trial `late` fails in the evaluation for its gap and trial `late` + 4 in the
@@ -563,12 +561,13 @@ class TestSweep:
         base = ["sweep", "--spec", str(spec), "--trials", "9", "--seed", "2", "-o"]
         stacks = record_stacks(monkeypatch)
         assert main(base + [str(tmp_path / "one")]) == 0
-        assert stacks == [9]
+        assert stacks == [(9, True)]
         # three trials' transition rows, and greedy rows for runs of up to 60 steps
         monkeypatch.setattr(convergence, "VI_STACK_BYTES", 3 * 8 * 12 * (48 + 61))
         stacks.clear()
         assert main(base + [str(tmp_path / "split")]) == 0
-        assert len(stacks) > 3 and sum(stacks) == 9 and max(stacks) <= 3
+        heights = [height for height, greedy in stacks if greedy]
+        assert len(heights) == len(stacks) > 3 and sum(heights) == 9 and max(heights) <= 3
         for name in ("sweep.csv", "sweep.json"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "split" / name).read_bytes()
 
@@ -683,6 +682,27 @@ def test_malformed_spec_is_an_input_error(tmp_path, capsys, spec, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "{model}", "-o", "{file}"],
+        ["sweep", "--spec", "{spec}", "--trials", "1", "-o", "{file}"],
+        ["validate", "{file}/x.json"],
+        ["generate", "--n", "2", "--saps", "2", "--gamma", "0.9", "--seed", "0", "-o", "{file}/x.json"],
+    ],
+    ids=["converge-into-file", "sweep-into-file", "validate-below-file", "generate-below-file"],
+)
+def test_path_errors_are_input_errors(tmp_path, capsys, discounted_file, argv):
+    # an output directory that is a file (FileExistsError), or a path through a file
+    # (NotADirectoryError), is exit 2 with the system's message, not an internal error
+    spec, file = tmp_path / "spec.json", tmp_path / "file"
+    spec.write_text(json.dumps({"n": 3, "saps_per_state": 2, "gamma": 0.9}))
+    file.write_text("")
+    assert main([arg.format(model=discounted_file, spec=spec, file=file) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and "Traceback" not in err
+
+
 class TestNegativeCounts:
     """A negative --trials or --steps is an argument error (exit 2), before any work."""
 
@@ -736,12 +756,12 @@ class TestCachedParser:
 
 
 def record_stacks(monkeypatch):
-    """Record the number of rows of each lockstep value-iteration run."""
+    """Record (rows, greedy) of each lockstep value-iteration run."""
     stacks, run_stack = [], convergence._run_stack
 
-    def recorded(models, v0s, budgets):
-        stacks.append(len(models))
-        return run_stack(models, v0s, budgets)
+    def recorded(models, v0s, budgets, greedy=True):
+        stacks.append((len(models), greedy))
+        return run_stack(models, v0s, budgets, greedy)
 
     monkeypatch.setattr(convergence, "_run_stack", recorded)
     return stacks

@@ -9,24 +9,21 @@ from mdpgeom import (
     AssumptionViolatedError,
     Policy,
     advantages,
-    contraction_constants,
     evaluate_policy,
     normalize_rewards,
     optimal_policy,
-    product_expansion_check,
     run_vi,
     span,
-    suboptimality_gap,
     verify_contraction,
     vi_step,
 )
 
 from mdpgeom import chains, classic, convergence, geometry, kernels, model
-from mdpgeom.chains import classify_chain
+from mdpgeom.chains import PrimitivityCertificate, classify_chain
 from mdpgeom.errors import NonFiniteRewardError, NotUnichainError, ValidationFailedError
 from mdpgeom.model import lowest_index_policy
 
-from conftest import count_calls, make_model, random_instance, random_stochastic
+from conftest import count_calls, make_model, product_expansion_check, random_instance, random_stochastic
 
 
 def stepwise_run(model, v0, steps):
@@ -216,17 +213,72 @@ class TestRunVi:
         assert len(run.ratios) == len(run.spans) - 1
 
 
-class TestSuboptimalityGap:
-    def test_swap_plus_selfloop(self, swap_plus_selfloop):
-        assert suboptimality_gap(swap_plus_selfloop, Policy([0, 1])) == pytest.approx(
-            0.5, abs=1e-12
-        )
+@st.composite
+def generated_runs(draw, gamma, rows):
+    """``rows`` generated models of one spec, so one SAP layout, each with a random v0 and a
+    step budget of 0 to 60."""
+    n, k = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    sparsity = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    hi = draw(st.sampled_from([1.0, 1e3]))
+    seed = draw(st.integers(0, 2**31))
+    models = [random_instance(seed + j, n, gamma, k, sparsity, (-hi, hi)) for j in range(rows)]
+    rng = np.random.default_rng(seed)
+    v0s = [rng.standard_normal(n) * 10.0 ** draw(st.integers(-2, 2)) for _ in models]
+    return models, v0s, [draw(st.integers(0, 60)) for _ in models]
 
-    def test_no_alternatives_is_infinite(self, swap_model):
-        assert suboptimality_gap(swap_model, Policy([0, 1])) == math.inf
+
+class TestClassicalOracle:
+    """The advantage VI is classical VI in other coordinates: from v0, its iterates are C times
+    classic.value_iteration's from v0 / C, up to constant shifts, at every gamma. The oracle
+    takes its own per-state maxima, so a wrong scale or shift in the shared sweep shows."""
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["lone", "stacked"])
+    @pytest.mark.parametrize("gamma", [0.5, 0.95, 1.0])
+    @given(data=st.data())
+    def test_spans_are_c_times_classical_spans(self, gamma, rows, data):
+        models, v0s, budgets = data.draw(generated_runs(gamma, rows))
+        c = geometry.mdp_constant(models[0])
+        compared = 0
+        for run, m, v0 in zip(convergence._run_stack(models, v0s, budgets), models, v0s):
+            steps = len(run.spans) - 1
+            oracle = classic.value_iteration(m, v0 / c, max_iters=steps, tol=-math.inf)  # no early stop
+            assert len(oracle.iterates) == steps + 1
+            scale = float(np.abs(m.sap_rewards).max())
+            for t, u in enumerate(oracle.iterates):
+                # rounding accumulates at most linearly in t, on the largest magnitude so far
+                scale = max(scale, float(np.abs(u).max()))
+                bound = 8 * (t + 1) * np.finfo(float).eps * scale
+                assert abs(run.spans[t] - c * span(u)) <= c * bound
+                q, picks = classic._bellman(m, u)
+                for s in range(m.n):
+                    best_two = np.sort(q[m.saps_at(s)])[::-1][:2]
+                    if len(best_two) == 1 or best_two[0] - best_two[1] > 2 * bound:
+                        assert run.greedy[t, s] == picks[s]
+                        compared += 1
+        assert compared > 0
+
+
+class TestSuboptimalityGap:
+    """The gap that _checked_gaps gives verify_contraction's plans: the negated largest
+    advantage of a SAP outside the policy."""
+
+    def test_swap_plus_selfloop(self, swap_plus_selfloop):
+        m, pi = swap_plus_selfloop, Policy([0, 1])
+        (delta,) = convergence._checked_gaps([m], [pi], m.sap_probs[pi.choice][None])
+        assert delta == pytest.approx(0.5, abs=1e-12)
+
+    def test_no_alternatives_is_infinite(self):
+        # one SAP a state, on an aperiodic kernel: no SAP is outside pi*, and every factor is 1
+        m = make_model(2, 1.0, [(0, 2.0, [0.5, 0.5]), (1, 0.0, [1, 0])])
+        report = verify_contraction(m)
+        assert report.diagnostics.all_pass
+        assert report.constants.delta == math.inf
+        assert report.constants.phi == report.constants.omega
 
 
 class TestContractionConstants:
+    """The constants of verify_contraction's report, and _constants on a given trace."""
+
     def test_uniform_kernel_certificate(self):
         # optimal kernel entrywise 1/2: exponent 1, omega 1/2
         m = make_model(
@@ -234,26 +286,24 @@ class TestContractionConstants:
             1.0,
             [(0, 1.0, [0.5, 0.5]), (0, 0.0, [1, 0]), (1, 0.5, [0.5, 0.5])],
         )
-        star = optimal_policy(m).policy
-        assert star.as_tuple() == (0, 2)
-        norm = normalize_rewards(m, star)
-        run = run_vi(norm, np.array([1.0, 0.0]), steps=1)
-        consts = contraction_constants(norm, star, run.spans)
+        report = verify_contraction(m, np.array([1.0, 0.0]), trace_steps=1)
+        assert report.pi_star == (0, 2)
+        consts = report.constants
         assert consts.exponent == 1
         assert consts.omega == pytest.approx(0.5, abs=1e-12)
         assert consts.delta > 0
 
     def test_periodic_kernel_flagged(self, swap_plus_selfloop):
-        star = Policy([0, 1])
-        with pytest.raises(AssumptionViolatedError) as err:
-            contraction_constants(swap_plus_selfloop, star, [1.0, 0.5])
-        assert err.value.diagnostic == "aperiodicity"
+        report = verify_contraction(swap_plus_selfloop)
+        assert report.pi_star == (0, 1)
+        assert report.diagnostics.unichain and not report.diagnostics.aperiodic
+        assert report.constants is None and report.bound_satisfied is None
 
     def test_multichain_kernel_flagged(self):
         m = make_model(2, 0.5, [(0, 1.0, [1, 0]), (1, 0.0, [0, 1])])
-        with pytest.raises(AssumptionViolatedError) as err:
-            contraction_constants(m, Policy([0, 1]), [1.0])
-        assert err.value.diagnostic == "unichain"
+        report = verify_contraction(m)
+        assert not report.diagnostics.unichain
+        assert report.constants is None and report.bound_satisfied is None
 
     def test_zero_gap_flagged(self):
         # duplicate optimal SAP: the non-member copy has advantage 0
@@ -262,17 +312,27 @@ class TestContractionConstants:
             0.5,
             [(0, 1.0, [0.5, 0.5]), (0, 1.0, [0.5, 0.5]), (1, 0.0, [0.5, 0.5])],
         )
-        with pytest.raises(AssumptionViolatedError) as err:
-            contraction_constants(m, Policy([0, 2]), [1.0, 0.5])
-        assert err.value.diagnostic == "uniqueness"
+        pi = Policy([0, 2])
+        (err,) = convergence._checked_gaps([m], [pi], m.sap_probs[pi.choice][None])
+        assert isinstance(err, AssumptionViolatedError)
+        assert err.diagnostic == "uniqueness"
+        assert not verify_contraction(m).diagnostics.unique  # which the search reports first
 
     def test_early_convergence_leaves_phi_undefined(self):
         m = random_instance(21, n=3, gamma=0.5, saps_per_state=2)
-        star = optimal_policy(m).policy
-        norm = normalize_rewards(m, star)
-        consts = contraction_constants(norm, star, [0.0])  # span hit zero at once
+        cert = PrimitivityCertificate(exponent=1, omega=0.1)
+        consts = convergence._constants(m, cert, 0.5, [0.0])  # span hit zero at once
         assert consts.converged_early
         assert consts.phi is None and consts.tau is None
+
+    def test_factor_capped_at_one(self):
+        # n = 2, gamma = 1: C = 2 and step inputs 2.0 and 0.25; delta = 1 gives
+        # factors 1/2 and min(1, 4) = 1, so phi = 0.25 / 2 and tau = 1 - 2 phi
+        m = make_model(2, 1.0, [(0, 0.0, [0.5, 0.5]), (1, 0.0, [0.5, 0.5])])
+        cert = PrimitivityCertificate(exponent=2, omega=0.25)
+        consts = convergence._constants(m, cert, 1.0, [4.0, 0.5, 0.1])
+        assert not consts.converged_early
+        assert consts.phi == 0.125 and consts.tau == 0.75 and not consts.degenerate
 
 
 class TestVerifyContraction:
@@ -450,9 +510,9 @@ class TestWorkCounts:
         calls = count_calls(
             monkeypatch,
             [
+                (chains, "classify_chain"),
                 (convergence, "classify_chain"),
-                (convergence, "primitivity_certificate"),
-                (convergence, "evaluate_policy"),
+                (chains, "primitivity_certificate"),
                 (geometry, "evaluate_policy"),
                 (classic, "evaluate_discounted"),
                 (classic, "evaluate_average"),

@@ -30,7 +30,6 @@ from mdpgeom import (
     normalize_rewards,
     optimal_policy,
     policy_kernel,
-    policy_rewards,
     stationary_distribution,
     to_classical_values,
     verify_contraction,
@@ -102,7 +101,7 @@ class TestEvaluatePolicy:
             pv, consts = evaluate_policy(m, pi)
             n = m.n
             a = np.eye(n) + gamma * np.ones((n, n)) - gamma * policy_kernel(m, pi)
-            r = policy_rewards(m, pi)
+            r = m.sap_rewards[pi.choice]
             assert np.max(np.abs(a @ (pv.values / consts.C) - r)) <= 1e-10 * (1 + np.max(np.abs(r)))
 
     def test_every_policy_evaluates_near_gamma_one(self):
@@ -275,7 +274,7 @@ class TestGainAndBias:
                     continue
                 pv, consts = evaluate_policy(m, pi)
                 h = pv.values / consts.C
-                r = policy_rewards(m, pi)
+                r = m.sap_rewards[pi.choice]
                 np.testing.assert_allclose(r + p @ h, h + gain(consts), atol=1e-9)
 
     def test_gain_matches_stationary(self):
@@ -288,7 +287,7 @@ class TestGainAndBias:
             _, consts = evaluate_policy(m, pi)
             mu = stationary_distribution(p)
             assert gain(consts) == pytest.approx(
-                float(mu @ policy_rewards(m, pi)), abs=1e-9
+                float(mu @ m.sap_rewards[pi.choice]), abs=1e-9
             )
 
 

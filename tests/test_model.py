@@ -18,7 +18,6 @@ from mdpgeom import (
     emit_model,
     enumerate_policies,
     policy_kernel,
-    policy_rewards,
     span,
     validate_model,
 )
@@ -143,19 +142,6 @@ class TestPolicyKernel:
             policy_kernel(swap_model, Policy([1, 0]))  # wrong states
         with pytest.raises(InvalidPolicyError):
             policy_kernel(swap_model, Policy([0, 5]))  # out of range
-
-
-class TestPolicyRewards:
-    def test_swap(self, swap_model, swap_policy):
-        assert np.array_equal(policy_rewards(swap_model, swap_policy), [2.0, 0.0])
-
-    def test_zero(self):
-        m = make_model(2, 1.0, [(0, 0.0, [0, 1]), (1, 0.0, [1, 0])])
-        assert np.array_equal(policy_rewards(m, Policy([0, 1])), [0.0, 0.0])
-
-    def test_single_state(self):
-        m = make_model(1, 1.0, [(0, 1.0, [1.0])])
-        assert np.array_equal(policy_rewards(m, Policy([0])), [1.0])
 
 
 class TestSpan:
