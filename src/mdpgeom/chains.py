@@ -6,6 +6,13 @@ unichain_by_invertibility decides the same question numerically from the
 pivots of I + E - P. Their agreement on every stochastic matrix is
 a core verified property of the package, so neither may be implemented in
 terms of the other.
+
+Reachability is decided here alone, along one edge rule: i -> j iff
+p[i, j] > 0. The closed classes come from a squaring closure
+(``_classify``), which takes O(log diameter) matrix products; every other
+reachability question, the primitivity test's levels and the gamma = 1
+search's classes, paths and ties in ``geometry``, is one breadth-first
+search (``_levels``).
 """
 
 from __future__ import annotations
@@ -95,7 +102,7 @@ def _classify(p: np.ndarray) -> tuple:
     # ceil(log2 n) + 1 products. Products of 0/1 matrices stay <= n, so float64
     # is exact; supports only grow, so an unchanged count over the whole stack
     # is the fixed point of every kernel in it. Each square is signed in place.
-    r = np.sign(p)
+    r = (p > 0.0).astype(np.float64)
     np.einsum("...ii->...i", r)[...] = 1.0  # a writeable view of each diagonal
     size, last = np.count_nonzero(r), -1
     while size != last:
@@ -130,7 +137,7 @@ def primitivity_certificate(p: np.ndarray) -> PrimitivityCertificate:
     search toward state 0.
     """
     p = check_stochastic(p)
-    back = _bfs_levels((p > 0.0).T[None]).min() >= 0
+    back = _levels((p > 0.0).T.astype(np.float64), (np.arange(len(p)) == 0)[None]).min() >= 0
     cert = _certificates(p[None], np.array([back]))[0]
     if isinstance(cert, NotPrimitiveError):
         raise cert
@@ -150,7 +157,7 @@ def _certificates(p: np.ndarray, back: np.ndarray) -> list:
     """
     k, n = len(p), p.shape[-1]
     support = p > 0.0
-    level = _bfs_levels(support)
+    level = _levels(support.astype(np.float64), np.broadcast_to(np.arange(n) == 0, (k, 1, n)))[:, 0]
     # the period is the gcd of level[u] + 1 - level[v] over the edges u -> v
     # (Denardo 1977); every cycle's length is a sum of these terms. Each
     # stochastic row has an edge, so every kernel's edges start a segment.
@@ -185,18 +192,23 @@ def wielandt_bound(n: int) -> int:
     return n * n - 2 * n + 2
 
 
-def _bfs_levels(adj: np.ndarray) -> np.ndarray:
-    """Breadth-first distance from state 0 in each digraph of a (k, n, n) stack ``adj``;
-    -1 where unreached."""
-    level = np.full(adj.shape[:2], -1, dtype=np.int64)
-    level[:, 0] = 0
-    frontier = level == 0
-    d = 0
-    while frontier.any():
+def _levels(adj: np.ndarray, start: np.ndarray, barred: np.ndarray | bool = False) -> np.ndarray:
+    """Breadth-first distance along the 0/1 float edges ``adj``, one (n, n) digraph or a
+    (k, n, n) stack, from the states each row of ``start`` (..., s, n) masks; -1 where
+    unreached. The search never enters the states ``barred`` masks and takes one matrix
+    product per level. The seen mask grows in place, so a stacked ``start`` must already
+    have its full (k, s, n) shape."""
+    seen = start | barred
+    level = np.where(start, 0, -1)
+    frontier, d = start.astype(np.float64), 0
+    while True:
         d += 1
-        frontier = (frontier[:, :, None] & adj).any(axis=1) & (level < 0)
-        level[frontier] = d
-    return level
+        new = (frontier @ adj > 0.0) & ~seen
+        if not new.any():
+            return level
+        level[new] = d
+        seen |= new
+        frontier = new.astype(np.float64)
 
 
 def stationary_distribution(p: np.ndarray) -> np.ndarray:

@@ -117,37 +117,31 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _solve_result(model: MdpModel, criterion: str, anchor: int) -> EvaluationResult:
-    if criterion == "auto":
-        criterion = "average" if model.is_average_reward else "discounted"
-    if criterion == "discounted" and model.is_average_reward:
-        raise MdpError("--criterion discounted needs gamma < 1")
-    if criterion == "average" and not model.is_average_reward:
-        raise MdpError("--criterion average needs gamma = 1")
+def _solve_result(model: MdpModel, anchor: int) -> EvaluationResult:
     if not 0 <= anchor < model.n:
         raise MdpError(f"--anchor {anchor} outside [0, {model.n})")
     result = geometry.optimal_policy(model)
     pv, consts = result.policy_vector, result.constants  # from the search's last solve
     out = EvaluationResult(
-        criterion=criterion,
+        criterion="average" if model.is_average_reward else "discounted",
         policy=list(result.policy.as_tuple()),
         unique=result.unique,
         new_values=[float(x) for x in pv.values],
         C=consts.C,
         v_sigma=consts.v_sigma,
     )
-    if criterion == "discounted":
-        out.values = [float(x) for x in result.values]
-    else:
+    if model.is_average_reward:
         out.gain = result.gain
         out.bias = [float(x) for x in geometry.bias(pv, consts, anchor).values]
         out.anchor_state = anchor
+    else:
+        out.values = [float(x) for x in result.values]
     return out
 
 
 def _cmd_solve(args) -> int:
     model = read_model(args.file)
-    result = _solve_result(model, args.criterion, args.anchor)
+    result = _solve_result(model, args.anchor)
     _print_json(dataclasses.asdict(result))
     return 0
 
@@ -326,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the optimal policy and its values")
     p.add_argument("file")
-    p.add_argument("--criterion", choices=("auto", "discounted", "average"), default="auto")
     p.add_argument("--anchor", type=int, default=0, help="bias anchor state (gamma = 1)")
     p.set_defaults(func=_cmd_solve)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classic, kernels
-from .chains import _classify
+from .chains import _classify, _levels
 from .errors import (
     CriterionMismatchError,
     NotUnichainError,
@@ -373,7 +373,10 @@ def _unichain(model: MdpModel, choice: np.ndarray, last: tuple | None) -> tuple:
     if count == 1:
         return choice, recurrent
     sink = _sink(model)
-    classes = _closed_classes(p, recurrent)
+    # each recurrent state reaches exactly its class: keep each class at its lowest state
+    heads = np.flatnonzero(recurrent)
+    reach = _levels((p > 0.0).astype(np.float64), heads[:, None] == np.arange(model.n)) >= 0
+    classes = list(reach[reach.argmax(axis=1) == heads])
     outside = [cls for cls in classes if not (cls & sink).any()]
     if last is not None and outside:
         kept = np.where(sink, choice, last[0])
@@ -406,18 +409,6 @@ def _sink(model: MdpModel) -> np.ndarray:
     return sink
 
 
-def _closed_classes(p: np.ndarray, recurrent: np.ndarray) -> list:
-    """Masks of the closed classes of the kernel ``p``, whose recurrent states ``recurrent`` masks."""
-    classes, left = [], recurrent.copy()
-    while left.any():
-        cls = np.arange(left.size) == left.argmax()
-        while not np.array_equal(grown := cls | (p[cls] > 0.0).any(axis=0), cls):
-            cls = grown
-        classes.append(cls)
-        left &= ~cls
-    return classes
-
-
 def _class_gain(model: MdpModel, choice: np.ndarray, cls: np.ndarray) -> float:
     """Average reward of the policy ``choice`` on its closed class ``cls``: its stationary law mu
     solves mu (I + E - Q) = 1 for the class's kernel Q, nonsingular as Q is irreducible."""
@@ -429,12 +420,12 @@ def _class_gain(model: MdpModel, choice: np.ndarray, cls: np.ndarray) -> float:
 def _toward(model: MdpModel, choice: np.ndarray, target: np.ndarray) -> np.ndarray:
     """``choice`` on the states ``target`` masks, which every state must be able to reach;
     every other state takes its lowest SAP with a successor one step closer to them."""
-    choice, done = choice.copy(), target.copy()
-    while not done.all():
-        step = np.flatnonzero((model.sap_probs[:, done] > 0.0).any(axis=1) & ~done[model.sap_states])
-        states, first = np.unique(model.sap_states[step], return_index=True)
-        choice[states] = step[first]
-        done[states] = True
+    level = _levels(_successors(model).T.astype(np.float64), target[None])[0]
+    own = level[model.sap_states]
+    step = np.flatnonzero(((model.sap_probs > 0.0) & (level < own[:, None])).any(axis=1))
+    states, first = np.unique(model.sap_states[step], return_index=True)
+    choice = choice.copy()
+    choice[states] = step[first]
     return choice
 
 
@@ -443,20 +434,6 @@ def _successors(model: MdpModel) -> np.ndarray:
     edges = np.zeros((model.n, model.n), dtype=bool)
     np.logical_or.at(edges, model.sap_states, model.sap_probs > 0.0)
     return edges
-
-
-def _reaching(edges: np.ndarray, target: np.ndarray, avoid: np.ndarray) -> np.ndarray:
-    """(k, n) masks of the states that can reach the states ``target`` masks
-    along the moves ``edges`` without entering state ``avoid[i]``, one row per
-    entry of ``avoid``: one breadth-first fixpoint for all rows."""
-    into = edges.T.astype(np.float64)
-    barred = np.arange(len(target)) == avoid[:, None]
-    reach = np.tile(target, (avoid.size, 1))
-    while True:
-        grown = reach | ((reach @ into > 0.0) & ~barred)
-        if np.array_equal(grown, reach):
-            return reach
-        reach = grown
 
 
 def _tied(model: MdpModel, pi: Policy, recurrent: np.ndarray) -> bool:
@@ -470,7 +447,9 @@ def _tied(model: MdpModel, pi: Policy, recurrent: np.ndarray) -> bool:
     transient = np.flatnonzero(~recurrent)
     if transient.size == 0:
         return False
-    reach = _reaching(_successors(model), recurrent, transient)
+    barred = transient[:, None] == np.arange(model.n)  # row i never enters transient[i]
+    into = _successors(model).T.astype(np.float64)
+    reach = _levels(into, np.broadcast_to(recurrent, barred.shape), barred) >= 0
     others = np.ones(model.m, dtype=bool)
     others[pi.choice] = False
     saps = np.flatnonzero(others & ~recurrent[model.sap_states])
@@ -485,12 +464,12 @@ def _first_tied(model: MdpModel, pi: Policy, recurrent: np.ndarray) -> Policy:
     order, takes its lowest SAP with a successor that can still reach them
     without entering it, earlier states fixed and later ones free.
     """
-    choice, edges = pi.choice.copy(), _successors(model)
+    choice, into = pi.choice.copy(), _successors(model).T.astype(np.float64)
     for s in np.flatnonzero(~recurrent):
-        reach = _reaching(edges, recurrent, np.array([s]))[0]
+        reach = _levels(into, recurrent[None], np.arange(model.n) == s)[0] >= 0
         saps = model.saps_at(s)
         choice[s] = saps[((model.sap_probs[saps] > 0.0) & reach).any(axis=1).argmax()]
-        edges[s] = model.sap_probs[choice[s]] > 0.0
+        into[:, s] = model.sap_probs[choice[s]] > 0.0
     return Policy(choice)
 
 

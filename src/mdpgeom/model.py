@@ -9,7 +9,6 @@ immutable value types; operations here are pure functions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,20 +33,6 @@ def _readonly(a, dtype=np.float64) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
-
-
-# the JSON values that are not numbers, though Python reads true and false as 1 and 0
-_NON_NUMBERS = (bool, str, type(None))
-
-
-def _non_numbers(rows) -> list:
-    """A violation for each transition row with a string, boolean or None entry, naming its first."""
-    out = []
-    for i, row in enumerate(rows):
-        if set(_NON_NUMBERS) & set(map(type, row)):
-            entry = next(x for x in row if type(x) in _NON_NUMBERS)
-            out.append(f"sap {i}: transition entry {json.dumps(entry)} is not a number")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +117,6 @@ class MdpModel:
             ]
             if ragged:
                 raise ValidationFailedError(ragged)
-            rows, probs = probs, np.array(probs)  # no dtype: a string entry shows in the array's
-            if probs.dtype.kind in "Ub":
-                raise ValidationFailedError(_non_numbers(rows))
         try:
             states = _readonly(states, np.int64)
         except OverflowError:  # validate_model's message, for states an int64 cannot hold
@@ -304,13 +286,13 @@ def check_policy(model: MdpModel, pi: Policy) -> None:
 def validate_model(model: MdpModel) -> list:
     """Check the data-model invariants and return the violation report.
 
-    An empty list means the model is valid. Stochasticity is checked at
-    tolerance 1e-12 and rows are not repaired.
+    An empty list means the model is valid. Entries must be nonnegative, row
+    sums are checked at tolerance 1e-12, and rows are not repaired.
     """
     n, states, probs = model.n, model.sap_states, model.sap_probs
     bad_state = (states < 0) | (states >= n)
     # written so that NaN, which compares false, fails both tests
-    bad_entries = ~np.all((probs >= -ROW_SUM_TOL) & (probs <= 1.0 + ROW_SUM_TOL), axis=1)
+    bad_entries = ~np.all((probs >= 0.0) & (probs <= 1.0 + ROW_SUM_TOL), axis=1)
     totals = probs.sum(axis=1)  # contiguous rows sum in the same order as a lone row
     bad_sum = ~(np.abs(totals - 1.0) <= ROW_SUM_TOL)
     violations = []

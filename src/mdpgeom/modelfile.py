@@ -33,8 +33,8 @@ take fewer bytes as int32 columns and values is held as those
 (``_Nonzeros``). When every row is such an array or ``_Nonzeros`` of n
 entries, they are written into one zeroed (m, n) matrix, each let go as it
 is written (``_matrix``). A row that is not a 1-D float64 array keeps its
-list, and the rows of its document meet the checks that every row of a
-document read without the hook meets, with the same messages. Where the
+list, and every such row is scanned for strings, booleans and nulls
+(``_non_numbers``), whatever the rest of the text holds. Where the
 walk fails (text that is not json, bytes the codec cannot decode, a
 structure it does not walk), the document is read whole and json reads it,
 so every message, line, column and byte position is json's or the codec's.
@@ -54,7 +54,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ModelFormatError, UnsupportedVersionError, ValidationFailedError
-from .model import _NON_NUMBERS, MdpModel, _non_numbers, validate_model
+from .model import MdpModel, validate_model
 
 SCHEMA_VERSION = 1
 
@@ -65,6 +65,8 @@ _ENTRY_SEP = ",\n        "  # between the entries of an indented transition row
 # peaks at about 4k bytes (tracemalloc), so a read costs about 1 MiB
 _CHUNK = 2**18
 _SPACE = WHITESPACE.match  # the whitespace json allows between tokens
+# the JSON values that are not numbers, though Python reads true and false as 1 and 0
+_NON_NUMBERS = (bool, str, type(None))
 
 
 def _reals(values: np.ndarray) -> list:
@@ -89,6 +91,16 @@ def _real(value, name: str) -> float:
     if isinstance(value, _NON_NUMBERS):
         raise ValueError(f"{name} {json.dumps(value)} is not a number")
     return float(value)
+
+
+def _non_numbers(rows) -> list:
+    """A violation for each transition row with a string, boolean or None entry, naming its first."""
+    out = []
+    for i, row in enumerate(rows):
+        if set(_NON_NUMBERS) & set(map(type, row)):
+            entry = next(x for x in row if type(x) in _NON_NUMBERS)
+            out.append(f"sap {i}: transition entry {json.dumps(entry)} is not a number")
+    return out
 
 
 def _row(probs: np.ndarray, zeros: list) -> str:
@@ -175,7 +187,6 @@ class _Text:
 
     def __init__(self, read, buf: str):
         self.read, self.buf, self.pos = read, buf, 0
-        self.ul = False  # whether the text taken so far has a u or an l
 
     def take(self, step):
         """``step(buf, pos)``'s value. While the step fails or ends at the buffer's end,
@@ -194,7 +205,6 @@ class _Text:
             if not chunk:
                 self.read = None
             self.buf, self.pos = rest + chunk, 0
-        self.ul = self.ul or self.buf.find("u", self.pos, end) >= 0 or self.buf.find("l", self.pos, end) >= 0
         self.pos = end
         return value
 
@@ -227,8 +237,8 @@ def _end(buf: str, pos: int) -> tuple:
     return None, end
 
 
-def _walk(read, buf: str = "") -> tuple:
-    """json's document of the text ``buf`` then ``read`` gives, and whether that text has a u or an l.
+def _walk(read, buf: str = "") -> dict:
+    """json's document of the text ``buf`` then ``read`` gives.
 
     The top-level object is walked here; each of its values, and each element of
     ``saps``, is read by json's scanner, so the text held is a chunk and the element
@@ -270,25 +280,25 @@ def _walk(read, buf: str = "") -> tuple:
             saps.append(entry)
         char = text.take(partial(_token, chars=",}"))
     text.take(_end)
-    return doc, text.ul
+    return doc
 
 
-def _load(text: str) -> tuple:
-    """json's document of the whole ``text``, and whether ``text`` has a u or an l."""
+def _load(text: str):
+    """json's document of the whole ``text``."""
     # true, false and null are spelled with a u or an l, and emit_model writes neither
-    # letter: only a document that may hold one is read as lists and scanned for them
-    scan = "u" in text or "l" in text
+    # letter: only a document that may hold one is read as lists, so true is not read as 1.0
+    hook = None if "u" in text or "l" in text else _row_array
     try:
-        return json.loads(text, object_hook=None if scan else _row_array), scan
+        return json.loads(text, object_hook=hook)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
 
 
-def _document(walk, whole) -> tuple:
-    """``walk()``'s document and u-or-l flag or, where it cannot walk the text,
-    ``_load(whole())``'s, whose errors, positions and messages are json's and the codec's."""
+def _document(walk, whole):
+    """``walk()``'s document or, where it cannot walk the text, ``_load(whole())``'s,
+    whose errors, positions and messages are json's and the codec's."""
     try:
         return walk()
     except (ValueError, RecursionError):
@@ -296,9 +306,8 @@ def _document(walk, whole) -> tuple:
     return _load(whole())
 
 
-def _model(doc, scan: bool) -> MdpModel:
-    """The model of json's document ``doc``, not yet validated; ``scan`` says whether
-    its text has a u or an l, so that rows may hold true, false or null."""
+def _model(doc) -> MdpModel:
+    """The model of json's document ``doc``, not yet validated."""
     if not isinstance(doc, dict):
         raise ModelFormatError("top-level document must be an object")
     version = doc.get("schema_version")
@@ -325,10 +334,10 @@ def _model(doc, scan: bool) -> MdpModel:
         if not isinstance(rows[-1], (list, np.ndarray, _Nonzeros)):
             raise ModelFormatError(f"sap {i}: probs must be a list")
     raw_saps.clear()  # ``rows`` holds the only reference to each row
-    if scan:  # an array or a row of nonzeros holds floats only
-        violations = _non_numbers(row if type(row) is list else () for row in rows)
-        if violations:
-            raise ValidationFailedError(violations)
+    # an array or a row of nonzeros holds floats only; a canonical file has no list row
+    violations = _non_numbers(row if type(row) is list else () for row in rows)
+    if violations:
+        raise ValidationFailedError(violations)
     try:
         n, gamma = _integer(doc["n"], "n"), _real(doc["gamma"], "gamma")
         model = MdpModel._from_arrays(n, gamma, states, rewards, _matrix(rows, n))
@@ -357,7 +366,7 @@ def _matrix(rows: list, n: int):
 
 def _read(walk, whole) -> MdpModel:
     """The validated model of the document ``walk()`` walks, or of ``whole()``."""
-    model = _model(*_document(walk, whole))  # drops the document and its rows before validating
+    model = _model(_document(walk, whole))  # drops the document and its rows before validating
     violations = validate_model(model)
     if violations:
         raise ValidationFailedError(violations)

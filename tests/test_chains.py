@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -17,7 +18,7 @@ from mdpgeom import (
     unichain_by_invertibility,
 )
 
-from mdpgeom.chains import _classify
+from mdpgeom.chains import _classify, _levels
 
 from conftest import random_stochastic
 
@@ -200,6 +201,13 @@ class TestClassifyChain:
             assert frozenset(np.flatnonzero(~rec).tolist()) == cls.transient_states
             assert (count == 1) == unichain_by_invertibility(p)
 
+    def test_support_is_the_positive_entries(self):
+        # a -1e-13 entry is no edge: 0 -> {0, 1}, 1 -> 2, 2 -> 0 is one closed class
+        p = np.array([[0.5, 0.5 + 1e-13, -1e-13], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        count, recurrent = _classify(p)
+        assert count == 1
+        assert recurrent.tolist() == [True, True, True]
+
     def test_fortran_order_kernel(self):
         # the closure writes each diagonal through a view, whatever the layout
         p = np.asfortranarray([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -221,6 +229,57 @@ class TestClassifyChain:
         assert cls.closed_class_count == 1
         expected = frozenset(range(256)) if last_absorbing else frozenset()
         assert cls.transient_states == expected
+
+
+def bfs_oracle(adj, start, barred):
+    """Breadth-first distance from the states ``start`` masks along the edges of ``adj``,
+    entering no state that ``barred`` masks; -1 where unreached."""
+    n = len(start)
+    level = [0 if start[i] else -1 for i in range(n)]
+    queue = collections.deque(i for i in range(n) if start[i])
+    while queue:
+        u = queue.popleft()
+        for v in range(n):
+            if adj[u][v] and level[v] < 0 and not barred[v]:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
+
+
+@st.composite
+def level_searches(draw):
+    """(adj, start, barred) of ``_levels``: one (n, n) digraph or a (k, n, n) stack with
+    n <= 8, one to three start rows per digraph, and no barred states, one barred mask
+    for every row, or one per row."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([None, 1, 2, 3]))
+    rows = (draw(st.integers(1, 3)),) if k is None else (k, draw(st.integers(1, 3)))
+
+    def bits(shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool).reshape(shape)
+
+    adj = bits((n, n) if k is None else (k, n, n)).astype(np.float64)
+    barred = draw(st.sampled_from([False, (n,), rows + (n,)]))
+    return adj, bits(rows + (n,)), barred if barred is False else bits(barred)
+
+
+class TestLevels:
+    @given(level_searches())
+    def test_matches_a_python_breadth_first_search(self, search):
+        adj, start, barred = search
+        level = _levels(adj, start, barred)
+        assert level.shape == start.shape and level.dtype == np.int64
+        graphs = np.broadcast_to(adj if adj.ndim == 2 else adj[:, None], start.shape[:-1] + adj.shape[-2:])
+        barred = np.broadcast_to(barred, start.shape)
+        for index in np.ndindex(start.shape[:-1]):
+            assert level[index].tolist() == bfs_oracle(graphs[index], start[index], barred[index])
+
+    def test_a_barred_state_cuts_a_path(self):
+        # a path 0 -> 1 -> ... -> 5, barred at 4: levels 0..3, then nothing
+        adj = np.eye(6, k=1)
+        assert _levels(adj, np.arange(6)[None] == 0).tolist() == [[0, 1, 2, 3, 4, 5]]
+        assert _levels(adj, np.arange(6)[None] == 0, np.arange(6) == 4).tolist() == [[0, 1, 2, 3, -1, -1]]
 
 
 class TestUnichainByInvertibility:

@@ -117,6 +117,24 @@ class TestValidate:
         err = capsys.readouterr().err
         assert message in err if code else err == ""
 
+    @pytest.mark.parametrize("args", [["validate"], ["solve"], ["converge"], ["analyze", "--policy", "0,1,2"]])
+    def test_negative_entry_refused_by_every_command(self, tmp_path, capsys, args):
+        # the row sums to 1 within 1e-12, but an entry below 0 is refused as check_stochastic refuses it
+        doc = {
+            "schema_version": 1,
+            "n": 3,
+            "gamma": 1.0,
+            "saps": [
+                {"state": 0, "reward": 1.0, "probs": [0.5, 0.5 + 1e-13, -1e-13]},
+                {"state": 1, "reward": 0.0, "probs": [0.0, 0.0, 1.0]},
+                {"state": 2, "reward": 0.0, "probs": [1.0, 0.0, 0.0]},
+            ],
+        }
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        assert main([args[0], str(path), *args[1:]]) == 2
+        assert "sap 0: transition entries outside [0, 1]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["state", "reward", "probs"])
     def test_real_beyond_float_range_exit_2(self, tmp_path, swap_model, key, capsys):
         # an integer no double holds is an input error, not an internal one
@@ -161,9 +179,6 @@ class TestSolve:
         assert doc["policy"] == [0, 1]
         assert doc["gain"] == pytest.approx(1.0)
         assert doc["C"] == 2.0
-
-    def test_discounted_with_anchor_rejected_criterion(self, discounted_file, capsys):
-        assert main(["solve", discounted_file, "--criterion", "average"]) == 2
 
     def test_discounted(self, discounted_file, capsys):
         assert main(["solve", discounted_file]) == 0

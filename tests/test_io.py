@@ -341,6 +341,15 @@ class TestRowAtATime:
         # a row whose nonzeros would take more bytes than it does stays an array
         assert isinstance(modelfile._row_array({"probs": [0.125] * 16})["probs"], np.ndarray)
 
+    @pytest.mark.parametrize("extra", [{}, {"label": 1}], ids=["plain", "key-with-l"])
+    def test_a_non_number_entry_is_found_in_every_document(self, extra):
+        # the row's violation comes before n's error, whatever letters the rest of the text holds
+        saps = [{"state": 0, "reward": 0.0, "probs": ["x", 1.0]}]
+        text = json.dumps({"schema_version": 1, "n": 2.5, "gamma": 0.9, "saps": saps, **extra})
+        with pytest.raises(ValidationFailedError) as info:
+            parse_model(text)
+        assert info.value.violations == ['sap 0: transition entry "x" is not a number']
+
     def test_a_deeply_nested_row_is_kept(self):
         probs = [0.5]
         for _ in range(100):  # beyond numpy's 64 dimensions

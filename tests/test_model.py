@@ -230,7 +230,7 @@ def validate_oracle(model):
         if not 0 <= sap.state < model.n:
             violations.append(f"sap {i}: state {sap.state} outside [0, {model.n})")
         # written so that NaN, which compares false, fails both tests
-        if not np.all((sap.probs >= -1e-12) & (sap.probs <= 1.0 + 1e-12)):
+        if not np.all((sap.probs >= 0.0) & (sap.probs <= 1.0 + 1e-12)):
             violations.append(f"sap {i}: transition entries outside [0, 1]")
         total = float(sap.probs.sum())
         if not abs(total - 1.0) <= 1e-12:
