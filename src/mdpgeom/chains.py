@@ -96,13 +96,15 @@ def classify_chain(p: np.ndarray) -> ChainClassification:
 
 def _classify(p: np.ndarray) -> tuple:
     """Closed-class counts (...) and recurrent-state masks (..., n) of a stack of
-    row-stochastic kernels (..., n, n), such as rows of a validated model."""
+    row-stochastic kernels (..., n, n), such as rows of a validated model. Only the
+    support p > 0 is read, so a boolean mask of the edges serves as well."""
     n = p.shape[-1]
     # reflexive-transitive closure of each support by repeated squaring, at most
-    # ceil(log2 n) + 1 products. Products of 0/1 matrices stay <= n, so float64
-    # is exact; supports only grow, so an unchanged count over the whole stack
-    # is the fixed point of every kernel in it. Each square is signed in place.
-    r = (p > 0.0).astype(np.float64)
+    # ceil(log2 n) + 1 products. Products of 0/1 matrices stay <= n, so float32
+    # is exact up to n = 2^24; supports only grow, so an unchanged count over the
+    # whole stack is the fixed point of every kernel in it. Each square is
+    # signed in place.
+    r = (p > 0.0).astype(np.float32)
     np.einsum("...ii->...i", r)[...] = 1.0  # a writeable view of each diagonal
     size, last = np.count_nonzero(r), -1
     while size != last:
@@ -137,7 +139,7 @@ def primitivity_certificate(p: np.ndarray) -> PrimitivityCertificate:
     search toward state 0.
     """
     p = check_stochastic(p)
-    back = _levels((p > 0.0).T.astype(np.float64), (np.arange(len(p)) == 0)[None]).min() >= 0
+    back = _levels((p > 0.0).T.astype(np.float32), (np.arange(len(p)) == 0)[None]).min() >= 0
     cert = _certificates(p[None], np.array([back]))[0]
     if isinstance(cert, NotPrimitiveError):
         raise cert
@@ -157,7 +159,7 @@ def _certificates(p: np.ndarray, back: np.ndarray) -> list:
     """
     k, n = len(p), p.shape[-1]
     support = p > 0.0
-    level = _levels(support.astype(np.float64), np.broadcast_to(np.arange(n) == 0, (k, 1, n)))[:, 0]
+    level = _levels(support.astype(np.float32), np.broadcast_to(np.arange(n) == 0, (k, 1, n)))[:, 0]
     # the period is the gcd of level[u] + 1 - level[v] over the edges u -> v
     # (Denardo 1977); every cycle's length is a sum of these terms. Each
     # stochastic row has an edge, so every kernel's edges start a segment.
@@ -193,14 +195,14 @@ def wielandt_bound(n: int) -> int:
 
 
 def _levels(adj: np.ndarray, start: np.ndarray, barred: np.ndarray | bool = False) -> np.ndarray:
-    """Breadth-first distance along the 0/1 float edges ``adj``, one (n, n) digraph or a
+    """Breadth-first distance along the 0/1 float32 edges ``adj``, one (n, n) digraph or a
     (k, n, n) stack, from the states each row of ``start`` (..., s, n) masks; -1 where
     unreached. The search never enters the states ``barred`` masks and takes one matrix
-    product per level. The seen mask grows in place, so a stacked ``start`` must already
-    have its full (k, s, n) shape."""
+    product per level, whose counts stay <= n, exact in float32 up to n = 2^24. The seen
+    mask grows in place, so a stacked ``start`` must already have its full (k, s, n) shape."""
     seen = start | barred
     level = np.where(start, 0, -1)
-    frontier, d = start.astype(np.float64), 0
+    frontier, d = start.astype(np.float32), 0
     while True:
         d += 1
         new = (frontier @ adj > 0.0) & ~seen
@@ -208,7 +210,7 @@ def _levels(adj: np.ndarray, start: np.ndarray, barred: np.ndarray | bool = Fals
             return level
         level[new] = d
         seen |= new
-        frontier = new.astype(np.float64)
+        frontier = new.astype(np.float32)
 
 
 def stationary_distribution(p: np.ndarray) -> np.ndarray:

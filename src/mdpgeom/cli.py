@@ -15,8 +15,9 @@ settle every trial's optimal policy, diagnostics, step count and gap, each
 with the bits it has alone. The first failing trial stops the sweep with
 the same error as when trials ran one after another. Then the chunk's value
 iterations run in lockstep, in consecutive stacks whose rows fit the same
-budget with their greedy picks, and each trial's constants and bound
-verdicts follow.
+budget, recording spans only, since no sweep column reads a greedy policy,
+and each trial's constants and bound verdicts follow. Each row's cells are
+formatted once, and both sweep files are written from them.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .generate import (
 )
 from .model import MdpModel, Policy, check_policy, policy_kernel
 from .modelfile import emit_model, read_model, write_model
-from .reporting import SweepRow, _json_safe, _sweep_json, policy_hash, report_dict, sweep_csv, trace_csv
+from .reporting import SweepRow, _json_safe, policy_hash, report_dict, sweep_files, trace_csv
 
 V0_SEED_XOR = 0xA5A5A5A5A5A5A5A5
 
@@ -274,12 +275,9 @@ def _cmd_sweep(args) -> int:
     for first in range(0, trials, size):  # draw, plan and iterate a chunk of trials
         states = _states(range(args.seed + first, args.seed + min(first + size, trials)))
         v0s = _uniform_vectors(states ^ np.uint64(V0_SEED_XOR), spec.n)
-        reports = _verify_chunk([(model, v0) for (model, _), v0 in zip(_generate(spec, states), v0s)])
+        pairs = [(model, v0) for (model, _), v0 in zip(_generate(spec, states), v0s)]
+        reports = _verify_chunk(pairs, greedy=False)  # no sweep column reads a greedy policy
         rows += (_sweep_row(t, args.seed + t, report) for t, report in enumerate(reports, first))
-
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "sweep.csv").write_text(sweep_csv(rows))
 
     excluded = sum(1 for r in rows if r.excluded)
     failures = sum(1 for r in rows if not r.excluded and r.bound_satisfied is False)
@@ -291,7 +289,11 @@ def _cmd_sweep(args) -> int:
         "bound_failures": failures,
     }
     provenance = _provenance(command="sweep", seed=args.seed, spec=spec.to_dict(), trials=trials)
-    (outdir / "sweep.json").write_text(_sweep_json(head, rows, provenance))
+    table, doc = sweep_files(head, rows, provenance)
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "sweep.csv").write_text(table)
+    (outdir / "sweep.json").write_text(doc)
     print(
         f"wrote {outdir / 'sweep.csv'} and {outdir / 'sweep.json'} "
         f"({trials} trials, {excluded} excluded, {failures} bound failures)"

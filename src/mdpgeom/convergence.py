@@ -60,32 +60,40 @@ class AssumptionDiagnostics:
 class ViRun:
     """Span trace of one advantage-VI run plus the greedy policy at each iterate.
 
-    ``ratios`` holds one float per step, spans[t + 1] / spans[t]; a step runs
-    only from a span of at least SPAN_FLOOR, so no ratio divides by zero.
     ``greedy`` is an int64 array of shape (len(spans), n): row t holds the
     greedy SAP id of each state at iterate t. It is None for a run that
     records its spans only.
     """
 
     spans: list
-    ratios: list
     greedy: np.ndarray | None
     final_values: np.ndarray
     early_stopped: bool
+
+    @property
+    def ratios(self) -> list:
+        """One float per step, spans[t + 1] / spans[t]; a step runs only from a span
+        of at least SPAN_FLOOR, so no ratio divides by zero."""
+        return _ratios(self.spans)
+
+
+def _ratios(spans: list) -> list:
+    return [new / prev for prev, new in zip(spans, spans[1:])]
 
 
 @dataclass
 class ConvergenceReport:
     """Result of verify_contraction.
 
-    ``per_step_ratios`` are the verified run's ``ViRun.ratios``, floats.
     ``greedy_policies`` is the verified run's int64 array of shape
-    (len(span_trace), n): row t holds the greedy SAP ids at iterate t.
+    (len(span_trace), n): row t holds the greedy SAP ids at iterate t. A
+    sweep trial's run records spans only, and its ``greedy_policies`` is None.
+    ``per_step_ratios`` are the verified run's ``ViRun.ratios``, floats, and
     ``unnormalized_span_trace`` is the span trace of the same run on the raw
-    ``model``. It is computed on its first access, so a caller that never
-    reads it (a sweep trial) never runs it, and it records spans only, no
-    greedy picks. Without an optimal policy the verified run already is the
-    raw run, and its trace is reused.
+    ``model``. Both are computed on their first access, so a caller that
+    never reads them (a sweep trial) never computes them; the raw run
+    records spans only, no greedy picks. Without an optimal policy the
+    verified run already is the raw run, and its trace is reused.
     """
 
     gamma: float
@@ -94,8 +102,7 @@ class ConvergenceReport:
     pi_star: tuple | None
     exponent: int | None
     span_trace: list
-    per_step_ratios: list
-    greedy_policies: np.ndarray
+    greedy_policies: np.ndarray | None
     constants: ContractionConstants | None
     bound_satisfied: bool | None
     sanity_bound_satisfied: bool | None
@@ -103,6 +110,10 @@ class ConvergenceReport:
     # the input model and the run length, for the deferred raw run
     model: MdpModel = field(repr=False, compare=False)
     steps: int = field(repr=False, compare=False)
+
+    @cached_property
+    def per_step_ratios(self) -> list:
+        return _ratios(self.span_trace)
 
     @cached_property
     def unnormalized_span_trace(self) -> list:
@@ -146,7 +157,9 @@ def run_vi(model: MdpModel, v0: np.ndarray, steps: int) -> ViRun:
 
 def _run_stack(models, v0s, budgets, greedy=True) -> list:
     """run_vi on each model, all in one step loop: one ViRun per model, in order.
-    With ``greedy`` false the runs record spans only, and their ``greedy`` is None.
+    With ``greedy`` false the runs record spans only, and their ``greedy`` is
+    None: no picks array is allocated, the sweep gathers no SAP ids, and no
+    picks are copied when rows retire or move up.
 
     The models share n, gamma and the SAP layout, so C and the scale gamma/C
     are shared too, and a step is one ``kernels.greedy_sweep_stack`` call and
@@ -158,16 +171,16 @@ def _run_stack(models, v0s, budgets, greedy=True) -> list:
     136-230 us this way and 235-359 us through the stacked path (best of
     7 x 200 calls, 4 alternating runs on a 2-core host).
 
-    Stack row j records step t's span in ``spans[t, j]`` and its greedy
-    picks in ``picks[t, j*n : (j+1)*n]``; the sweep writes the picks of the
-    rows in the stack into ``picks[t]``, or into the one row of ``picks``
-    that a run without ``greedy`` reuses at every step. A row retires after
-    the sweep of its last iterate, at its step budget or when its span is
-    below SPAN_FLOOR, and its ViRun, which views its records, is built
-    then. Rows are ordered by budget, largest first, so a row at its budget
-    leaves from the end of the stack and the others stay in place; a row
-    stopping at the floor makes the stack copy the rows left, and move their
-    records up, so a retired row whose records are overwritten keeps a copy.
+    Stack row j records step t's span in ``spans[t, j]`` and, with
+    ``greedy``, its greedy picks in ``picks[t, j*n : (j+1)*n]``; the sweep
+    writes the picks of the rows in the stack into ``picks[t]``. A row
+    retires after the sweep of its last iterate, at its step budget or when
+    its span is below SPAN_FLOOR, and its ViRun, which views its records,
+    is built then. Rows are ordered by budget, largest first, so a row at
+    its budget leaves from the end of the stack and the others stay in
+    place; a row stopping at the floor makes the stack copy the rows left,
+    and move their records up, so a retired row whose records are
+    overwritten keeps a copy.
     ``order[j]`` is the model of stack row j.
     """
     first = models[0]
@@ -192,7 +205,7 @@ def _run_stack(models, v0s, budgets, greedy=True) -> list:
         stacked, sweep = False, kernels.greedy_sweep
     budget = [max(budgets[i], 0) for i in order]  # of the stack's rows
     spans = np.empty((budget[0] + 1, k))
-    picks = np.empty((budget[0] + 1 if greedy else 1, k * n), dtype=np.int64)
+    picks = np.empty((budget[0] + 1, k * n), dtype=np.int64) if greedy else None
     runs = [None] * k
     at = slice(0, k)  # the stack's rows
     span_t = np.maximum.reduce(v, -1) - np.minimum.reduce(v, -1)
@@ -200,17 +213,15 @@ def _run_stack(models, v0s, budgets, greedy=True) -> list:
     stop = budget[-1]  # the next step at which a row reaches its budget
     t = 0
     while True:
-        maxq = sweep(probs, rewards, scale, v, tables, picks[t if greedy else 0])
+        maxq = sweep(probs, rewards, scale, v, tables, picks[t] if greedy else None)
         if t == stop or least(span_t) < SPAN_FLOOR:
             live, done = [], []
             for j, b in enumerate(budget):
                 (live if b > t and not spans[t, j] < SPAN_FLOOR else done).append(j)
             for j in done:
-                trace = spans[: t + 1, j].tolist()
                 rows = picks[: t + 1, j * n : (j + 1) * n] if greedy else None
                 runs[order[j]] = ViRun(
-                    trace,
-                    [new / prev for prev, new in zip(trace, trace[1:])],
+                    spans[: t + 1, j].tolist(),
                     rows.copy() if greedy and j < len(live) else rows,  # its records are overwritten below
                     final_values=v[j] if stacked else v,
                     early_stopped=budget[j] > t,
@@ -221,8 +232,9 @@ def _run_stack(models, v0s, budgets, greedy=True) -> list:
             keep = at if live[-1] == len(live) - 1 else live
             if keep is live:  # a row above the last stopped at the floor: the rest move up
                 spans[: t + 1, at] = spans[: t + 1, live]
-                by_row = picks.reshape(len(picks), -1, n)
-                by_row[: t + 1, at] = by_row[: t + 1, live]
+                if greedy:
+                    by_row = picks.reshape(len(picks), -1, n)
+                    by_row[: t + 1, at] = by_row[: t + 1, live]
             probs, rewards, v, maxq = (a[keep] for a in (probs, rewards, v, maxq))
             budget, order = [budget[j] for j in live], [order[j] for j in live]
             tables = kernels._first_rows(all_tables, len(live))
@@ -273,8 +285,9 @@ def _constants(
     )
 
 
-# byte budget of one lockstep run: its (k, m, n) transition stack and (steps + 1, k * n) greedy
-# picks; a sweep draws and plans a chunk of trials whose (k, m, n) transition stack fits it too
+# byte budget of one lockstep run: its (k, m, n) transition stack and, in a run that records them,
+# (steps + 1, k * n) greedy picks; a sweep draws and plans a chunk of trials whose (k, m, n)
+# transition stack fits it too
 VI_STACK_BYTES = 2**20
 
 
@@ -328,8 +341,9 @@ def _plans(pairs: list, trace_steps) -> list:
         start = lowest_index_policy(models[rows[0]]).choice
     except ValidationFailedError as exc:  # a state without SAPs: so in every model of the layout
         return [exc if plan is None else plan for plan in out]
+    layout = models[rows[0]]._by_state, models[rows[0]]._sweep_blocks
     for i in rows[1:]:
-        models[i]._share_layout(models[rows[0]])
+        models[i]._take_layout(*layout)
     optima = {}  # row -> (pi*, unique, pi*'s advantages, recurrent mask or None)
     for i, found in zip(rows, geometry._howard([models[i] for i in rows], np.tile(start, (len(rows), 1)))):
         try:
@@ -443,12 +457,11 @@ def _report(plan: _Plan, run: ViRun) -> ConvergenceReport:
 
     return ConvergenceReport(
         gamma=gamma,
-        v0=tuple(float(x) for x in plan.v0),
+        v0=tuple(plan.v0.tolist()),
         diagnostics=plan.diagnostics,
         pi_star=plan.pi_star.as_tuple() if plan.pi_star is not None else None,
         exponent=cert.exponent if cert is not None else None,
         span_trace=run.spans,
-        per_step_ratios=run.ratios,
         greedy_policies=run.greedy,
         constants=constants,
         bound_satisfied=bound,
@@ -478,7 +491,7 @@ def verify_contraction(
     return report
 
 
-def _verify_chunk(pairs: list, trace_steps: int | None = None) -> list:
+def _verify_chunk(pairs: list, trace_steps: int | None = None, greedy: bool = True) -> list:
     """verify_contraction(model, v0, trace_steps) of each (model, v0) of ``pairs``, in order.
 
     The models share n, gamma and the SAP layout. ``_plans`` settles the
@@ -486,7 +499,10 @@ def _verify_chunk(pairs: list, trace_steps: int | None = None) -> list:
     each pair is verified alone. The plans are then cut into consecutive
     stacks, each closed before its (k, m, n) transition rows and its
     (steps + 1, k * n) greedy picks would exceed VI_STACK_BYTES, and each
-    stack's value iterations run in one ``_run_stack``.
+    stack's value iterations run in one ``_run_stack``. With ``greedy``
+    false (a sweep, whose rows read no greedy policy) the runs record spans
+    only, the budget counts (steps + 1, k) spans instead of the picks, and
+    each report's ``greedy_policies`` is None.
     """
     plans = _plans(pairs, trace_steps)
     _raise_first(plans)
@@ -494,14 +510,15 @@ def _verify_chunk(pairs: list, trace_steps: int | None = None) -> list:
     for plan in plans:
         longest = max(longest, plan.steps)
         n, m = plan.model.n, plan.model.m
-        if not stacks or (len(stacks[-1]) + 1) * 8 * n * (m + longest + 1) > VI_STACK_BYTES:
+        row_bytes = 8 * (n * m + (longest + 1) * (n if greedy else 1))
+        if not stacks or (len(stacks[-1]) + 1) * row_bytes > VI_STACK_BYTES:
             stacks.append([])
             longest = plan.steps
         stacks[-1].append(plan)
     reports = []
     for stack in stacks:
-        runs = _run_stack([p.run_model for p in stack], [p.v0 for p in stack], [p.steps for p in stack])
-        reports += map(_report, stack, runs)
+        models, v0s, budgets = [p.run_model for p in stack], [p.v0 for p in stack], [p.steps for p in stack]
+        reports += map(_report, stack, _run_stack(models, v0s, budgets, greedy))
     return reports
 
 

@@ -375,7 +375,7 @@ def _unichain(model: MdpModel, choice: np.ndarray, last: tuple | None) -> tuple:
     sink = _sink(model)
     # each recurrent state reaches exactly its class: keep each class at its lowest state
     heads = np.flatnonzero(recurrent)
-    reach = _levels((p > 0.0).astype(np.float64), heads[:, None] == np.arange(model.n)) >= 0
+    reach = _levels((p > 0.0).astype(np.float32), heads[:, None] == np.arange(model.n)) >= 0
     classes = list(reach[reach.argmax(axis=1) == heads])
     outside = [cls for cls in classes if not (cls & sink).any()]
     if last is not None and outside:
@@ -400,7 +400,7 @@ def _unichain(model: MdpModel, choice: np.ndarray, last: tuple | None) -> tuple:
 def _sink(model: MdpModel) -> np.ndarray:
     """Mask of the states that every state can reach along the moves of all SAPs: the one closed
     class of the support graph. When it has several, no policy is unichain: NotUnichainError."""
-    count, sink = _classify(_successors(model).astype(np.float64))
+    count, sink = _classify(_successors(model))
     if count != 1:
         raise NotUnichainError(
             f"the gamma=1 optimum is multichain: no policy is unichain, as the moves of all SAPs "
@@ -420,7 +420,7 @@ def _class_gain(model: MdpModel, choice: np.ndarray, cls: np.ndarray) -> float:
 def _toward(model: MdpModel, choice: np.ndarray, target: np.ndarray) -> np.ndarray:
     """``choice`` on the states ``target`` masks, which every state must be able to reach;
     every other state takes its lowest SAP with a successor one step closer to them."""
-    level = _levels(_successors(model).T.astype(np.float64), target[None])[0]
+    level = _levels(_successors(model).T.astype(np.float32), target[None])[0]
     own = level[model.sap_states]
     step = np.flatnonzero(((model.sap_probs > 0.0) & (level < own[:, None])).any(axis=1))
     states, first = np.unique(model.sap_states[step], return_index=True)
@@ -448,7 +448,7 @@ def _tied(model: MdpModel, pi: Policy, recurrent: np.ndarray) -> bool:
     if transient.size == 0:
         return False
     barred = transient[:, None] == np.arange(model.n)  # row i never enters transient[i]
-    into = _successors(model).T.astype(np.float64)
+    into = _successors(model).T.astype(np.float32)
     reach = _levels(into, np.broadcast_to(recurrent, barred.shape), barred) >= 0
     others = np.ones(model.m, dtype=bool)
     others[pi.choice] = False
@@ -464,7 +464,7 @@ def _first_tied(model: MdpModel, pi: Policy, recurrent: np.ndarray) -> Policy:
     order, takes its lowest SAP with a successor that can still reach them
     without entering it, earlier states fixed and later ones free.
     """
-    choice, into = pi.choice.copy(), _successors(model).T.astype(np.float64)
+    choice, into = pi.choice.copy(), _successors(model).T.astype(np.float32)
     for s in np.flatnonzero(~recurrent):
         reach = _levels(into, recurrent[None], np.arange(model.n) == s)[0] >= 0
         saps = model.saps_at(s)

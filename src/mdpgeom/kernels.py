@@ -10,20 +10,25 @@ attaining it (ties go to the lowest SAP index). Callers supply ``scale``
 and apply their own constant shifts, which do not change the argmax.
 ``greedy_sweep`` is that sweep on one model's arrays, writing the SAP ids
 into a given array, and ``greedy_sweep_stack`` runs it row by row on a stack
-of models that share ``n`` and the SAP layout. Advantage value iteration
-(``convergence._run_stack``) makes one call of either per step for all its
-rows: ``greedy_sweep`` for a lone run (``converge``, a one-trial chunk),
-``greedy_sweep_stack`` for a stack cut from one sweep chunk, whose trials
-were drawn and planned together. ``greedy_sweep_model`` serves ``vi_step``
-alone; ``classic`` takes its maxima itself, so its oracle shares no sweep.
-Howard's loop (``geometry._howard``) selects through ``_select`` too.
+of models that share ``n`` and the SAP layout. Both take ``None`` for the id
+array when only the maxima are wanted: a run that records spans only (a
+sweep trial, ``converge``'s raw run) then gathers and writes no SAP ids.
+Advantage value iteration (``convergence._run_stack``) makes one call of
+either per step for all its rows: ``greedy_sweep`` for a lone run
+(``converge``, a one-trial chunk), ``greedy_sweep_stack`` for a stack cut
+from one sweep chunk, whose trials were drawn and planned together.
+``greedy_sweep_model`` serves ``vi_step`` alone; ``classic`` takes its
+maxima itself, so its oracle shares no sweep. Howard's loop
+(``geometry._howard``) selects through ``_select`` too.
 
 Scores are gathered through the model's ``_sweep_blocks``, tables whose rows
 list one state's SAPs ascending, padded with its first SAP: a row's first
 maximal column is the lowest-index SAP, and the maximum is read there, so a
 tie of 0.0 and -0.0 keeps that SAP's sign. A stack gathers the same way from
 its flattened ``(k, m)`` scores, row j's table offset by j*m
-(``_stack_tables``), and every selection goes through ``_select``.
+(``_stack_tables``), and every selection goes through ``_select``. A layout
+whose states all hold one SAP count has one block, which lists every state
+in order, so its maxima are the result as read, with no scatter.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ def greedy_sweep(probs, rewards, scale, v, tables, greedy):
 
 def greedy_sweep_stack(probs, rewards, scale, v, tables, greedy):
     """greedy_sweep on each row of a stack: (k, n) maxima, with row j's greedy
-    SAP ids written into the 1-D ``greedy`` from j*n on.
+    SAP ids written into the 1-D ``greedy`` from j*n on, unless it is None.
 
     A stack of k models passes (k, m, n) ``probs``, (k, m, 1) ``rewards``, a
     (k, n) ``v`` and the stack's ``_stack_tables``. ``np.matmul`` runs each
@@ -68,18 +73,22 @@ def greedy_sweep_stack(probs, rewards, scale, v, tables, greedy):
 
 def _select(q, tables, size, greedy):
     # the ``size`` maxima of the 1-D scores q gathered through ``tables``, with
-    # their first maximal SAP ids set in the 1-D ``greedy``: a lone model's
-    # ``_sweep_blocks``, whose gather positions are the SAP ids, or a stack's,
-    # which list the ids last. The scores are gathered and the results set by
-    # indexing, which costs less per call than take and put at these sizes;
-    # take reads the flat positions of the maxima.
-    maxq = np.empty(size)
+    # their first maximal SAP ids set in the 1-D ``greedy`` unless it is None:
+    # a lone model's ``_sweep_blocks``, whose gather positions are the SAP ids,
+    # or a stack's, which list the ids last. The scores are gathered and the
+    # results set by indexing, which costs less per call than take and put at
+    # these sizes; take reads the flat positions of the maxima. One block
+    # lists every state in order, so its maxima are returned as taken.
+    maxq = np.empty(size) if len(tables) > 1 else None
     for at_states, row_starts, gather, *ids in tables:
         qt = q[gather]
         at = qt.argmax(axis=-1)
         at += row_starts  # flat position of each row's first maximum
+        if greedy is not None:
+            greedy[at_states] = (ids[0] if ids else gather).take(at)
+        if maxq is None:
+            return qt.take(at)
         maxq[at_states] = qt.take(at)
-        greedy[at_states] = (ids[0] if ids else gather).take(at)
     return maxq
 
 

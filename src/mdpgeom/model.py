@@ -35,6 +35,14 @@ def _readonly(a, dtype=np.float64) -> np.ndarray:
     return a
 
 
+def _overflows(row) -> bool:
+    try:
+        _readonly(row)
+    except OverflowError:
+        return True
+    return False
+
+
 @dataclass(frozen=True, eq=False)
 class Sap:
     """One state-action pair: attached state, reward, transition row."""
@@ -76,7 +84,7 @@ class MdpModel:
     once: the greedy sweep's padded tables, policy enumeration,
     ``policy_count`` and ``lowest_index_policy`` all derive from them, and a
     model with other rewards (``_with_rewards``) or the same ``sap_states``
-    (``_share_layout``) shares them. A state with no SAP makes each of these
+    (``_take_layout``) shares them. A state with no SAP makes each of these
     raise ValidationFailedError naming every such state.
     """
 
@@ -122,7 +130,10 @@ class MdpModel:
         except OverflowError:  # validate_model's message, for states an int64 cannot hold
             bad = [(i, s) for i, s in enumerate(states) if not 0 <= s < n]
             raise ValidationFailedError([f"sap {i}: state {s} outside [0, {n})" for i, s in bad])
-        probs = _readonly(probs)
+        try:
+            probs = _readonly(probs)
+        except OverflowError as exc:  # a row's entry that no double holds, named as a reward's is
+            raise ValidationFailedError([f"sap {i}: {exc}" for i, row in enumerate(probs) if _overflows(row)])
         if probs.shape != (states.size, n):
             raise ValueError(f"transition rows of shape {probs.shape}, not ({states.size}, {n})")
         vars(self).update(  # the frozen dataclass's fields, set once, here
@@ -197,13 +208,13 @@ class MdpModel:
     def _with_rewards(self, rewards) -> MdpModel:
         """This model with other rewards, sharing every other array and table."""
         model = MdpModel._from_arrays(self.n, self.gamma, self.sap_states, rewards, self.sap_probs)
-        model._share_layout(self)
+        model._take_layout(self._by_state, self._sweep_blocks)
         return model
 
-    def _share_layout(self, other: MdpModel) -> None:
-        """Take ``other``'s ``_by_state`` and ``_sweep_blocks``, built from n and ``sap_states``
-        alone: ``other``'s must equal this model's. Raises as ``other``'s tables do."""
-        vars(self).update((name, getattr(other, name)) for name in ("_by_state", "_sweep_blocks"))
+    def _take_layout(self, by_state: tuple, blocks: tuple) -> None:
+        """Take ``by_state`` and ``blocks`` as ``_by_state`` and ``_sweep_blocks``, which must be
+        the tables this model's n and ``sap_states`` build."""
+        vars(self).update(_by_state=by_state, _sweep_blocks=blocks)
 
     def saps_at(self, state: int) -> np.ndarray:
         """SAP indices attached to ``state``, ascending."""
@@ -236,7 +247,7 @@ class Policy:
         return Policy, (self.choice,)
 
     def as_tuple(self) -> tuple:
-        return tuple(int(i) for i in self.choice)
+        return tuple(self.choice.tolist())
 
     def __eq__(self, other):
         if not isinstance(other, Policy):
@@ -264,6 +275,15 @@ class ValueVector:
         if not isinstance(other, ValueVector):
             return NotImplemented
         return self.criterion == other.criterion and np.array_equal(self.values, other.values)
+
+
+def _state_major_layout(n: int, k: int) -> tuple:
+    """``(_by_state, _sweep_blocks)`` of a model whose n states own k SAPs each, state s
+    the SAPs s*k .. s*k + k - 1, as that model builds them: one (n, k) table."""
+    saps = np.arange(n * k)
+    by_state = tuple(_readonly(a, np.int64) for a in (np.full(n, k), saps, saps[::k]))
+    block = tuple(_readonly(a, np.int64) for a in (np.arange(n), saps[::k], saps.reshape(n, k)))
+    return by_state, (block,)
 
 
 def check_policy(model: MdpModel, pi: Policy) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -107,18 +108,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_cell(value) -> str:
-    """A ``_fmt`` cell as a JSON value: null for None, a non-finite real as its quoted repr."""
-    if value is None:
-        return "null"
-    if isinstance(value, float) and not math.isfinite(value):
-        return f'"{value!r}"'
-    return _fmt(value)
-
-
-def _csv(names, rows) -> str:
-    """CSV text: a header of ``names``, then one line of ``_fmt`` cells per row."""
-    return "\n".join([",".join(names), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+def _csv(names, cells) -> str:
+    """CSV text: a header of ``names``, then one line per row of ``cells``, ``_fmt`` strings."""
+    return "\n".join([",".join(names), *map(",".join, cells)]) + "\n"
 
 
 def trace_csv(report: ConvergenceReport, policy_hashes: list) -> str:
@@ -130,7 +122,7 @@ def trace_csv(report: ConvergenceReport, policy_hashes: list) -> str:
     """
     ratios = [None, *report.per_step_ratios]
     rows = ((t, float(s), ratios[t], policy_hashes[t]) for t, s in enumerate(report.span_trace))
-    return _csv(("t", "span", "ratio", "greedy_policy_hash"), rows)
+    return _csv(("t", "span", "ratio", "greedy_policy_hash"), (map(_fmt, row) for row in rows))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,25 +151,25 @@ class SweepRow:
 
 
 _SWEEP_NAMES = tuple(f.name for f in dataclasses.fields(SweepRow))
+_sweep_cells = operator.attrgetter(*_SWEEP_NAMES)  # a row's fields, in column order
+_JSON_ROW = "    {{\n" + ",\n".join(f'      "{name}": {{}}' for name in _SWEEP_NAMES) + "\n    }}"
+# the _fmt cells that JSON spells otherwise: None, and the non-finite reals, quoted
+_JSON_CELLS = {"": "null", "nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 
 
-def sweep_csv(rows: list) -> str:
-    """sweep.csv: one line per ``SweepRow``, its fields in order."""
-    return _csv(_SWEEP_NAMES, ([getattr(row, name) for name in _SWEEP_NAMES] for row in rows))
+def sweep_files(head: dict, rows: list, provenance: dict) -> tuple:
+    """The texts of sweep.csv and sweep.json, from one ``_fmt`` pass over each row's cells.
 
-
-def _sweep_json(head: dict, rows: list, provenance: dict) -> str:
-    """sweep.json: the bytes of ``json.dumps(_json_safe(doc), indent=2) + "\\n"``.
-
-    ``doc`` is ``head``'s items, then ``"rows"`` and ``"provenance"``. json
-    writes the header and the provenance; each row's fields are ``_json_cell``
-    cells, the spelling ``sweep_csv`` uses.
+    sweep.csv is a header of the ``SweepRow`` field names, then one line per
+    row, its fields in order. sweep.json is the bytes of
+    ``json.dumps(_json_safe(doc), indent=2) + "\\n"``, where ``doc`` is
+    ``head``'s items, then ``"rows"`` and ``"provenance"``: json writes the
+    header and the provenance, and each row's fields are its CSV cells, with
+    an empty cell (None) as null and a non-finite real quoted.
     """
-    objects = []
-    for row in rows:
-        cells = (f'      "{name}": {_json_cell(getattr(row, name))}' for name in _SWEEP_NAMES)
-        objects.append("    {\n" + ",\n".join(cells) + "\n    }")
+    cells = [list(map(_fmt, _sweep_cells(row))) for row in rows]
+    objects = [_JSON_ROW.format(*map(_JSON_CELLS.get, line, line)) for line in cells]
     listed = "[\n" + ",\n".join(objects) + "\n  ]" if objects else "[]"
     header = json.dumps(_json_safe(head), indent=2)[: -len("\n}")]
     nested = json.dumps(_json_safe(provenance), indent=2).replace("\n", "\n  ")
-    return f'{header},\n  "rows": {listed},\n  "provenance": {nested}\n}}\n'
+    return _csv(_SWEEP_NAMES, cells), f'{header},\n  "rows": {listed},\n  "provenance": {nested}\n}}\n'

@@ -19,7 +19,7 @@ from mdpgeom.errors import NumericalCheckError
 from mdpgeom.generate import GeneratorSpec, SplitMix64, generate_model, uniform_vector
 from mdpgeom.model import lowest_index_policy
 from mdpgeom.modelfile import emit_model
-from mdpgeom.reporting import SweepRow, _json_safe, _sweep_json, sweep_csv
+from mdpgeom.reporting import SweepRow, _json_safe, sweep_files
 
 
 @pytest.fixture
@@ -144,7 +144,7 @@ class TestValidate:
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err and ("sap 0: " in err or key == "probs")
+        assert "Traceback" not in err and "sap 0: " in err
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/model.json"]) == 2
@@ -526,14 +526,15 @@ class TestSweep:
         assert (d1 / "sweep.json").read_bytes() == (d2 / "sweep.json").read_bytes()
 
     def test_one_vi_run_per_trial(self, tmp_path, monkeypatch):
-        # one greedy lockstep run of 3 rows; the raw model's trace, a run without
-        # greedy picks, reaches neither sweep.csv nor sweep.json, so it is never run
+        # one lockstep run of 3 rows, recording spans only, since no sweep column reads
+        # a greedy policy; the raw model's trace reaches neither sweep.csv nor sweep.json,
+        # so it is never run
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n": 4, "saps_per_state": 2, "gamma": 0.9}))
         stacks = record_stacks(monkeypatch)
         argv = ["sweep", "--spec", str(spec), "--trials", "3", "-o", str(tmp_path / "sw")]
         assert main(argv) == 0
-        assert stacks == [(3, True)]
+        assert stacks == [(3, False)]
 
     def test_the_first_failing_trial_stops_the_sweep(self, tmp_path, monkeypatch, capsys):
         # trial `late` fails in the evaluation for its gap and trial `late` + 4 in the
@@ -576,12 +577,12 @@ class TestSweep:
         base = ["sweep", "--spec", str(spec), "--trials", "9", "--seed", "2", "-o"]
         stacks = record_stacks(monkeypatch)
         assert main(base + [str(tmp_path / "one")]) == 0
-        assert stacks == [(9, True)]
-        # three trials' transition rows, and greedy rows for runs of up to 60 steps
-        monkeypatch.setattr(convergence, "VI_STACK_BYTES", 3 * 8 * 12 * (48 + 61))
+        assert stacks == [(9, False)]
+        # three trials' transition rows, and spans for runs of up to 60 steps
+        monkeypatch.setattr(convergence, "VI_STACK_BYTES", 3 * 8 * (12 * 48 + 61))
         stacks.clear()
         assert main(base + [str(tmp_path / "split")]) == 0
-        heights = [height for height, greedy in stacks if greedy]
+        heights = [height for height, greedy in stacks if not greedy]
         assert len(heights) == len(stacks) > 3 and sum(heights) == 9 and max(heights) <= 3
         for name in ("sweep.csv", "sweep.json"):
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "split" / name).read_bytes()
@@ -631,7 +632,7 @@ class TestSweep:
             model = generate_model(GeneratorSpec(seed=s, **spec)).model
             v0 = uniform_vector(SplitMix64(s ^ cli.V0_SEED_XOR), model.n)
             rows.append(cli._sweep_row(trial, s, convergence.verify_contraction(model, v0=v0)))
-        assert (out / "sweep.csv").read_text() == sweep_csv(rows)
+        assert (out / "sweep.csv").read_text() == sweep_files({"trials": 5}, rows, {})[0]
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_sweep_json_rows_match_the_json_encoder(self, count):
@@ -643,7 +644,29 @@ class TestSweep:
         head = {"sweep_version": 1, "trials": count, "excluded": 0, "exclusion_rate": 0.0, "bound_failures": 0}
         provenance = cli._provenance(command="sweep", seed=0, spec={"n": 3, "reward_range": [0.0, 1.0]})
         expected = json.dumps(_json_safe({**head, "rows": rows, "provenance": provenance}), indent=2) + "\n"
-        assert _sweep_json(head, rows, provenance) == expected
+        assert sweep_files(head, rows, provenance)[1] == expected
+
+    def test_both_files_carry_the_same_cells(self):
+        # one _fmt pass feeds both files: an empty CSV cell is a JSON null, a non-finite
+        # real the same quoted word, and every other cell the JSON value's spelling
+        special = [None, math.nan, math.inf, -math.inf]
+        names = [f.name for f in dataclasses.fields(SweepRow)]
+        rows = [
+            SweepRow(*(special[(r + i) % 4] if i % 3 else [7, 0.25, True][r % 3] for i in range(len(names))))
+            for r in range(5)
+        ]
+        table, doc = sweep_files({"trials": 5}, rows, {})
+        lines = table.splitlines()
+        assert lines[0] == ",".join(names)
+        objects = json.loads(doc)["rows"]
+        assert [list(obj) for obj in objects] == [names] * len(rows)
+        spelled = {None: "", True: "true", False: "false"}
+        for line, obj in zip(lines[1:], objects):
+            cells = [spelled[v] if v is None or isinstance(v, bool) else str(v) if isinstance(v, (int, str))
+                     else repr(v) for v in obj.values()]
+            assert line.split(",") == cells
+        for cell in ("nan", "inf", "-inf", ""):
+            assert cell in lines[1].split(",") + lines[2].split(",")
 
 
 SPEC = {"n": 3, "saps_per_state": 2, "gamma": 0.9}

@@ -72,22 +72,34 @@ def tied_models(draw):
 
 
 @st.composite
-def stacked_runs(draw):
+def stacked_runs(draw, rows=None, layout=None):
     """Models sharing n, gamma and a SAP layout, with a v0 and a step budget each.
 
     SAP counts per state may be skewed, which splits the greedy sweep into
     several blocks. Rows of the identity and the uniform row make ties and
     runs that reach the span floor; a v0 is random, constant or of span
-    about 1e-12, and a budget may be 0 or negative.
+    about 1e-12, and a budget may be 0 or negative. ``rows`` fixes the
+    number of models (1 to 6 otherwise). ``layout`` "uniform" gives every
+    state one SAP count, and "skewed" gives one state 4 to 6 SAPs beside at
+    least three states with one, so the sweep has two blocks; the SAP order
+    is shuffled in both.
     """
-    n = draw(st.integers(1, 5))
+    if layout is None:
+        n = draw(st.integers(1, 5))
+        counts = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    elif layout == "uniform":
+        n = draw(st.integers(1, 5))
+        counts = [draw(st.integers(1, 4))] * n
+    else:
+        n = draw(st.integers(4, 6))
+        counts = [1] * n
+        counts[draw(st.integers(0, n - 1))] = draw(st.integers(4, 6))
     gamma = draw(st.sampled_from([0.5, 0.9, 1.0]))
-    counts = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
     states = draw(st.permutations([s for s in range(n) for _ in range(counts[s])]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fixed_rows = [np.eye(n)[0], np.full(n, 1.0 / n), np.eye(n)[n - 1]]
     models, v0s, budgets = [], [], []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(rows or draw(st.integers(1, 6))):
         saps = []
         for s in states:
             pick = rng.integers(4)
@@ -187,6 +199,24 @@ class TestRunVi:
         assert len(runs) == len(models)
         for run, model, v0, steps in zip(runs, models, v0s, budgets):
             assert_run_equals_stepwise(run, model, v0, steps)
+
+    @pytest.mark.parametrize("layout", ["uniform", "skewed"])
+    @pytest.mark.parametrize("rows", [1, 3], ids=["lone", "stacked"])
+    @given(data=st.data())
+    def test_spans_only_runs_equal_greedy_runs(self, rows, layout, data):
+        # a run without greedy picks gathers no SAP ids, but its spans, early stop and
+        # final values are the greedy run's and vi_step's, bit for bit
+        models, v0s, budgets = data.draw(stacked_runs(rows, layout))
+        assert len(models[0]._sweep_blocks) == (2 if layout == "skewed" else 1)
+        greedy = convergence._run_stack(models, v0s, budgets)
+        spans_only = convergence._run_stack(models, v0s, budgets, False)
+        for run, full, model, v0, steps in zip(spans_only, greedy, models, v0s, budgets):
+            spans, ratios, _, early_stopped, final = stepwise_run(model, v0, steps)
+            assert run.greedy is None
+            assert run.spans == full.spans == spans
+            assert run.ratios == ratios
+            assert run.early_stopped == full.early_stopped == early_stopped
+            assert run.final_values.tobytes() == full.final_values.tobytes() == final.tobytes()
 
     def test_a_row_at_the_floor_leaves_mid_stack(self):
         # the middle row stops at step 0, the last one at its budget of 2: the
@@ -409,10 +439,10 @@ class TestVerifyContraction:
         assert report.span_trace
 
     def test_chunked_reports_equal_one_at_a_time(self, monkeypatch):
-        # the sweep's chunked verification against verify_contraction, field by
-        # field: chunks of one n, gamma and SAP layout each, v0=None, failing
-        # diagnostics, and a stack budget of a few rows, so each chunk, planned
-        # in lockstep, splits into several runs
+        # the chunked verification against verify_contraction, field by field,
+        # with greedy picks and spans only (a sweep's): chunks of one n, gamma
+        # and SAP layout each, v0=None, failing diagnostics, and a stack budget
+        # of a few rows, so each chunk, planned in lockstep, splits into several runs
         rng = np.random.default_rng(11)
         skewed = [1, 0, 0, 2, 0, 0, 3, 0, 0]  # state 0's six SAPs: two sweep blocks
         models = [random_instance(s, n=4, gamma=0.9, saps_per_state=2, sparsity=0.3) for s in range(7)]
@@ -435,15 +465,21 @@ class TestVerifyContraction:
         stacks = heights["_run_stack"]
         assert sum(stacks) == len(models) and max(stacks) > 1 and len(stacks) > 5
         assert heights["_plans"] == [len(chunk) for chunk in chunks]
-        for report, model, v0 in zip(reports, models, v0s):
+        # a sweep's chunks record spans only: the same reports, without greedy policies
+        lean = [report for chunk in chunks for report in convergence._verify_chunk(chunk, greedy=False)]
+        for report, spans_only, model, v0 in zip(reports, lean, models, v0s):
             alone = verify_contraction(model, v0)
-            for name in [f.name for f in dataclasses.fields(alone)] + ["unnormalized_span_trace"]:
-                got, want = getattr(report, name), getattr(alone, name)
-                if isinstance(want, np.ndarray):
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
-                else:
-                    assert repr(got) == repr(want), name
+            assert spans_only.greedy_policies is None
+            names = [f.name for f in dataclasses.fields(alone)] + ["per_step_ratios", "unnormalized_span_trace"]
+            for name in names:
+                want = getattr(alone, name)
+                checked = (report,) if name == "greedy_policies" else (report, spans_only)
+                for got in (getattr(r, name) for r in checked):
+                    if isinstance(want, np.ndarray):
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+                    else:
+                        assert repr(got) == repr(want), name
 
 
 def record_loop(monkeypatch):
