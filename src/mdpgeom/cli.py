@@ -14,10 +14,10 @@ stacked optimal-policy search, chain test, primitivity test and gap check
 settle every trial's optimal policy, diagnostics, step count and gap, each
 with the bits it has alone. The first failing trial stops the sweep with
 the same error as when trials ran one after another. Then the chunk's value
-iterations run in lockstep, in consecutive stacks whose rows fit the same
-budget, recording spans only, since no sweep column reads a greedy policy,
-and each trial's constants and bound verdicts follow. Each row's cells are
-formatted once, and both sweep files are written from them.
+iterations run in lockstep, as one stack, recording spans only, since no
+sweep column reads a greedy policy, and each trial's constants and bound
+verdicts follow. Each row's cells are formatted once, and both sweep files
+are written from them.
 """
 
 from __future__ import annotations

@@ -162,14 +162,10 @@ def _run_stack(models, v0s, budgets, greedy=True) -> list:
     picks are copied when rows retire or move up.
 
     The models share n, gamma and the SAP layout, so C and the scale gamma/C
-    are shared too, and a step is one ``kernels.greedy_sweep_stack`` call and
+    are shared too, and a step is one ``kernels.greedy_sweep`` call and
     row-wise reductions along the last axis, which round as 1-D ones do. A
-    lone model is not stacked: its arrays stay 1-D, its sweep is
-    ``kernels.greedy_sweep`` and its row sums are scalars, so a lone run
-    makes no more numpy calls per step than a loop of its own. That keeps
-    ``converge`` and one-trial sweeps fast: a lone n = 6, 10-step run took
-    136-230 us this way and 235-359 us through the stacked path (best of
-    7 x 200 calls, 4 alternating runs on a 2-core host).
+    lone model is a stack of one, which views its arrays rather than copying
+    them: ``converge``'s runs take the path of a sweep chunk's.
 
     Stack row j records step t's span in ``spans[t, j]`` and, with
     ``greedy``, its greedy picks in ``picks[t, j*n : (j+1)*n]``; the sweep
@@ -188,21 +184,11 @@ def _run_stack(models, v0s, budgets, greedy=True) -> list:
     c = mdp_constant(first)
     scale = gamma / c
     k = len(models)
-    if k > 1:
-        order = sorted(range(k), key=budgets.__getitem__, reverse=True)  # stable
-        probs = np.stack([models[i].sap_probs for i in order])
-        rewards = np.stack([models[i].sap_rewards for i in order])[:, :, None]
-        v = np.array([v0s[i] for i in order], dtype=np.float64)
-        tables = all_tables = kernels._stack_tables(first, k)
-        least = np.fmin.reduce  # fmin: a NaN span does not hide another's
-        stacked, sweep = True, kernels.greedy_sweep_stack
-    else:
-        order = [0]
-        probs, rewards = first.sap_probs, first.sap_rewards
-        v = np.array(v0s[0], dtype=np.float64)
-        tables = first._sweep_blocks
-        least = float  # a lone row's span is a scalar
-        stacked, sweep = False, kernels.greedy_sweep
+    order = sorted(range(k), key=budgets.__getitem__, reverse=True)  # stable
+    probs = geometry._stacked([models[i].sap_probs for i in order])
+    rewards = geometry._stacked([models[i].sap_rewards for i in order])[:, :, None]
+    v = np.array([v0s[i] for i in order], dtype=np.float64)
+    tables = all_tables = kernels._stack_tables(first, k)
     budget = [max(budgets[i], 0) for i in order]  # of the stack's rows
     spans = np.empty((budget[0] + 1, k))
     picks = np.empty((budget[0] + 1, k * n), dtype=np.int64) if greedy else None
@@ -213,8 +199,8 @@ def _run_stack(models, v0s, budgets, greedy=True) -> list:
     stop = budget[-1]  # the next step at which a row reaches its budget
     t = 0
     while True:
-        maxq = sweep(probs, rewards, scale, v, tables, picks[t] if greedy else None)
-        if t == stop or least(span_t) < SPAN_FLOOR:
+        maxq = kernels.greedy_sweep(probs, rewards, scale, v, tables, picks[t] if greedy else None)
+        if t == stop or np.fmin.reduce(span_t) < SPAN_FLOOR:  # fmin: a NaN span hides no other
             live, done = [], []
             for j, b in enumerate(budget):
                 (live if b > t and not spans[t, j] < SPAN_FLOOR else done).append(j)
@@ -223,7 +209,7 @@ def _run_stack(models, v0s, budgets, greedy=True) -> list:
                 runs[order[j]] = ViRun(
                     spans[: t + 1, j].tolist(),
                     rows.copy() if greedy and j < len(live) else rows,  # its records are overwritten below
-                    final_values=v[j] if stacked else v,
+                    final_values=v[j],
                     early_stopped=budget[j] > t,
                 )
             if not live:
@@ -239,11 +225,11 @@ def _run_stack(models, v0s, budgets, greedy=True) -> list:
             budget, order = [budget[j] for j in live], [order[j] for j in live]
             tables = kernels._first_rows(all_tables, len(live))
             stop = budget[-1]
-        total = np.add.reduce(v, -1, None, None, stacked)
+        total = np.add.reduce(v, -1, None, None, True)
         total *= gamma
         v = maxq * c
         v -= total
-        v -= np.add.reduce(v, -1, None, None, stacked) / n  # the mean, as v.mean() rounds it
+        v -= np.add.reduce(v, -1, None, None, True) / n  # the mean, as v.mean() rounds it
         span_t = np.maximum.reduce(v, -1) - np.minimum.reduce(v, -1)
         t += 1
         spans[t, at] = span_t
@@ -285,9 +271,10 @@ def _constants(
     )
 
 
-# byte budget of one lockstep run: its (k, m, n) transition stack and, in a run that records them,
-# (steps + 1, k * n) greedy picks; a sweep draws and plans a chunk of trials whose (k, m, n)
-# transition stack fits it too
+# byte budget of a sweep chunk: the trials that a sweep draws, plans and iterates together have
+# (k, m, n) transition rows within it, unless a chunk holds one trial. Their one lockstep run
+# records at most wielandt_bound(n) + 1 spans per row and no greedy picks, so with its
+# transition stack it holds at most twice this budget for n >= 2, and three times at n = 1
 VI_STACK_BYTES = 2**20
 
 
@@ -310,9 +297,10 @@ def _plans(pairs: list, trace_steps) -> list:
 
     The models share n, gamma and the SAP layout, and their plans are settled
     in lockstep, each stage once for the rows still planned: the start
-    vectors and the rewards check; the SAP layout, built once and shared; one
-    Howard search (``geometry._howard``) from the lowest-index policy, and
-    each optimum (``geometry._optimum``); the pi* kernels' stochasticity
+    vectors (``_start``) and one finiteness test of the stacked rewards; the
+    SAP layout, built once and shared; one Howard search
+    (``geometry._howard``) from the lowest-index policy, and each optimum
+    (``geometry._optimum``); the pi* kernels' stochasticity
     check and chain structure, one stacked ``chains._classify`` at gamma < 1
     and the search's recurrent masks at gamma = 1, where every iterate is
     unichain; one primitivity test (``chains._certificates``); and one
@@ -325,13 +313,12 @@ def _plans(pairs: list, trace_steps) -> list:
     """
     models = [model for model, _ in pairs]
     out, v0s = [None] * len(pairs), [None] * len(pairs)
+    finite = np.isfinite(geometry._stacked([model.sap_rewards for model in models])).all(axis=-1)
     for i, (model, v0) in enumerate(pairs):
         try:
-            if v0 is None:
-                v0 = np.zeros(model.n)
-                v0[0] = 1.0
-            v0s[i] = np.asarray(v0, dtype=np.float64)
-            check_finite_rewards(model)
+            v0s[i] = _start(model.n, v0)
+            if not finite[i]:
+                check_finite_rewards(model)
         except Exception as exc:  # a row's own error, raised in row order by the caller
             out[i] = exc
     rows = [i for i, plan in enumerate(out) if plan is None]
@@ -402,6 +389,22 @@ def _plans(pairs: list, trace_steps) -> list:
             else:
                 out[rows[j]].delta = delta
     return out
+
+
+def _start(n: int, v0) -> np.ndarray:
+    """``v0`` as n finite float64 values, e_0 for None; a ValueError names what is wrong."""
+    if v0 is None:
+        v0 = np.zeros(n)
+        v0[0] = 1.0
+        return v0
+    v0 = np.asarray(v0, dtype=np.float64)
+    if v0.shape != (n,):
+        raise ValueError(f"v0 has shape {v0.shape}, expected ({n},)")
+    finite = np.isfinite(v0)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"v0[{i}] is {v0[i].item()!r}, not finite")
+    return v0
 
 
 def _checked_gaps(models: list, policies: list, kernels: np.ndarray) -> list:
@@ -483,7 +486,8 @@ def verify_contraction(
     bound_satisfied=None, never an exception. The verified run happens on
     the reward-normalized model; the raw model's span trace, for
     comparison, is run when the report's ``unnormalized_span_trace`` is
-    first read. ``v0`` defaults to e_0 (1 at state 0, 0 elsewhere).
+    first read. ``v0`` defaults to e_0 (1 at state 0, 0 elsewhere); a v0
+    that is not n finite reals raises ValueError.
     ``trace_steps`` extends the recorded trace beyond the N steps the bound
     itself needs. This is the one-pair case of ``_verify_chunk``.
     """
@@ -496,30 +500,16 @@ def _verify_chunk(pairs: list, trace_steps: int | None = None, greedy: bool = Tr
 
     The models share n, gamma and the SAP layout. ``_plans`` settles the
     chunk in lockstep, and the first error in pair order is raised, as when
-    each pair is verified alone. The plans are then cut into consecutive
-    stacks, each closed before its (k, m, n) transition rows and its
-    (steps + 1, k * n) greedy picks would exceed VI_STACK_BYTES, and each
-    stack's value iterations run in one ``_run_stack``. With ``greedy``
-    false (a sweep, whose rows read no greedy policy) the runs record spans
-    only, the budget counts (steps + 1, k) spans instead of the picks, and
-    each report's ``greedy_policies`` is None.
+    each pair is verified alone. The value iterations of all the plans then
+    run in one ``_run_stack``; a sweep's chunk fits it within twice
+    VI_STACK_BYTES. With ``greedy`` false (a sweep, whose rows read no
+    greedy policy) the runs record spans only, and each report's
+    ``greedy_policies`` is None.
     """
     plans = _plans(pairs, trace_steps)
     _raise_first(plans)
-    stacks, longest = [], 0
-    for plan in plans:
-        longest = max(longest, plan.steps)
-        n, m = plan.model.n, plan.model.m
-        row_bytes = 8 * (n * m + (longest + 1) * (n if greedy else 1))
-        if not stacks or (len(stacks[-1]) + 1) * row_bytes > VI_STACK_BYTES:
-            stacks.append([])
-            longest = plan.steps
-        stacks[-1].append(plan)
-    reports = []
-    for stack in stacks:
-        models, v0s, budgets = [p.run_model for p in stack], [p.v0 for p in stack], [p.steps for p in stack]
-        reports += map(_report, stack, _run_stack(models, v0s, budgets, greedy))
-    return reports
+    runs = _run_stack([p.run_model for p in plans], [p.v0 for p in plans], [p.steps for p in plans], greedy)
+    return list(map(_report, plans, runs))
 
 
 def _chunk_size(m: int, n: int) -> int:

@@ -287,20 +287,16 @@ def _howard(models, choice: np.ndarray) -> list:
     transition rows, and selection from one ``kernels._select``
     through the stack's tables (``kernels._stack_tables``). Kernels, rewards
     and current advantages are gathered at the flat positions j*m + a of the
-    stack row j's SAPs a. A lone model is not copied: its stack views its
-    arrays, its tables are its ``_sweep_blocks``, and its positions are its
-    SAP ids. ``order[j]`` is the model of stack row j; the rows left after a
-    round move up.
+    stack row j's SAPs a. A lone model is a stack of one, which views its
+    arrays rather than copying them. ``order[j]`` is the model of stack row
+    j; the rows left after a round move up.
     """
     head, k = models[0], len(models)
     average, c = head.is_average_reward, mdp_constant(head)
     probs, rewards = _stacked([m.sap_probs for m in models]), _stacked([m.sap_rewards for m in models])
     flat_probs, flat_rewards = probs.reshape(-1, head.n), rewards.reshape(-1)  # views, by flat position
-    if k > 1:
-        tables = all_tables = kernels._stack_tables(head, k)
-        offsets = head.m * np.arange(k)[:, None]  # of each stack row's SAPs in the flat stack
-    else:
-        tables = head._sweep_blocks
+    tables = all_tables = kernels._stack_tables(head, k)
+    offsets = head.m * np.arange(k)[:, None]  # of each stack row's SAPs in the flat stack
     order, last, recurrent = list(range(k)), [None] * k, [None] * k
     results, choice = [None] * k, np.array(choice)
     for _ in range(10_000):
@@ -312,7 +308,7 @@ def _howard(models, choice: np.ndarray) -> list:
                     choice[j], recurrent[j] = _unichain(models[i], choice[j], last[j])
                 except Exception as exc:  # the row's own error, raised in row order by the caller
                     errors[j] = exc
-        at = choice + offsets if live > 1 else choice
+        at = choice + offsets
         x, solved = _solve(head, flat_probs[at], flat_rewards[at])
         if any(solved):
             for j, exc in enumerate(solved):

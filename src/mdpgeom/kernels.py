@@ -8,18 +8,17 @@ and returns the per-state maximum together with the first SAP index
 attaining it (ties go to the lowest SAP index). Callers supply ``scale``
 (gamma for classical updates, gamma/C for updates on the geometric values)
 and apply their own constant shifts, which do not change the argmax.
-``greedy_sweep`` is that sweep on one model's arrays, writing the SAP ids
-into a given array, and ``greedy_sweep_stack`` runs it row by row on a stack
-of models that share ``n`` and the SAP layout. Both take ``None`` for the id
-array when only the maxima are wanted: a run that records spans only (a
-sweep trial, ``converge``'s raw run) then gathers and writes no SAP ids.
-Advantage value iteration (``convergence._run_stack``) makes one call of
-either per step for all its rows: ``greedy_sweep`` for a lone run
-(``converge``, a one-trial chunk), ``greedy_sweep_stack`` for a stack cut
-from one sweep chunk, whose trials were drawn and planned together.
-``greedy_sweep_model`` serves ``vi_step`` alone; ``classic`` takes its
-maxima itself, so its oracle shares no sweep. Howard's loop
-(``geometry._howard``) selects through ``_select`` too.
+``greedy_sweep`` runs that sweep row by row on a stack of models that share
+``n`` and the SAP layout, writing the SAP ids into a given array, or into
+none when only the maxima are wanted: a run that records spans only (a
+sweep trial, ``converge``'s raw run) then gathers and writes no SAP ids. A
+lone model is a stack of one, whose arrays are viewed, not copied.
+Advantage value iteration (``convergence._run_stack``) makes one call per
+step for all its rows: the one row of a ``converge`` run, or every trial of
+a sweep chunk, drawn and planned together. ``greedy_sweep_model`` serves
+``vi_step`` alone; ``classic`` takes its maxima itself, so its oracle shares
+no sweep. Howard's loop (``geometry._howard``) selects through ``_select``
+too.
 
 Scores are gathered through the model's ``_sweep_blocks``, tables whose rows
 list one state's SAPs ascending, padded with its first SAP: a row's first
@@ -40,30 +39,20 @@ def greedy_sweep_model(model, scale, v):
     """Per-state max of reward + scale * probs @ v, plus the greedy SAP ids."""
     greedy = np.empty(model.n, dtype=np.int64)
     v = np.asarray(v, dtype=np.float64)
-    maxq = greedy_sweep(model.sap_probs, model.sap_rewards, float(scale), v, model._sweep_blocks, greedy)
-    return maxq, greedy
+    probs, rewards = model.sap_probs[None], model.sap_rewards[None, :, None]
+    maxq = greedy_sweep(probs, rewards, float(scale), v[None], model._sweep_blocks, greedy)
+    return maxq[0], greedy
 
 
 def greedy_sweep(probs, rewards, scale, v, tables, greedy):
-    """The per-state maxima of ``rewards + scale * probs @ v`` for one model's
-    (m, n) ``probs`` and 1-D ``rewards`` and ``v``; the greedy SAP ids go into
-    the 1-D int64 ``greedy``. ``tables`` are the model's ``_sweep_blocks``.
-    ``q *= scale; q += rewards`` rounds as ``rewards + scale * q``.
-    """
-    q = probs @ v
-    q *= scale
-    q += rewards
-    return _select(q, tables, v.size, greedy)
-
-
-def greedy_sweep_stack(probs, rewards, scale, v, tables, greedy):
-    """greedy_sweep on each row of a stack: (k, n) maxima, with row j's greedy
-    SAP ids written into the 1-D ``greedy`` from j*n on, unless it is None.
+    """The per-state maxima of ``rewards + scale * probs @ v`` on each row of a
+    stack: (k, n) maxima, with row j's greedy SAP ids written into the 1-D
+    int64 ``greedy`` from j*n on, unless it is None.
 
     A stack of k models passes (k, m, n) ``probs``, (k, m, 1) ``rewards``, a
     (k, n) ``v`` and the stack's ``_stack_tables``. ``np.matmul`` runs each
-    row's matrix-vector product as ``probs[j] @ v[j]`` does, so every row is
-    greedy_sweep's bit for bit.
+    row's matrix-vector product as ``probs[j] @ v[j]`` does, and
+    ``q *= scale; q += rewards`` rounds as ``rewards + scale * q``.
     """
     q = probs @ v[..., None]
     q *= scale
@@ -74,8 +63,8 @@ def greedy_sweep_stack(probs, rewards, scale, v, tables, greedy):
 def _select(q, tables, size, greedy):
     # the ``size`` maxima of the 1-D scores q gathered through ``tables``, with
     # their first maximal SAP ids set in the 1-D ``greedy`` unless it is None:
-    # a lone model's ``_sweep_blocks``, whose gather positions are the SAP ids,
-    # or a stack's, which list the ids last. The scores are gathered and the
+    # the ``_sweep_blocks`` of a stack of one, whose gather positions are the
+    # SAP ids, or a taller stack's, which list the ids last. The scores are gathered and the
     # results set by indexing, which costs less per call than take and put at
     # these sizes; take reads the flat positions of the maxima. One block
     # lists every state in order, so its maxima are returned as taken.
@@ -99,9 +88,12 @@ def _stack_tables(model, k):
     the flat start of each table row, the positions of the table entries in
     the flattened (k, m) scores, and the SAP ids: row j's positions are
     offset by j*n and j*m. Row j is the same in a stack of any height, so
-    ``_first_rows`` serves a stack cut down to its first rows. A lone model
-    uses its ``_sweep_blocks`` as they are.
+    ``_first_rows`` serves a stack cut down to its first rows. A stack of one
+    uses its model's ``_sweep_blocks`` as they are: their gather positions
+    are the SAP ids, which ``_select`` reads there when a block lists none.
     """
+    if k == 1:
+        return model._sweep_blocks
     m, n = model.m, model.n
     stack = np.arange(k)[:, None]
     out = []
@@ -117,5 +109,5 @@ def _stack_tables(model, k):
 
 
 def _first_rows(tables, k):
-    """The stack tables of the first k rows."""
+    """The stack tables of the first k rows of a stack of more than k."""
     return tuple(tuple(a[:k] for a in block) for block in tables)

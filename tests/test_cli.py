@@ -571,22 +571,6 @@ class TestSweep:
         assert chunks[1:] == [1] * (late + 1)
         assert not (tmp_path / "out").exists()
 
-    def test_trials_over_the_stack_budget_split_into_runs(self, tmp_path, monkeypatch):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"n": 12, "saps_per_state": 4, "gamma": 0.95, "sparsity": 0.7}))
-        base = ["sweep", "--spec", str(spec), "--trials", "9", "--seed", "2", "-o"]
-        stacks = record_stacks(monkeypatch)
-        assert main(base + [str(tmp_path / "one")]) == 0
-        assert stacks == [(9, False)]
-        # three trials' transition rows, and spans for runs of up to 60 steps
-        monkeypatch.setattr(convergence, "VI_STACK_BYTES", 3 * 8 * (12 * 48 + 61))
-        stacks.clear()
-        assert main(base + [str(tmp_path / "split")]) == 0
-        heights = [height for height, greedy in stacks if not greedy]
-        assert len(heights) == len(stacks) > 3 and sum(heights) == 9 and max(heights) <= 3
-        for name in ("sweep.csv", "sweep.json"):
-            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "split" / name).read_bytes()
-
     @pytest.mark.parametrize("trials", [0, 3])
     def test_one_csv_row_per_trial(self, tmp_path, trials):
         spec = tmp_path / "spec.json"
@@ -809,6 +793,27 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# n = 3 with five SAPs at state 0 and one at each other state, listed out of state
+# order: two sweep blocks, whose table ids are not the positions of the SAPs
+SKEWED_MODEL = {
+    "schema_version": 1,
+    "n": 3,
+    "gamma": 0.9,
+    "saps": [
+        {"state": s, "reward": r, "probs": p}
+        for s, r, p in [
+            (0, 1.0, [0.5, 0.25, 0.25]),
+            (0, 0.5, [0.25, 0.5, 0.25]),
+            (1, 0.3, [0.3, 0.3, 0.4]),
+            (0, 2.0, [0.1, 0.1, 0.8]),
+            (0, 0.0, [1.0, 0.0, 0.0]),
+            (2, -0.5, [0.6, 0.2, 0.2]),
+            (0, 1.5, [0.2, 0.6, 0.2]),
+        ]
+    ],
+}
+
+
 class TestGoldenOutputs:
     """Output digests computed before the evaluation paths were merged: any moved float fails."""
 
@@ -857,15 +862,22 @@ class TestGoldenOutputs:
                 "6734e7813862846f76915743b5d842e92e15b4264749f3cdb99106d3fa3417a2",
                 "9bcf3826ff3000886260c9efcffb16d879e762cea4e614325de728415840573d",
             ),
-            # more trials than one stacked value-iteration run holds
+            # one chunk of 150 trials, planned and iterated as one stack
             (
                 150,
                 7,
                 "566ce6511e3ddc3447b380410bf27475696efbb6c8be118a2cc9540114078dd9",
                 "14b2544e33a5cb9ab3e612a4af2be879ab5f43088bbdbe3d3c0e00112fd8e703",
             ),
+            # chunks of 227, 227 and 46 trials
+            (
+                500,
+                7,
+                "2dce07e8df63fb8ae05895d22932ba432dd4d241a0ad2cdfb0a036a3054558d4",
+                "52f7e5e369e17c3a4c5f1219bcc5310cbdb7efb73e302bf987db70adb1a0c3e8",
+            ),
         ],
-        ids=["40-trials", "several-chunks"],
+        ids=["40-trials", "one-chunk", "several-chunks"],
     )
     def test_sweep_disc_digests(self, tmp_path, trials, seed, csv_digest, json_digest):
         path = tmp_path / "spec.json"
@@ -895,14 +907,25 @@ class TestGoldenOutputs:
                 "ee4e07d0b4249bc8622257042ced8665da02d3a5636889d7ca70ad7a9ebf1706",
                 "6f5f24ffa1344c79d7d4c24b144d4e71c7c65423fbdc8946d6f1fa59109bc8b5",
             ),
+            (
+                SKEWED_MODEL,
+                "--steps 5",
+                6,
+                "31940cbf2b67a0f85621c179f10bead1c0b3a5e6b1d878995b41b134a3f60b79",
+                "b2c35697e013095c031c75f3bcf05604b5f3e3e6c3f6c14fe7d8f55fc29e211b",
+            ),
         ],
-        ids=["early-stop", "average"],
+        ids=["early-stop", "average", "skewed"],
     )
     def test_converge_digests(
         self, tmp_path, generate, converge, length, report_digest, trace_digest
     ):
+        # ``generate`` is the generator's arguments, or a model file's document
         model = tmp_path / "m.json"
-        assert main(["generate"] + generate.split() + ["-o", str(model)]) == 0
+        if isinstance(generate, dict):
+            model.write_text(json.dumps(generate))
+        else:
+            assert main(["generate"] + generate.split() + ["-o", str(model)]) == 0
         out = tmp_path / "run"
         assert main(["converge", str(model)] + converge.split() + ["-o", str(out)]) == 0
         doc = json.loads((out / "report.json").read_text())

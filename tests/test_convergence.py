@@ -438,11 +438,26 @@ class TestVerifyContraction:
         assert report.bound_satisfied is None
         assert report.span_trace
 
+    @pytest.mark.parametrize(
+        "v0, message",
+        [
+            (np.zeros(3), r"v0 has shape \(3,\), expected \(4,\)"),
+            (np.zeros((2, 4)), r"v0 has shape \(2, 4\), expected \(4,\)"),
+            (np.full(4, np.nan), r"v0\[0\] is nan, not finite"),
+            (np.array([0.0, 1.0, np.inf, 0.0]), r"v0\[2\] is inf, not finite"),
+        ],
+        ids=["length-3", "shape-2x4", "all-nan", "one-inf"],
+    )
+    def test_a_v0_that_is_not_n_finite_reals_is_refused(self, v0, message):
+        model = random_instance(0, n=4, gamma=0.9, saps_per_state=2)
+        with pytest.raises(ValueError, match=message):
+            verify_contraction(model, v0)
+
     def test_chunked_reports_equal_one_at_a_time(self, monkeypatch):
         # the chunked verification against verify_contraction, field by field,
         # with greedy picks and spans only (a sweep's): chunks of one n, gamma
-        # and SAP layout each, v0=None, failing diagnostics, and a stack budget
-        # of a few rows, so each chunk, planned in lockstep, splits into several runs
+        # and SAP layout each, v0=None and failing diagnostics, each chunk
+        # planned in lockstep and iterated in one run
         rng = np.random.default_rng(11)
         skewed = [1, 0, 0, 2, 0, 0, 3, 0, 0]  # state 0's six SAPs: two sweep blocks
         models = [random_instance(s, n=4, gamma=0.9, saps_per_state=2, sparsity=0.3) for s in range(7)]
@@ -460,11 +475,8 @@ class TestVerifyContraction:
         chunks = [pairs[:7], pairs[7:10], pairs[10:13], pairs[13:14], pairs[14:]]
         # the heights of the lockstep runs, and of the chunks planned in lockstep
         heights = record_heights(monkeypatch, [(convergence, "_run_stack"), (convergence, "_plans")])
-        monkeypatch.setattr(convergence, "VI_STACK_BYTES", 3 * 8 * 4 * (8 + 11))
         reports = [report for chunk in chunks for report in convergence._verify_chunk(chunk)]
-        stacks = heights["_run_stack"]
-        assert sum(stacks) == len(models) and max(stacks) > 1 and len(stacks) > 5
-        assert heights["_plans"] == [len(chunk) for chunk in chunks]
+        assert heights["_run_stack"] == heights["_plans"] == [len(chunk) for chunk in chunks]
         # a sweep's chunks record spans only: the same reports, without greedy policies
         lean = [report for chunk in chunks for report in convergence._verify_chunk(chunk, greedy=False)]
         for report, spans_only, model, v0 in zip(reports, lean, models, v0s):
@@ -759,6 +771,44 @@ class TestLockstepPlans:
             convergence._verify_chunk([(m, None) for m in [*ms[:2], late, ms[3], nan]])
         with pytest.raises(NonFiniteRewardError, match="sap 5"):
             convergence._verify_chunk([(m, None) for m in [*ms[:4], nan]])
+
+    @pytest.mark.parametrize("bad_v0, nan_reward", [(1, 3), (3, 1), (2, 2)])
+    def test_a_bad_v0_and_a_nan_reward_fail_in_pair_order(self, bad_v0, nan_reward):
+        # the rewards of the chunk are checked at once; the first failing pair's error is
+        # raised, and within one pair its v0's error comes before its rewards'
+        ms = [random_instance(s, n=4, gamma=0.9, saps_per_state=3) for s in range(5)]
+        nan = ms[nan_reward]
+        ms[nan_reward] = nan._with_rewards(np.where(np.arange(nan.m) == 5, np.nan, nan.sap_rewards))
+        pairs = [(m, np.ones(3) if i == bad_v0 else None) for i, m in enumerate(ms)]
+        if bad_v0 <= nan_reward:
+            with pytest.raises(ValueError, match=r"v0 has shape \(3,\)"):
+                convergence._verify_chunk(pairs)
+        else:
+            with pytest.raises(NonFiniteRewardError, match="sap 5: reward nan"):
+                convergence._verify_chunk(pairs)
+
+    def test_a_sweep_chunk_iterates_within_twice_the_budget(self, monkeypatch):
+        # a chunk of more than one trial has (k, m, n) transition rows within VI_STACK_BYTES,
+        # and its one run records at most wielandt_bound(n) + 1 spans per row and no picks:
+        # at most twice the budget for n >= 2, and three times at n = 1
+        budget, worst = convergence.VI_STACK_BYTES, 0.0
+        for n in range(1, 400):
+            for saps in range(1, 9):
+                m = n * saps
+                k = convergence._chunk_size(m, n)
+                if k > 1:
+                    held = 8 * k * (m * n + chains.wielandt_bound(n) + 1)
+                    assert held <= (2 if n > 1 else 3) * budget, (n, saps)
+                    worst = max(worst, held / budget) if n > 1 else worst
+        assert 1.9 < worst < 2
+        # a chunk's run records no more spans than that
+        runs, run_stack = [], convergence._run_stack
+        monkeypatch.setattr(convergence, "_run_stack", lambda *args: runs.append(args) or run_stack(*args))
+        for gamma in (0.9, 1.0):
+            ms = [random_instance(s, n=5, gamma=gamma, saps_per_state=2, sparsity=0.5) for s in range(20)]
+            convergence._verify_chunk([(m, None) for m in ms], greedy=False)
+        for models, _, budgets, greedy in runs:
+            assert len(models) == 20 and not greedy and max(budgets) <= chains.wielandt_bound(5)
 
 
 class TestProductExpansion:

@@ -32,6 +32,26 @@ def reduceat_sweep(model, scale, v):
     return maxq, order[first]
 
 
+def sweep_rows(model, scale, v, height):
+    """(model, v, maxq, greedy) of each row of one greedy sweep over a stack of
+    ``height`` models with ``model``'s SAP layout: ``greedy_sweep_model`` for a
+    height of 1, else row j has model's rewards, transition rows and v rolled by j."""
+    if height == 1:
+        return [(model, v, *kernels.greedy_sweep_model(model, scale, v))]
+    models = [
+        MdpModel._from_arrays(
+            model.n, model.gamma, model.sap_states, np.roll(model.sap_rewards, j), np.roll(model.sap_probs, j, axis=0)
+        )
+        for j in range(height)
+    ]
+    vs = np.array([np.roll(v, j) for j in range(height)])
+    probs = np.stack([m.sap_probs for m in models])
+    rewards = np.stack([m.sap_rewards for m in models])[:, :, None]
+    greedy = np.empty(height * model.n, dtype=np.int64)
+    maxq = kernels.greedy_sweep(probs, rewards, scale, vs, kernels._stack_tables(model, height), greedy)
+    return [(m, vs[j], maxq[j], greedy.reshape(height, -1)[j]) for j, m in enumerate(models)]
+
+
 def test_matches_manual_computation():
     m = make_model(
         2, 0.5, [(0, 1.0, [0.25, 0.75]), (0, 0.2, [1, 0]), (1, 0.0, [0.5, 0.5])]
@@ -102,21 +122,22 @@ def sweep_cases(draw):
     return make_model(n, 0.9, saps), scale, np.array(v)
 
 
+@pytest.mark.parametrize("height", [1, 3])
 @settings(max_examples=200, deadline=None)
-@given(sweep_cases())
-def test_matches_per_state_loop(case):
-    model, scale, v = case
-    maxq, greedy = kernels.greedy_sweep_model(model, scale, v)
-    for s in range(model.n):
-        best, best_id = -np.inf, -1
-        for a, sap in enumerate(model.saps):
-            if sap.state != s:
-                continue
-            q = sap.reward + scale * float(sap.probs @ v)
-            if q > best:
-                best, best_id = q, a
-        assert maxq[s].tobytes() == np.float64(best).tobytes()  # the first maximum's sign too
-        assert greedy[s] == best_id
+@given(case=sweep_cases())
+def test_matches_per_state_loop(case, height):
+    for model, v, maxq, greedy in sweep_rows(*case, height):
+        scale = case[1]
+        for s in range(model.n):
+            best, best_id = -np.inf, -1
+            for a, sap in enumerate(model.saps):
+                if sap.state != s:
+                    continue
+                q = sap.reward + scale * float(sap.probs @ v)
+                if q > best:
+                    best, best_id = q, a
+            assert maxq[s].tobytes() == np.float64(best).tobytes()  # the first maximum's sign too
+            assert greedy[s] == best_id
 
 
 @st.composite
@@ -142,14 +163,14 @@ def random_sweep_cases(draw):
     return make_model(n, 0.9, saps), scale, rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
 
 
+@pytest.mark.parametrize("height", [1, 3])
 @settings(max_examples=300, deadline=None)
-@given(random_sweep_cases())
-def test_matches_the_reduceat_formulation_bit_for_bit(case):
-    model, scale, v = case
-    maxq, greedy = kernels.greedy_sweep_model(model, scale, v)
-    old_maxq, old_greedy = reduceat_sweep(model, scale, v)
-    assert maxq.tobytes() == old_maxq.tobytes()
-    assert np.array_equal(greedy, old_greedy)
+@given(case=random_sweep_cases())
+def test_matches_the_reduceat_formulation_bit_for_bit(case, height):
+    for model, v, maxq, greedy in sweep_rows(*case, height):
+        old_maxq, old_greedy = reduceat_sweep(model, case[1], v)
+        assert maxq.tobytes() == old_maxq.tobytes()
+        assert np.array_equal(greedy, old_greedy)
 
 
 # bounded so that no sum of up to 300 entries overflows
