@@ -21,7 +21,7 @@ from . import chains, geometry, kernels
 from .chains import PrimitivityCertificate, classify_chain  # noqa: F401, mdpbench/test_bench.py reads it here
 from .errors import AssumptionViolatedError, NonFiniteRewardError, NotUnichainError, ValidationFailedError
 from .geometry import _gap, _raise_first, mdp_constant
-from .model import MdpModel, Policy, check_finite_rewards, lowest_index_policy
+from .model import MdpModel, Policy, _check_finite, check_finite_rewards, lowest_index_policy
 
 SPAN_FLOOR = 1e-13
 BOUND_SLACK = 1e-9
@@ -119,15 +119,17 @@ class ConvergenceReport:
     def unnormalized_span_trace(self) -> list:
         if self.pi_star is None:
             return list(self.span_trace)
-        return _run_stack([self.model], [np.array(self.v0)], [self.steps], False)[0].spans
+        model = self.model
+        return _run_stack([model], [model.sap_rewards], [np.array(self.v0)], [self.steps], False)[0].spans
 
 
 def vi_step(model: MdpModel, v: np.ndarray) -> tuple:
     """One advantage-VI step; returns (v_next, greedy Policy).
 
-    Ties in the per-state maximization go to the lowest SAP index.
+    Ties in the per-state maximization go to the lowest SAP index. A ``v``
+    that is not n finite reals raises ValueError.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = _vector(model.n, v, "v")
     c = mdp_constant(model)
     maxq, greedy_ids = kernels.greedy_sweep_model(model, model.gamma / c, v)
     v_next = c * maxq - model.gamma * float(v.sum())
@@ -140,7 +142,7 @@ def run_vi(model: MdpModel, v0: np.ndarray, steps: int) -> ViRun:
     Stops early once the span falls below SPAN_FLOOR; a constant v0
     terminates immediately with a single-entry trace. The greedy picks form
     an int64 array of one row per recorded span, fewer than steps + 1 after
-    an early stop.
+    an early stop. A v0 that is not n finite reals raises ValueError.
 
     Iterates are re-centered to zero mean after each step. The raw update
     carries an unstable constant component (mean multiplier gamma*(1 - n)),
@@ -152,20 +154,23 @@ def run_vi(model: MdpModel, v0: np.ndarray, steps: int) -> ViRun:
 
     This is the one-row case of ``_run_stack``, the lockstep loop.
     """
-    return _run_stack([model], [v0], [steps])[0]
+    return _run_stack([model], [model.sap_rewards], [_vector(model.n, v0, "v0")], [steps])[0]
 
 
-def _run_stack(models, v0s, budgets, greedy=True) -> list:
-    """run_vi on each model, all in one step loop: one ViRun per model, in order.
-    With ``greedy`` false the runs record spans only, and their ``greedy`` is
+def _run_stack(models, rewards, v0s, budgets, greedy=True) -> list:
+    """run_vi on the transition rows of each model with the per-SAP rewards
+    of the same row of ``rewards`` (its own ``sap_rewards``, or pi*'s
+    advantages), all in one step loop: one ViRun per model, in order. With
+    ``greedy`` false the runs record spans only, and their ``greedy`` is
     None: no picks array is allocated, the sweep gathers no SAP ids, and no
     picks are copied when rows retire or move up.
 
     The models share n, gamma and the SAP layout, so C and the scale gamma/C
-    are shared too, and a step is one ``kernels.greedy_sweep`` call and
-    row-wise reductions along the last axis, which round as 1-D ones do. A
-    lone model is a stack of one, which views its arrays rather than copying
-    them: ``converge``'s runs take the path of a sweep chunk's.
+    are shared too, and so are the sweep's tables, which the first model
+    builds; a step is one ``kernels.greedy_sweep`` call and row-wise
+    reductions along the last axis, which round as 1-D ones do. A lone model
+    is a stack of one, which views its arrays and its reward row rather than
+    copying them: ``converge``'s runs take the path of a sweep chunk's.
 
     Stack row j records step t's span in ``spans[t, j]`` and, with
     ``greedy``, its greedy picks in ``picks[t, j*n : (j+1)*n]``; the sweep
@@ -186,7 +191,7 @@ def _run_stack(models, v0s, budgets, greedy=True) -> list:
     k = len(models)
     order = sorted(range(k), key=budgets.__getitem__, reverse=True)  # stable
     probs = geometry._stacked([models[i].sap_probs for i in order])
-    rewards = geometry._stacked([models[i].sap_rewards for i in order])[:, :, None]
+    rewards = geometry._stacked([rewards[i] for i in order])[:, :, None]
     v = np.array([v0s[i] for i in order], dtype=np.float64)
     tables = all_tables = kernels._stack_tables(first, k)
     budget = [max(budgets[i], 0) for i in order]  # of the stack's rows
@@ -287,7 +292,7 @@ class _Plan:
     diagnostics: AssumptionDiagnostics
     pi_star: Policy | None
     cert: PrimitivityCertificate | None
-    run_model: MdpModel  # normalized against pi_star, or the raw model without one
+    rewards: np.ndarray  # pi_star's advantages, or the raw model's rewards without one
     steps: int
     delta: float | None  # pi_star's suboptimality gap when every diagnostic passes
 
@@ -297,15 +302,17 @@ def _plans(pairs: list, trace_steps) -> list:
 
     The models share n, gamma and the SAP layout, and their plans are settled
     in lockstep, each stage once for the rows still planned: the start
-    vectors (``_start``) and one finiteness test of the stacked rewards; the
-    SAP layout, built once and shared; one Howard search
-    (``geometry._howard``) from the lowest-index policy, and each optimum
+    vectors (``_start``) and one finiteness test of the stacked rewards; one
+    Howard search (``geometry._howard``) from the lowest-index policy, which
+    reads the by-state tables of the first model only, and each optimum
     (``geometry._optimum``); the pi* kernels' stochasticity
     check and chain structure, one stacked ``chains._classify`` at gamma < 1
     and the search's recurrent masks at gamma = 1, where every iterate is
     unichain; one primitivity test (``chains._certificates``); and one
-    stacked evaluation of pi* on the normalized models for the gap of the
-    rows whose diagnostics all pass (``_checked_gaps``). A row leaves at its
+    stacked evaluation of pi* on the normalized rewards, pi*'s advantages
+    from the search's last solve, for the gap of the rows whose diagnostics
+    all pass (``_checked_gaps``). A plan carries those rewards beside its
+    raw model, and no other model is built. A row leaves at its
     first error, the one that planning it alone raises, and its bits do not
     depend on the other rows. A sweep draws a chunk of trials together and
     hands it to ``_verify_chunk``, which plans it here in one call and then
@@ -328,9 +335,6 @@ def _plans(pairs: list, trace_steps) -> list:
         start = lowest_index_policy(models[rows[0]]).choice
     except ValidationFailedError as exc:  # a state without SAPs: so in every model of the layout
         return [exc if plan is None else plan for plan in out]
-    layout = models[rows[0]]._by_state, models[rows[0]]._sweep_blocks
-    for i in rows[1:]:
-        models[i]._take_layout(*layout)
     optima = {}  # row -> (pi*, unique, pi*'s advantages, recurrent mask or None)
     for i, found in zip(rows, geometry._howard([models[i] for i in rows], np.tile(start, (len(rows), 1)))):
         try:
@@ -343,7 +347,7 @@ def _plans(pairs: list, trace_steps) -> list:
             # an informational run on the raw model instead of crashing
             diagnostics = AssumptionDiagnostics(unique=False, unichain=False, aperiodic=False)
             steps = trace_steps or chains.wielandt_bound(models[i].n)
-            out[i] = _Plan(models[i], v0s[i], diagnostics, None, None, models[i], steps, None)
+            out[i] = _Plan(models[i], v0s[i], diagnostics, None, None, models[i].sap_rewards, steps, None)
         except Exception as exc:
             out[i] = exc
     rows = list(optima)
@@ -368,18 +372,17 @@ def _plans(pairs: list, trace_steps) -> list:
     passing = []
     for j, i in enumerate(rows):
         pi_star, unique, adv, _ = optima[i]
-        # the normalized rewards are pi_star's advantages, from the search's last solve
-        run_model = models[i]._with_rewards(adv)
         cert = certs[j] if isinstance(certs[j], PrimitivityCertificate) else None
         diagnostics = AssumptionDiagnostics(unique, bool(unichain[j]), aperiodic=cert is not None)
-        steps = max(cert.exponent if cert else 0, trace_steps or 0) or chains.wielandt_bound(run_model.n)
-        out[i] = _Plan(models[i], v0s[i], diagnostics, pi_star, cert, run_model, steps, None)
+        steps = max(cert.exponent if cert else 0, trace_steps or 0) or chains.wielandt_bound(models[i].n)
+        out[i] = _Plan(models[i], v0s[i], diagnostics, pi_star, cert, adv, steps, None)
         if diagnostics.all_pass:
             passing.append(j)
     if passing:
         passed = [out[rows[j]] for j in passing]
         deltas = _checked_gaps(
-            [plan.run_model for plan in passed],
+            [plan.model for plan in passed],
+            [plan.rewards for plan in passed],
             [plan.pi_star for plan in passed],
             kernels if len(passing) == len(rows) else kernels[passing],
         )
@@ -397,21 +400,27 @@ def _start(n: int, v0) -> np.ndarray:
         v0 = np.zeros(n)
         v0[0] = 1.0
         return v0
-    v0 = np.asarray(v0, dtype=np.float64)
-    if v0.shape != (n,):
-        raise ValueError(f"v0 has shape {v0.shape}, expected ({n},)")
-    finite = np.isfinite(v0)
+    return _vector(n, v0, "v0")
+
+
+def _vector(n: int, v, name: str) -> np.ndarray:
+    """``v`` as n finite float64 values; a ValueError names the argument ``name`` and what is wrong."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (n,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+    finite = np.isfinite(v)
     if not finite.all():
         i = int(finite.argmin())
-        raise ValueError(f"v0[{i}] is {v0[i].item()!r}, not finite")
-    return v0
+        raise ValueError(f"{name}[{i}] is {v[i].item()!r}, not finite")
+    return v
 
 
-def _checked_gaps(models: list, policies: list, kernels: np.ndarray) -> list:
-    """The suboptimality gap of each model's policy ``pi`` (the negated largest advantage of a
-    SAP outside ``pi``; inf when there is none), or the exception it raises, from one stacked
-    evaluation of the policies' (k, n, n) ``kernels``, which it consumes. A gap that is not
-    positive raises AssumptionViolatedError("uniqueness").
+def _checked_gaps(models: list, rewards: list, policies: list, kernels: np.ndarray) -> list:
+    """The suboptimality gap of each policy ``pi`` on its model's transition rows with the
+    rewards of the same row of ``rewards`` (the negated largest advantage of a SAP outside
+    ``pi``; inf when there is none), or the exception it raises, from one stacked evaluation
+    of the policies' (k, n, n) ``kernels``, which it consumes. A gap that is not positive
+    raises AssumptionViolatedError("uniqueness").
 
     The models share n, gamma and the SAP layout. Each policy is checked
     valid, so evaluate_policy's policy check cannot fail; its rewards check
@@ -420,14 +429,14 @@ def _checked_gaps(models: list, policies: list, kernels: np.ndarray) -> list:
     """
     head = models[0]
     probs = geometry._stacked([model.sap_probs for model in models])
-    rewards = geometry._stacked([model.sap_rewards for model in models])
+    rewards = geometry._stacked(rewards)
     own = rewards[np.arange(len(models))[:, None], np.array([pi.choice for pi in policies])]
     out = [None] * len(models)
     finite = np.isfinite(own)
     if not finite.all():
         for j in (~finite.all(axis=-1)).nonzero()[0].tolist():
             try:
-                check_finite_rewards(models[j], policies[j])
+                _check_finite(rewards[j], policies[j].choice)
             except NonFiniteRewardError as exc:
                 out[j] = exc
                 own[j] = 0.0
@@ -445,7 +454,7 @@ def _report(plan: _Plan, run: ViRun) -> ConvergenceReport:
     converged_early = False
     gamma, cert = plan.model.gamma, plan.cert
     if plan.diagnostics.all_pass:
-        constants = _constants(plan.run_model, cert, plan.delta, run.spans)
+        constants = _constants(plan.model, cert, plan.delta, run.spans)
         converged_early = constants.converged_early
         n_steps = constants.exponent
         span_n = run.spans[n_steps] if len(run.spans) > n_steps else run.spans[-1]
@@ -483,8 +492,8 @@ def verify_contraction(
     """Full pipeline: optimal policy, diagnostics, normalization, VI run, bound check.
 
     Diagnostic failures produce an informational report with
-    bound_satisfied=None, never an exception. The verified run happens on
-    the reward-normalized model; the raw model's span trace, for
+    bound_satisfied=None, never an exception. The verified run takes the
+    normalized rewards, pi*'s advantages; the raw model's span trace, for
     comparison, is run when the report's ``unnormalized_span_trace`` is
     first read. ``v0`` defaults to e_0 (1 at state 0, 0 elsewhere); a v0
     that is not n finite reals raises ValueError.
@@ -508,7 +517,8 @@ def _verify_chunk(pairs: list, trace_steps: int | None = None, greedy: bool = Tr
     """
     plans = _plans(pairs, trace_steps)
     _raise_first(plans)
-    runs = _run_stack([p.run_model for p in plans], [p.v0 for p in plans], [p.steps for p in plans], greedy)
+    models, rewards = [p.model for p in plans], [p.rewards for p in plans]
+    runs = _run_stack(models, rewards, [p.v0 for p in plans], [p.steps for p in plans], greedy)
     return list(map(_report, plans, runs))
 
 

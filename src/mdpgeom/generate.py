@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .model import MdpModel, _state_major_layout
+from .model import MdpModel
 from .modelfile import _integer, _real
 
 PRNG_NAME = "splitmix64"
@@ -193,9 +193,9 @@ def _generate(spec: GeneratorSpec, states: np.ndarray) -> list:
     fit, or a chunk of one model's SAPs when one does not. Every step of a
     row is elementwise and contiguous rows sum in the same pairwise order
     as a lone row, so each model has the bits ``generate_model`` gives its
-    seed alone. The models share one read-only ``sap_states`` and its tables:
-    state s owns SAPs s*k .. s*k + k - 1, so ``_state_major_layout`` builds
-    their ``_by_state`` and ``_sweep_blocks`` directly, once.
+    seed alone. The models share one read-only ``sap_states``, state s owning
+    SAPs s*k .. s*k + k - 1; each model builds its own by-state tables when
+    first read.
     """
     lo, hi = spec.reward_range
     n, per_state = spec.n, spec.saps_per_state
@@ -205,7 +205,6 @@ def _generate(spec: GeneratorSpec, states: np.ndarray) -> list:
     stack = max(1, chunk // m)  # models a pass
     sap_states = np.arange(m) // per_state
     sap_states.setflags(write=False)
-    layout = _state_major_layout(n, per_state)
     out = []
     for head in range(0, len(states), stack):
         block = states[head : head + stack]
@@ -231,9 +230,7 @@ def _generate(spec: GeneratorSpec, states: np.ndarray) -> list:
             np.divide(weights, weights.sum(axis=1, keepdims=True), out=probs[rows])
             rewards[rows] = lo + draws[:, -1] * (hi - lo)
         for r, p, fixed in zip(rewards.reshape(k, m), probs.reshape(k, m, n), repaired):
-            model = MdpModel._from_arrays(n, spec.gamma, sap_states, r, p)
-            model._take_layout(*layout)
-            out.append((model, fixed))
+            out.append((MdpModel._from_arrays(n, spec.gamma, sap_states, r, p), fixed))
     return out
 
 

@@ -250,8 +250,8 @@ def normalize_rewards(model: MdpModel, pi_star: Policy) -> MdpModel:
     bias on the states where it differs from the others, so some rewards can
     be positive. Advantages of every SAP with respect to
     every evaluable policy are identical in the original and the normalized
-    model, which shares every array but the rewards, and the cached tables,
-    with ``model``. Raises NonFiniteRewardError when a reward is NaN or infinite.
+    model, which shares every array but the rewards with ``model``. Raises
+    NonFiniteRewardError when a reward is NaN or infinite.
     """
     check_finite_rewards(model)
     pv, _ = evaluate_policy(model, pi_star)

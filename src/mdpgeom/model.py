@@ -81,11 +81,12 @@ class MdpModel:
     ``Sap``s, raising ValidationFailedError on rows of length other than n;
     ``saps`` is a view of ``Sap``s over the arrays, built on first read.
     The SAPs grouped by state (``_by_state``) are also built on first read,
-    once: the greedy sweep's padded tables, policy enumeration,
-    ``policy_count`` and ``lowest_index_policy`` all derive from them, and a
-    model with other rewards (``_with_rewards``) or the same ``sap_states``
-    (``_take_layout``) shares them. A state with no SAP makes each of these
-    raise ValidationFailedError naming every such state.
+    once, by this model alone: the greedy sweep's padded tables
+    (``_sweep_blocks``), policy enumeration, ``policy_count`` and
+    ``lowest_index_policy`` all derive from them. A model with other rewards
+    (``_with_rewards``) shares the arrays but builds its own tables. A state
+    with no SAP makes each of these raise ValidationFailedError naming every
+    such state.
     """
 
     n: int
@@ -188,7 +189,8 @@ class MdpModel:
         one (n, k) table, and skewed ones at most 2m entries."""
         counts, order, starts = self._by_state
         widths, held, saps = [], 0, 0  # each block's largest count; the last block's states, SAPs
-        for k, mult in zip(*(a.tolist() for a in np.unique(counts, return_counts=True))):
+        mults = np.bincount(counts)  # the number of states with each SAP count
+        for k, mult in zip(np.flatnonzero(mults).tolist(), mults[mults > 0].tolist()):
             held, saps = held + mult, saps + mult * k
             if widths and held * k > 2 * saps:  # the last block would pad more than it holds
                 widths.append(k)
@@ -206,15 +208,8 @@ class MdpModel:
         return tuple(blocks)
 
     def _with_rewards(self, rewards) -> MdpModel:
-        """This model with other rewards, sharing every other array and table."""
-        model = MdpModel._from_arrays(self.n, self.gamma, self.sap_states, rewards, self.sap_probs)
-        model._take_layout(self._by_state, self._sweep_blocks)
-        return model
-
-    def _take_layout(self, by_state: tuple, blocks: tuple) -> None:
-        """Take ``by_state`` and ``blocks`` as ``_by_state`` and ``_sweep_blocks``, which must be
-        the tables this model's n and ``sap_states`` build."""
-        vars(self).update(_by_state=by_state, _sweep_blocks=blocks)
+        """This model with other rewards, sharing ``sap_states`` and ``sap_probs``."""
+        return MdpModel._from_arrays(self.n, self.gamma, self.sap_states, rewards, self.sap_probs)
 
     def saps_at(self, state: int) -> np.ndarray:
         """SAP indices attached to ``state``, ascending."""
@@ -277,15 +272,6 @@ class ValueVector:
         return self.criterion == other.criterion and np.array_equal(self.values, other.values)
 
 
-def _state_major_layout(n: int, k: int) -> tuple:
-    """``(_by_state, _sweep_blocks)`` of a model whose n states own k SAPs each, state s
-    the SAPs s*k .. s*k + k - 1, as that model builds them: one (n, k) table."""
-    saps = np.arange(n * k)
-    by_state = tuple(_readonly(a, np.int64) for a in (np.full(n, k), saps, saps[::k]))
-    block = tuple(_readonly(a, np.int64) for a in (np.arange(n), saps[::k], saps.reshape(n, k)))
-    return by_state, (block,)
-
-
 def check_policy(model: MdpModel, pi: Policy) -> None:
     """Raise InvalidPolicyError unless ``pi`` picks one own-state SAP per state."""
     if pi.choice.shape != (model.n,):
@@ -333,11 +319,15 @@ def check_finite_rewards(model: MdpModel, pi: Policy | None = None) -> None:
 
     With ``pi``, only the SAPs that ``pi`` uses are checked, in state order.
     """
-    saps = np.arange(model.m) if pi is None else pi.choice
-    finite = np.isfinite(model.sap_rewards[saps])
+    _check_finite(model.sap_rewards, np.arange(model.m) if pi is None else pi.choice)
+
+
+def _check_finite(rewards: np.ndarray, saps: np.ndarray) -> None:
+    """check_finite_rewards on the per-SAP ``rewards`` of the SAPs ``saps``, in their order."""
+    finite = np.isfinite(rewards[saps])
     if not finite.all():
         i = int(saps[finite.argmin()])
-        raise NonFiniteRewardError(f"sap {i}: reward {model.sap_rewards[i].item()!r} is not finite")
+        raise NonFiniteRewardError(f"sap {i}: reward {rewards[i].item()!r} is not finite")
 
 
 def policy_kernel(model: MdpModel, pi: Policy) -> np.ndarray:

@@ -547,7 +547,7 @@ class TestSweep:
         plans = convergence._plans([(m, None) for m in models], None)
         late = next(t for t in range(2, 8) if plans[t].diagnostics.all_pass)
         failing = {
-            late: plans[late].run_model.sap_rewards[plans[late].pi_star.choice],
+            late: plans[late].rewards[plans[late].pi_star.choice],
             late + 4: models[late + 4].sap_rewards[lowest_index_policy(models[late + 4]).choice],
         }
         solve = geometry.solve
@@ -781,9 +781,9 @@ def record_stacks(monkeypatch):
     """Record (rows, greedy) of each lockstep value-iteration run."""
     stacks, run_stack = [], convergence._run_stack
 
-    def recorded(models, v0s, budgets, greedy=True):
+    def recorded(models, rewards, v0s, budgets, greedy=True):
         stacks.append((len(models), greedy))
-        return run_stack(models, v0s, budgets, greedy)
+        return run_stack(models, rewards, v0s, budgets, greedy)
 
     monkeypatch.setattr(convergence, "_run_stack", recorded)
     return stacks

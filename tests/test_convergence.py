@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mdpgeom import (
     AssumptionViolatedError,
+    MdpModel,
     Policy,
     advantages,
     evaluate_policy,
@@ -21,6 +22,7 @@ from mdpgeom import (
 from mdpgeom import chains, classic, convergence, geometry, kernels, model
 from mdpgeom.chains import PrimitivityCertificate, classify_chain
 from mdpgeom.errors import NonFiniteRewardError, NotUnichainError, ValidationFailedError
+from mdpgeom.generate import GeneratorSpec, _generate, _states
 from mdpgeom.model import lowest_index_policy
 
 from conftest import count_calls, make_model, product_expansion_check, random_instance, random_stochastic
@@ -42,6 +44,11 @@ def stepwise_run(model, v0, steps):
         spans.append(span(v))
     greedy.append(vi_step(model, v)[1].choice)
     return spans, ratios, np.array(greedy), early_stopped, v
+
+
+def raw_rewards(models):
+    """Each model's own rewards, the reward rows of a lockstep run on the raw models."""
+    return [m.sap_rewards for m in models]
 
 
 def assert_run_equals_stepwise(run, model, v0, steps):
@@ -152,6 +159,28 @@ class TestViStep:
             assert np.max(v) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "start, message",
+    [
+        (np.zeros(3), r"{} has shape \(3,\), expected \(4,\)"),
+        (np.zeros((2, 4)), r"{} has shape \(2, 4\), expected \(4,\)"),
+        (np.full(4, np.nan), r"{}\[0\] is nan, not finite"),
+        (np.array([0.0, 1.0, np.inf, 0.0]), r"{}\[2\] is inf, not finite"),
+    ],
+    ids=["length-3", "shape-2x4", "all-nan", "one-inf"],
+)
+@pytest.mark.parametrize(
+    "run, name",
+    [(lambda m, v: run_vi(m, v, 6), "v0"), (vi_step, "v")],
+    ids=["run_vi", "vi_step"],
+)
+def test_a_start_that_is_not_n_finite_reals_is_refused(run, name, start, message):
+    # as verify_contraction refuses it, naming the argument
+    model = random_instance(0, n=4, gamma=0.9, saps_per_state=2)
+    with pytest.raises(ValueError, match=message.format(name)):
+        run(model, start)
+
+
 class TestRunVi:
     def test_constant_v0_terminates_immediately(self, swap_model):
         run = run_vi(swap_model, np.full(2, 3.0), steps=50)
@@ -195,7 +224,7 @@ class TestRunVi:
     @given(stacked_runs())
     def test_lockstep_rows_equal_stepwise_vi_step(self, case):
         models, v0s, budgets = case
-        runs = convergence._run_stack(models, v0s, budgets)
+        runs = convergence._run_stack(models, raw_rewards(models), v0s, budgets)
         assert len(runs) == len(models)
         for run, model, v0, steps in zip(runs, models, v0s, budgets):
             assert_run_equals_stepwise(run, model, v0, steps)
@@ -208,8 +237,8 @@ class TestRunVi:
         # final values are the greedy run's and vi_step's, bit for bit
         models, v0s, budgets = data.draw(stacked_runs(rows, layout))
         assert len(models[0]._sweep_blocks) == (2 if layout == "skewed" else 1)
-        greedy = convergence._run_stack(models, v0s, budgets)
-        spans_only = convergence._run_stack(models, v0s, budgets, False)
+        greedy = convergence._run_stack(models, raw_rewards(models), v0s, budgets)
+        spans_only = convergence._run_stack(models, raw_rewards(models), v0s, budgets, False)
         for run, full, model, v0, steps in zip(spans_only, greedy, models, v0s, budgets):
             spans, ratios, _, early_stopped, final = stepwise_run(model, v0, steps)
             assert run.greedy is None
@@ -230,7 +259,7 @@ class TestRunVi:
         assert len(models[0]._sweep_blocks) == 2
         v0s = [np.array([1.0, 0.0, 0.5, 0.0]), np.full(4, 4.0), np.array([0.0, 2.0, 1.0, 3.0])]
         budgets = [6, 6, 2]
-        runs = convergence._run_stack(models, v0s, budgets)
+        runs = convergence._run_stack(models, raw_rewards(models), v0s, budgets)
         assert [len(run.spans) for run in runs] == [7, 1, 3]
         assert [run.early_stopped for run in runs] == [False, True, False]
         for run, model, v0, steps in zip(runs, models, v0s, budgets):
@@ -269,7 +298,7 @@ class TestClassicalOracle:
         models, v0s, budgets = data.draw(generated_runs(gamma, rows))
         c = geometry.mdp_constant(models[0])
         compared = 0
-        for run, m, v0 in zip(convergence._run_stack(models, v0s, budgets), models, v0s):
+        for run, m, v0 in zip(convergence._run_stack(models, raw_rewards(models), v0s, budgets), models, v0s):
             steps = len(run.spans) - 1
             oracle = classic.value_iteration(m, v0 / c, max_iters=steps, tol=-math.inf)  # no early stop
             assert len(oracle.iterates) == steps + 1
@@ -294,8 +323,19 @@ class TestSuboptimalityGap:
 
     def test_swap_plus_selfloop(self, swap_plus_selfloop):
         m, pi = swap_plus_selfloop, Policy([0, 1])
-        (delta,) = convergence._checked_gaps([m], [pi], m.sap_probs[pi.choice][None])
+        (delta,) = convergence._checked_gaps([m], [m.sap_rewards], [pi], m.sap_probs[pi.choice][None])
         assert delta == pytest.approx(0.5, abs=1e-12)
+
+    def test_a_non_finite_reward_row_is_named(self, swap_plus_selfloop):
+        # the rows given, not the model's own rewards, are checked: the first non-finite one of
+        # pi's SAPs, in state order, is named with its value, and the other rows are solved
+        m, pi = swap_plus_selfloop, Policy([0, 1])
+        rows = [np.array([0.0, -np.inf, np.nan]), np.array([np.nan, 0.0, -0.5]), m.sap_rewards]
+        kernels = np.stack([m.sap_probs[pi.choice]] * 3)
+        first, second, third = convergence._checked_gaps([m] * 3, rows, [pi] * 3, kernels)
+        assert isinstance(first, NonFiniteRewardError) and str(first) == "sap 1: reward -inf is not finite"
+        assert isinstance(second, NonFiniteRewardError) and str(second) == "sap 0: reward nan is not finite"
+        assert third == pytest.approx(0.5, abs=1e-12)
 
     def test_no_alternatives_is_infinite(self):
         # one SAP a state, on an aperiodic kernel: no SAP is outside pi*, and every factor is 1
@@ -343,7 +383,7 @@ class TestContractionConstants:
             [(0, 1.0, [0.5, 0.5]), (0, 1.0, [0.5, 0.5]), (1, 0.0, [0.5, 0.5])],
         )
         pi = Policy([0, 2])
-        (err,) = convergence._checked_gaps([m], [pi], m.sap_probs[pi.choice][None])
+        (err,) = convergence._checked_gaps([m], [m.sap_rewards], [pi], m.sap_probs[pi.choice][None])
         assert isinstance(err, AssumptionViolatedError)
         assert err.diagnostic == "uniqueness"
         assert not verify_contraction(m).diagnostics.unique  # which the search reports first
@@ -428,6 +468,59 @@ class TestVerifyContraction:
         assert report.pi_star == at_one.pi_star
         assert abs(report.constants.delta - limit.delta) <= self.LIMIT_C * (1 - gamma)
         assert abs(report.constants.tau - limit.tau) <= self.LIMIT_C * (1 - gamma)
+
+    # To first order in eps = 1 - gamma, with the same rewards, rows and v0: the run is classical
+    # VI u_{t+1} = max_a (r_a + gamma P_a u_t) on u = v / C, with C = n - eps (n - 1) and r the
+    # normalized rewards, which move by at most D (max norm). A step moves u by eps P u_t and by
+    # at most D, P does not widen a span, and span_0 = span(v0) at both gammas, so span_t = C
+    # span(u_t) moves by at most eps ((n - 1) / C (span_t + span_0) + sum_{s < t} span_s) + 2 t C D.
+    # phi is omega times factors min(1, delta C / (gamma span_t)) for t < N, and delta moves by at
+    # most D, so tau = 1 - n phi moves by at most n phi sum_{t < N} (D / delta + eps (1 + (n - 1)
+    # / C) + |span_t move| / span_t). Over 33,152 draws of this domain kept, the spans moved by at
+    # most 0.60 of their bound and tau by at most 1.05 of its own; K leaves a margin of 1.9.
+    NEAR_ONE_K = 2.0
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(3, 6),
+        saps=st.integers(2, 3),
+        sparsity=st.floats(0.0, 0.5),
+        k=st.floats(4.0, 12.0),
+    )
+    def test_verdicts_at_gamma_near_one_match_gamma_one(self, seed, n, saps, sparsity, k):
+        # one v0 at gamma = 1 and at 1 - eps, for a unique unichain aperiodic optimum at 1 whose
+        # gap leaves room for a move of order eps: the same diagnostics and exponent, the spans
+        # and tau within K times their first-order bounds, and the same verdicts wherever the
+        # gamma = 1 margin exceeds what those bounds let them move
+        eps, bound = 10.0**-k, self.NEAR_ONE_K
+        m = random_instance(seed, n=n, gamma=1.0, saps_per_state=saps, sparsity=sparsity)
+        v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        one = verify_contraction(m, v0)
+        lim = one.constants
+        assume(one.diagnostics.all_pass and lim.delta >= 1e3 * eps)
+        assume(not (lim.converged_early or lim.degenerate))  # the verdicts read tau
+        near_model = MdpModel(n, m.saps, 1.0 - eps)
+        near = verify_contraction(near_model, v0)
+        assert near.diagnostics == one.diagnostics and near.exponent == one.exponent
+        shift = float(np.abs(optimal_policy(near_model).advantages - optimal_policy(m).advantages).max())
+        c, spans, near_spans = float(n), one.span_trace, near.span_trace
+        assert len(near_spans) == len(spans)
+        moves = [
+            eps * ((n - 1) / c * (s + spans[0]) + sum(spans[:t])) + 2 * t * c * shift for t, s in enumerate(spans)
+        ]
+        for s, near_s, move in zip(spans, near_spans, moves):
+            assert abs(near_s - s) <= bound * move
+        n_steps = lim.exponent
+        relative = [shift / lim.delta + eps * (1 + (n - 1) / c) + moves[t] / spans[t] for t in range(n_steps)]
+        tau_move = n * lim.phi * sum(relative)
+        assert abs(near.constants.tau - lim.tau) <= bound * tau_move
+        for verdict, rhs, rhs_move in (
+            ("bound_satisfied", lim.tau * spans[0], (n_steps * eps * lim.tau + bound * tau_move) * spans[0]),
+            ("sanity_bound_satisfied", spans[0], n_steps * eps * spans[0]),
+        ):
+            if abs(rhs + convergence.BOUND_SLACK - spans[n_steps]) > rhs_move + bound * moves[n_steps]:
+                assert getattr(near, verdict) == getattr(one, verdict), verdict
 
     def test_no_unichain_policy_reports_instead_of_crashing(self):
         # both states absorbing under the only policy: nothing to optimize at gamma=1
@@ -649,8 +742,8 @@ def plan_bits(plan):
         plan.pi_star.as_tuple() if plan.pi_star is not None else None,
         plan.diagnostics,
         plan.v0.tobytes(),
-        plan.run_model.sap_rewards.tobytes(),
-        plan.run_model is plan.model,
+        plan.rewards.tobytes(),
+        plan.rewards is plan.model.sap_rewards,
         (cert.exponent, cert.omega.hex()) if cert is not None else None,
         plan.steps,
         plan.delta.hex() if plan.delta is not None else None,
@@ -748,12 +841,17 @@ class TestLockstepPlans:
         plans = convergence._plans(pairs, trace_steps)
         assert [plan_bits(p) for p in plans] == [plan_bits(lone_plan(m, v0, trace_steps)) for m, v0 in pairs]
 
-    def test_a_chunk_shares_one_layout(self):
-        ms = [random_instance(s, n=5, gamma=0.9, saps_per_state=3) for s in range(4)]
-        convergence._verify_chunk([(m, None) for m in ms])
-        for m in ms[1:]:
-            assert m._by_state is ms[0]._by_state
-            assert m._sweep_blocks is ms[0]._sweep_blocks
+    @pytest.mark.parametrize("gamma", [0.9, 1.0])
+    def test_only_the_first_model_builds_tables(self, gamma):
+        # the search and the value iterations read the by-state tables of the chunk's first
+        # model, which builds them itself; the others, drawn together, build none
+        spec = GeneratorSpec(n=5, saps_per_state=3, gamma=gamma, sparsity=0.2)
+        ms = [m for m, _ in _generate(spec, _states(range(4)))]
+        assert not any({"_by_state", "_sweep_blocks"} & vars(m).keys() for m in ms)
+        reports = convergence._verify_chunk([(m, None) for m in ms])
+        assert sum(r.diagnostics.all_pass for r in reports) > 1
+        assert {"_by_state", "_sweep_blocks"} <= vars(ms[0]).keys()
+        assert not any({"_by_state", "_sweep_blocks"} & vars(m).keys() for m in ms[1:])
 
     def test_a_state_without_saps_fails_as_alone(self):
         ms = [make_model(3, 0.9, [(0, r, [1, 0, 0]), (2, 0.0, [0, 0, 1])]) for r in (1.0, 2.0)]
@@ -807,7 +905,7 @@ class TestLockstepPlans:
         for gamma in (0.9, 1.0):
             ms = [random_instance(s, n=5, gamma=gamma, saps_per_state=2, sparsity=0.5) for s in range(20)]
             convergence._verify_chunk([(m, None) for m in ms], greedy=False)
-        for models, _, budgets, greedy in runs:
+        for models, _, _, budgets, greedy in runs:
             assert len(models) == 20 and not greedy and max(budgets) <= chains.wielandt_bound(5)
 
 

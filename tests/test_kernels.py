@@ -7,7 +7,6 @@ from mdpgeom import (
     classic, enumerate_policies, kernels, normalize_rewards, optimal_policy, verify_contraction
 )
 from mdpgeom.errors import ValidationFailedError
-from mdpgeom.generate import GeneratorSpec, _generate, _states
 from mdpgeom.model import MdpModel, lowest_index_policy, policy_count, validate_model
 
 from conftest import make_model, random_instance
@@ -186,8 +185,6 @@ def test_centering_by_sum_over_size_is_the_mean(v):
 def test_normalized_model_shares_the_structure_tables():
     raw = random_instance(5, n=6, gamma=0.9, saps_per_state=3)
     normalized = normalize_rewards(raw, optimal_policy(raw).policy)
-    for name in ("_by_state", "_sweep_blocks"):
-        assert getattr(normalized, name) is getattr(raw, name)
     assert normalized.sap_states is raw.sap_states and normalized.sap_probs is raw.sap_probs
     assert normalized.sap_rewards is not raw.sap_rewards
 
@@ -223,23 +220,6 @@ def test_sweep_blocks_cover_each_state_within_twice_the_saps(counts, random):
     assert sum(t.size for _, _, t in m._sweep_blocks) <= 2 * m.m
     if len(set(counts)) == 1:
         assert len(m._sweep_blocks) == 1
-
-
-@given(st.integers(1, 30), st.integers(1, 6), st.integers(1, 4))
-def test_generated_models_take_the_tables_their_layout_builds(n, saps, k):
-    # _generate hands every model one copy of its state-major layout's tables, with
-    # the values, dtype and read-only flags that a model with that layout builds
-    spec = GeneratorSpec(n=n, saps_per_state=saps, gamma=0.9)
-    models = [model for model, _ in _generate(spec, _states(range(k)))]
-    fresh = MdpModel._from_arrays(n, 0.9, models[0].sap_states.copy(), np.zeros(n * saps), models[0].sap_probs)
-    for name in ("_by_state", "_sweep_blocks"):
-        assert all(getattr(model, name) is getattr(models[0], name) for model in models)
-    pairs = list(zip(models[0]._by_state, fresh._by_state))
-    pairs += [pair for blocks in zip(models[0]._sweep_blocks, fresh._sweep_blocks) for pair in zip(*blocks)]
-    assert len(models[0]._sweep_blocks) == len(fresh._sweep_blocks) == 1 and len(pairs) == 6
-    for taken, built in pairs:
-        assert taken.dtype == built.dtype == np.int64 and np.array_equal(taken, built)
-        assert not taken.flags.writeable
 
 
 def test_skewed_layout_splits_into_blocks():
